@@ -16,7 +16,7 @@ let run ~quick =
       Scenarios.consensus ~name:"f3" ~impl:Scenarios.Fig3 ~quantum:8
         ~layout:(List.map (fun p -> (0, p)) pris)
     in
-    verdict (Explore.random_runs ~runs ~seed:1 b.scenario)
+    verdict (Explore.sample ~strategy:Randsched.Naive ~runs ~seed:1 b.scenario)
   in
   let fig5 pris =
     let s =
@@ -24,7 +24,7 @@ let run ~quick =
         ~layout:(List.map (fun p -> (0, p)) pris)
         ~script:(Scenarios.random_script ~seed:5 ~n:(List.length pris) ~ops_per:2)
     in
-    verdict (Explore.random_runs ~runs ~step_limit:600_000 ~seed:2 s)
+    verdict (Explore.sample ~strategy:Randsched.Naive ~runs ~step_limit:600_000 ~seed:2 s)
   in
   let fig7 layout =
     let b =
@@ -32,7 +32,8 @@ let run ~quick =
         ~impl:(Scenarios.Fig7 { consensus_number = 2 })
         ~quantum:4000 ~layout
     in
-    verdict (Explore.random_runs ~runs:(runs / 3) ~step_limit:8_000_000 ~seed:3 b.scenario)
+    verdict (Explore.sample ~strategy:Randsched.Naive
+        ~runs:(runs / 3) ~step_limit:8_000_000 ~seed:3 b.scenario)
   in
   let rows =
     [

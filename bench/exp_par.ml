@@ -107,13 +107,15 @@ let certify_cell ~jobs ~grain ~self_check ~quick ~seed ~name make_subject =
 let random_cell ~jobs ~grain ~self_check ~name ~runs ~seed scenario =
   let stats = Explore.make_stats ~jobs scenario in
   let o2, par_s =
-    wall (fun () -> Explore.random_runs ~runs ~jobs ?grain ~stats ~seed scenario)
+    wall (fun () -> Explore.sample ~strategy:Randsched.Naive
+        ~runs ~jobs ?grain ~stats ~seed scenario)
   in
   let steals = Hwf_par.Pool.stats_steals (Explore.stats_pool stats) in
   let seq_s, identical =
     if not self_check then (None, None)
     else
-      let o1, seq_s = wall (fun () -> Explore.random_runs ~runs ~jobs:1 ~seed scenario) in
+      let o1, seq_s = wall (fun () -> Explore.sample ~strategy:Randsched.Naive
+          ~runs ~jobs:1 ~seed scenario) in
       ( Some seq_s,
         Some (o1.Explore.runs = o2.Explore.runs && o1.Explore.coverage = o2.Explore.coverage)
       )

@@ -38,7 +38,7 @@ let lin_verdict ~label ~pris ~script ~runs ~seed =
       ~layout:(List.map (fun p -> (0, p)) pris)
       ~script
   in
-  let o = Explore.random_runs ~runs ~step_limit:600_000 ~seed s in
+  let o = Explore.sample ~strategy:Randsched.Naive ~runs ~step_limit:600_000 ~seed s in
   [
     label;
     string_of_int (List.length pris);

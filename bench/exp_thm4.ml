@@ -29,7 +29,7 @@ let verdict ~quantum ~consensus_number ~layout ~runs ~seed =
     Scenarios.consensus ~name:"mc" ~impl:(Scenarios.Fig7 { consensus_number }) ~quantum
       ~layout
   in
-  let o = Explore.random_runs ~runs ~step_limit:8_000_000 ~seed b.scenario in
+  let o = Explore.sample ~strategy:Randsched.Naive ~runs ~step_limit:8_000_000 ~seed b.scenario in
   match o.counterexample with None -> "agreement holds" | Some c -> c.message
 
 let run ~quick =

@@ -19,7 +19,8 @@ let run ~quick =
           Scenarios.universal_queue ~name:"uq" ~quantum:6000 ~consensus_number:p
             ~layout ~ops_per
         in
-        let o = Explore.random_runs ~runs ~step_limit:40_000_000 ~seed:(p * 7) s in
+        let o = Explore.sample ~strategy:Randsched.Naive
+            ~runs ~step_limit:40_000_000 ~seed:(p * 7) s in
         [
           string_of_int p;
           string_of_int p;
@@ -38,7 +39,8 @@ let run ~quick =
     rows;
   (* counters over Fig. 3 cells on a hybrid uniprocessor *)
   let s = Scenarios.universal_counter_uni ~name:"uc" ~quantum:3000 ~pris:[ 1; 1; 2; 3 ] in
-  let o = Explore.random_runs ~runs:(runs * 2) ~step_limit:5_000_000 ~seed:99 s in
+  let o = Explore.sample ~strategy:Randsched.Naive
+      ~runs:(runs * 2) ~step_limit:5_000_000 ~seed:99 s in
   Tbl.note
     "uniprocessor counter over Fig. 3 consensus (4 procs, 3 levels): %s after %d runs."
     (match o.counterexample with None -> "all increments distinct 1..N" | Some c -> c.message)

@@ -631,7 +631,8 @@ let cas_cmd =
     let n = List.length layout in
     let script = Scenarios.random_script ~seed ~n ~ops_per:ops in
     let s = Scenarios.hybrid_cas ~name:"cli" ~quantum ~layout ~script in
-    let o = Explore.random_runs ~runs ~step_limit:2_000_000 ~jobs ?grain ~seed s in
+    let o = Explore.sample ~strategy:Randsched.Naive
+        ~runs ~step_limit:2_000_000 ~jobs ?grain ~seed s in
     Fmt.pr "%a@." Explore.pp_outcome o;
     (if trace_out <> None || metrics_out <> None then
        match o.counterexample with

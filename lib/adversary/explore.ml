@@ -24,23 +24,9 @@ type outcome = {
 
 (* ---- sleep-set pruning (dynamic partial-order reduction) ----
 
-   Two scheduler transitions are {e independent} when executing them in
-   either order yields the same engine state. In this engine all
-   scheduler accounting — preemption stamps, ready-level counts, quantum
-   guards — is per {e processor}, so transitions of processes on the
-   same processor never commute (each statement advances the preemption
-   accounting of every other process on that processor). Transitions on
-   {e different} processors commute exactly when their data footprints
-   do not conflict: same shared variable with at least one write. That
-   relation is computed per decision point from the policy view
-   ([next_op] of each candidate); anything unknown — a process not yet
-   [Ready], a missing [next_op] — is conservatively dependent.
-
-   The relation is only valid while programs never observe global state
-   outside their [Shared] footprints. The one such door in this codebase
-   is [Eff.now] (the global statement clock, counted per run by
-   [Trace.now_reads]): a run that read the clock taints the search —
-   see [explore] below for how taint is handled. *)
+   The independence relation, its validity boundary (the [Eff.now]
+   taint) and the source-set refinement are described in the interface
+   preamble; [dpor_requested] below says when pruning is armed. *)
 
 (* Footprint of one candidate at one decision point. The footprint
    record and the independence judgement live in [Policy] (the view
@@ -125,11 +111,6 @@ let stats_source_prunes s = Atomic.get s.source_prunes
 let stats_sampled s = Atomic.get s.sampled
 let stats_pool s = s.pool
 
-let record_sampled stats =
-  match stats with
-  | None -> ()
-  | Some s -> ignore (Atomic.fetch_and_add s.sampled 1)
-
 let record_run stats slots =
   match stats with
   | None -> ()
@@ -142,13 +123,8 @@ let record_run stats slots =
 
 let record_pruned stats k =
   match stats with
-  | None -> ()
-  | Some s -> if k > 0 then ignore (Atomic.fetch_and_add s.pruned k)
-
-let record_source_prune stats =
-  match stats with
-  | None -> ()
-  | Some s -> ignore (Atomic.fetch_and_add s.source_prunes 1)
+  | Some s when k > 0 -> ignore (Atomic.fetch_and_add s.pruned k)
+  | Some _ | None -> ()
 
 let pool_of stats = Option.map (fun s -> s.pool) stats
 
@@ -198,15 +174,10 @@ let sever arena = arena.atrace <- None
    is true when the run was cut off at a fully-slept decision point
    (every enabled transition covered by an earlier sibling subtree), in
    which case the prefix must be discarded without a verdict check. *)
-let run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit ~config ?arena
+let run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit ~config ~arena
     instance prefix =
-  let slots =
-    match arena with
-    | Some a ->
-      Vec.clear a.aslots;
-      a.aslots
-    | None -> Vec.create ()
-  in
+  let slots = arena.aslots in
+  Vec.clear slots;
   let depth = ref 0 in
   let prev = ref (-1) in
   let budget = ref (match preemption_bound with None -> max_int | Some b -> b) in
@@ -269,8 +240,8 @@ let run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit ~config ?ar
     end
   in
   let policy = Policy.of_fun "explore" choose in
-  let trace_buf = Option.map (fun a -> arena_trace a config) arena in
-  let result = Engine.run ~step_limit ?trace_buf ~config ~policy instance.programs in
+  let trace_buf = arena_trace arena config in
+  let result = Engine.run ~step_limit ~trace_buf ~config ~policy instance.programs in
   (result, slots, !truncated, Trace.now_reads result.trace > 0, !blocked)
 
 (* Deepest slot with an unexplored, non-slept sibling. With [dpor],
@@ -281,26 +252,15 @@ let run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit ~config ?ar
 let backtrack ~dpor ?stats slots =
   let n = Vec.length slots in
   let next_choice (s : slot) =
-    if not dpor then
-      if s.choice + 1 < s.candidates then Some (s.choice + 1) else None
-    else begin
-      let skipped = ref 0 in
-      let rec go j =
-        if j >= s.candidates then begin
-          record_pruned stats !skipped;
-          None
-        end
-        else if slept s.sleep s.cands.(j).Policy.fpid then begin
-          incr skipped;
-          go (j + 1)
-        end
-        else begin
-          record_pruned stats !skipped;
-          Some j
-        end
-      in
-      go (s.choice + 1)
-    end
+    let rec go j skipped =
+      if j < s.candidates && dpor && slept s.sleep s.cands.(j).Policy.fpid then
+        go (j + 1) (skipped + 1)
+      else begin
+        record_pruned stats skipped;
+        if j < s.candidates then Some j else None
+      end
+    in
+    go (s.choice + 1) 0
   in
   let rec find i =
     if i < 0 then None
@@ -318,102 +278,143 @@ let backtrack ~dpor ?stats slots =
     prefix.(i) <- c;
     Some prefix
 
-(* ---- parallel fan-out (see docs/PARALLELISM.md) ----
+(* ---- the search driver (see docs/PARALLELISM.md, docs/ROBUSTNESS.md) ----
 
-   [explore ~jobs] splits the decision tree at depth 0: each top-level
-   candidate index roots an independent subtree, and the sequential DFS
-   runs unchanged inside each one (backtracking is forbidden from
-   crossing slot 0). Because the sequential DFS visits subtree 0 in
-   full, then subtree 1, ... — [backtrack] increments slot 0 only when
-   no deeper slot has unexplored siblings — concatenating the per-subtree
-   results in index order reproduces the sequential run order exactly,
-   which is what makes the merged outcome bit-identical to [~jobs:1]
-   whenever the search completes within [max_runs]. Sleep sets do not
-   disturb this: they are recomputed from the prefix alone, so subtree
-   [i]'s pruning is identical whether it runs on the caller's domain
-   after subtree [i-1] or on a stolen chunk of a pool worker. *)
+   Every search — [explore] and [iter_schedules], at any [jobs] and
+   [grain], with or without a checkpoint — runs the same way. One probe
+   run (the all-defaults schedule; sleep sets stay empty along it, so it
+   is the same schedule with pruning armed or not) reveals the top-level
+   width and whether the scenario reads the global clock. Each top-level
+   candidate index then roots one subtree cell, the DFS runs unchanged
+   inside each (backtracking never crosses slot 0), and the cells are
+   merged in index order. Because the DFS visits subtree 0 in full,
+   then subtree 1, ... — [backtrack] increments slot 0 only when no
+   deeper slot has unexplored siblings — the merge reproduces the
+   one-domain run order exactly. The probe is subtree 0's first run:
+   cell 0 consumes it rather than re-running it. Sleep sets do not
+   disturb the decomposition: they are recomputed from the prefix
+   alone, so subtree [i]'s pruning is the same on any domain, after any
+   other subtree, or after a resume. *)
 
 let tainted_msg =
   "Explore.explore: the program read the global statement clock (Eff.now) on \
    some schedules only, which invalidates sleep-set pruning; re-run with \
    ~dpor:false (--no-dpor)"
 
-(* Outcome of one subtree's DFS. [sruns] counts runs actually performed
-   in the subtree; on a counterexample the DFS stops, so [sruns] is also
-   the canonical "runs until failure" of that subtree. *)
+(* Outcome of one cell. [sruns] counts verdict-checked runs; on a
+   counterexample the cell stops, so [sruns] is also the canonical "runs
+   until failure" of that cell. *)
 type subtree = { sruns : int; sexhaustive : bool; scx : counterexample option }
 
-(* DFS from [start], restricted to the top-level branch [root] (when
-   given): a backtrack prefix whose slot 0 differs means the subtree is
-   exhausted. [claim] is the global max_runs budget — one claim per run,
-   so the total number of engine runs across all domains never exceeds
-   [max_runs]. [aborted] lets a worker retire once a lower-indexed
-   subtree (earlier in canonical order) has found a counterexample. *)
+let pids_of slots = List.map (fun s -> s.pid) (Vec.to_list slots)
+
+(* DFS of the subtree rooted at top-level choice [root]; [first], when
+   given, is its already-performed (and already claimed) first run.
+   [claim] is the global max_runs budget — one claim per
+   engine run, so the runs across all domains never exceed [max_runs].
+   [aborted] retires the cell (a lower-indexed cell has failed, a stop
+   was requested, or the cell's deadline expired). [judge] is the
+   per-run verdict; an [Error] is a counterexample and stops the cell. *)
 let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_depth
-    ~step_limit ~on_step_limit ~root ?arena scenario start =
+    ~step_limit ~judge ~root ?first ~arena scenario =
   let runs = ref 0 in
   let exhaustive = ref true in
-  let in_subtree prefix =
-    match root with
-    | None -> true
-    | Some i -> Array.length prefix > 0 && prefix.(0) = i
-  in
-  let rec loop prefix =
-    if aborted () || not (claim ()) then
+  let rec loop ?pre prefix =
+    if aborted () || (Option.is_none pre && not (claim ())) then
       { sruns = !runs; sexhaustive = false; scx = None }
     else begin
-      let instance = scenario.make () in
-      let result, slots, truncated, tainted, blocked =
-        run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit
-          ~config:scenario.config ?arena instance prefix
+      let instance, (result, slots, truncated, tainted, blocked) =
+        match pre with
+        | Some run -> run
+        | None ->
+          let instance = scenario.make () in
+          ( instance,
+            run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit
+              ~config:scenario.config ~arena instance prefix )
       in
       if tainted && dpor then invalid_arg tainted_msg;
       if truncated then exhaustive := false;
-      if blocked then begin
-        (* Source-set prune: the prefix ran into a fully-slept decision
-           point, so every completion of it is Mazurkiewicz-equivalent
-           to a schedule in a DFS-earlier subtree. Discard it without a
-           verdict check (the run is incomplete by construction) and
-           keep backtracking from the decisions gathered so far. *)
-        record_source_prune stats;
+      let verdict =
+        if blocked then begin
+          (* Source-set prune: the prefix ran into a fully-slept decision
+             point, so every completion of it is Mazurkiewicz-equivalent
+             to a schedule in a DFS-earlier subtree. Discard it without a
+             verdict check (the run is incomplete by construction) and
+             keep backtracking from the decisions gathered so far. *)
+          Option.iter (fun s -> Atomic.incr s.source_prunes) stats;
+          Ok ()
+        end
+        else begin
+          incr runs;
+          record_run stats slots;
+          judge instance result slots
+        end
+      in
+      match verdict with
+      | Error message ->
+        let decisions = pids_of slots in
+        sever arena;
+        {
+          sruns = !runs;
+          sexhaustive = false;
+          scx = Some { message; trace = result.trace; decisions };
+        }
+      | Ok () -> (
         match backtrack ~dpor ?stats slots with
-        | Some prefix when in_subtree prefix -> loop prefix
-        | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None }
-      end
-      else begin
-        incr runs;
-        record_run stats slots;
-        match verdict ~on_step_limit instance result with
-        | Error message ->
-          let decisions = List.map (fun s -> s.pid) (Vec.to_list slots) in
-          Option.iter sever arena;
-          {
-            sruns = !runs;
-            sexhaustive = false;
-            scx = Some { message; trace = result.trace; decisions };
-          }
-        | Ok () -> (
-          match backtrack ~dpor ?stats slots with
-          | Some prefix when in_subtree prefix -> loop prefix
-          | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None })
-      end
+        | Some prefix when prefix.(0) = root -> loop prefix
+        | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None })
     end
   in
-  loop start
+  loop ?pre:first [| root |]
 
 let rec atomic_min a v =
   let cur = Atomic.get a in
   if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
 
-(* Legacy (non-checkpointed) searches run as one completed unit; their
-   coverage is trivially full. Real per-cell accounting belongs to the
-   checkpointed path below. *)
-let outcome_of st =
+(* Evaluate cells [0, n) on the pool and merge them canonically: walk
+   the cells in index order — the order a one-domain search visits them
+   — summing runs up to the first counterexample. A cell without a
+   result (timed out, errored, skipped) also ends the merge: a
+   counterexample found after a gap cannot be called canonical, so the
+   gap truncates the merge and coverage reports the rest. [cell
+   ~lower_failed arena i] computes cell [i]; [lower_failed ()] turns true
+   once a lower-indexed cell has failed, after which cell [i]'s work
+   would be discarded by the merge. *)
+let run_cells ~jobs ~grain ~stats n cell =
+  let best = Atomic.make max_int in
+  let cells =
+    Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats) ~make:make_arena
+      (fun arena i ->
+        let c = cell ~lower_failed:(fun () -> Atomic.get best < i) arena i in
+        (match c.Resil.outcome with
+        | Resil.Ok_cell { scx = Some _; _ } -> atomic_min best i
+        | Resil.Ok_cell _ | Resil.Timed_out _ | Resil.Errored _ | Resil.Skipped _ -> ());
+        c)
+      (Array.init n Fun.id)
+  in
+  let total = ref 0 and exhaustive = ref true and cx = ref None in
+  (try
+     Array.iter
+       (fun cell ->
+         match cell.Resil.outcome with
+         | Resil.Ok_cell st -> (
+           total := !total + st.sruns;
+           if not st.sexhaustive then exhaustive := false;
+           match st.scx with
+           | Some c ->
+             cx := Some c;
+             raise Exit
+           | None -> ())
+         | Resil.Timed_out _ | Resil.Errored _ | Resil.Skipped _ ->
+           exhaustive := false;
+           raise Exit)
+       cells
+   with Exit -> ());
   {
-    runs = st.sruns;
-    exhaustive = st.sexhaustive;
-    counterexample = st.scx;
-    coverage = Resil.full_coverage 1;
+    runs = !total;
+    exhaustive = !exhaustive && !cx = None;
+    counterexample = !cx;
+    coverage = Resil.coverage_of_cells cells;
   }
 
 (* Pruning is requested by default but only armed when the relation is
@@ -429,162 +430,21 @@ let outcome_of st =
 let dpor_requested ~dpor ~preemption_bound scenario =
   dpor && preemption_bound = None && Config.n scenario.config <= max_sleep_pids
 
-let explore_plain ?preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit
-    ~jobs ~grain ~dpor ~relation ?stats scenario =
-  let claimed = Atomic.make 0 in
-  let claim () =
-    Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
-  in
-  let never_aborted () = false in
-  if not (claim ()) then
-    {
-      runs = 0;
-      exhaustive = false;
-      counterexample = None;
-      coverage = Resil.full_coverage 1;
-    }
-  else begin
-    let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
-    (* Probe: canonical run #1 (the all-zeros schedule — sleep sets are
-       empty along the all-defaults path, so this is the same schedule
-       with pruning armed or not). It reveals the top-level width and
-       whether the scenario reads the global clock. *)
-    let arena0 = make_arena () in
-    let instance = scenario.make () in
-    let result, slots, probe_truncated, probe_tainted, _ =
-      run_one ~dpor:dpor_req ~relation ~preemption_bound ~max_depth ~step_limit
-        ~config:scenario.config ~arena:arena0 instance [||]
-    in
-    record_run stats slots;
-    let dpor = dpor_req && not probe_tainted in
-    let dfs =
-      subtree_dfs ~dpor ~relation ~stats ~preemption_bound ~max_depth ~step_limit
-        ~on_step_limit
-    in
-    match verdict ~on_step_limit instance result with
-    | Error message ->
-      let decisions = List.map (fun s -> s.pid) (Vec.to_list slots) in
-      sever arena0;
-      {
-        runs = 1;
-        exhaustive = false;
-        counterexample = Some { message; trace = result.trace; decisions };
-        coverage = Resil.full_coverage 1;
-      }
-    | Ok () -> (
-      let width = if Vec.length slots = 0 then 0 else (Vec.get slots 0).candidates in
-      let continuation = backtrack ~dpor ?stats slots in
-      if jobs <= 1 || width <= 1 then
-        (* No fan-out: finish the DFS on the calling domain. *)
-        match continuation with
-        | None ->
-          {
-            runs = 1;
-            exhaustive = not probe_truncated;
-            counterexample = None;
-            coverage = Resil.full_coverage 1;
-          }
-        | Some prefix ->
-          let st =
-            dfs ~claim ~aborted:never_aborted ~root:None ~arena:arena0 scenario
-              prefix
-          in
-          outcome_of
-            {
-              st with
-              sruns = st.sruns + 1;
-              sexhaustive = st.sexhaustive && not probe_truncated;
-            }
-      else begin
-        (* Lowest subtree index with a counterexample so far: workers on
-           canonically-later subtrees retire early (their results are
-           discarded by the merge anyway, exactly as the sequential DFS
-           never reaches them). *)
-        let best = Atomic.make max_int in
-        let run_subtree arena i =
-          let aborted () = Atomic.get best < i in
-          let st =
-            if i = 0 then
-              (* The probe was subtree 0's first run; continue after it. *)
-              match continuation with
-              | Some p when p.(0) = 0 ->
-                let st = dfs ~claim ~aborted ~root:(Some 0) ~arena scenario p in
-                {
-                  st with
-                  sruns = st.sruns + 1;
-                  sexhaustive = st.sexhaustive && not probe_truncated;
-                }
-              | Some _ | None ->
-                { sruns = 1; sexhaustive = not probe_truncated; scx = None }
-            else dfs ~claim ~aborted ~root:(Some i) ~arena scenario [| i |]
-          in
-          (match st.scx with Some _ -> atomic_min best i | None -> ());
-          st
-        in
-        let results =
-          Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats)
-            ~make:make_arena run_subtree
-            (Array.init width Fun.id)
-        in
-        (* Canonical merge: walk subtrees in index order — the order the
-           sequential DFS visits them — summing run counts until the
-           first counterexample; later subtrees' work is discarded. *)
-        let total = ref 0 and exhaustive = ref true and cx = ref None in
-        (try
-           Array.iter
-             (fun st ->
-               total := !total + st.sruns;
-               if not st.sexhaustive then exhaustive := false;
-               match st.scx with
-               | Some c ->
-                 cx := Some c;
-                 raise Exit
-               | None -> ())
-             results
-         with Exit -> ());
-        {
-          runs = !total;
-          exhaustive = !exhaustive && !cx = None;
-          counterexample = !cx;
-          coverage = Resil.full_coverage 1;
-        }
-      end)
-  end
+(* ---- checkpoint payloads ----
 
-(* ---- checkpointed exploration (see docs/ROBUSTNESS.md) ----
+   One [hwf-ckpt/1] record per subtree cell; grain only groups cells
+   for distribution, so a resumed campaign is byte-identical at every
+   grain. [msg] is last: counterexample messages may contain any
+   character (the journal layer JSON-escapes; this layer only needs an
+   unambiguous last field). *)
 
-   With a checkpoint the search is always decomposed into top-level
-   subtrees — the journal's cells — even at [jobs = 1], because the
-   subtree is the unit of resume. Subtree [i] runs the DFS from prefix
-   [|i|], whose first run is exactly the schedule the sequential DFS
-   reaches when it first enters that subtree, so a clean completed
-   campaign merges to the plain outcome run for run. Grain only groups
-   subtree cells for distribution — the journal stays per subtree, so a
-   resumed campaign is byte-identical at every grain. *)
-
-let strip_prefix ~prefix s =
-  let np = String.length prefix and ns = String.length s in
-  if ns >= np && String.sub s 0 np = prefix then Some (String.sub s np (ns - np))
-  else None
-
-let index_of_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
-(* [msg] is last: counterexample messages may contain any character
-   (the journal layer JSON-escapes; this layer only needs an
-   unambiguous last field). The schedule is the raw 0-based pid
-   sequence, space-separated. *)
 let payload_of_subtree st =
   match st.scx with
   | None ->
     Printf.sprintf "runs=%d;exh=%d;cx=none" st.sruns (if st.sexhaustive then 1 else 0)
   | Some c ->
     Printf.sprintf "runs=%d;exh=0;cx=%s;msg=%s" st.sruns
-      (String.concat " " (List.map string_of_int c.decisions))
+      (Checkpoint.pids_to_string c.decisions)
       c.message
 
 (* A restored counterexample's trace is reconstructed by replaying its
@@ -598,34 +458,19 @@ let replay_decisions ~step_limit scenario decisions message =
 
 let subtree_of_payload ~step_limit scenario payload =
   let ( let* ) = Option.bind in
-  let int_kv key part =
-    Option.bind (strip_prefix ~prefix:(key ^ "=") part) int_of_string_opt
-  in
-  let* mi = index_of_sub payload ";cx=" in
-  let tail = String.sub payload (mi + 4) (String.length payload - mi - 4) in
+  let* head, tail = Checkpoint.cut ~sep:";cx=" payload in
   let* sruns, sexh =
-    match String.split_on_char ';' (String.sub payload 0 mi) with
+    match String.split_on_char ';' head with
     | [ r; e ] ->
-      let* r = int_kv "runs" r in
-      let* e = int_kv "exh" e in
+      let* r = Checkpoint.int_field "runs" r in
+      let* e = Checkpoint.int_field "exh" e in
       Some (r, e = 1)
     | _ -> None
   in
   if tail = "none" then Some { sruns; sexhaustive = sexh; scx = None }
   else
-    let* mi = index_of_sub tail ";msg=" in
-    let message = String.sub tail (mi + 5) (String.length tail - mi - 5) in
-    let sched = String.sub tail 0 mi in
-    let* decisions =
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          let* v = int_of_string_opt p in
-          Some (v :: acc))
-        (Some [])
-        (if sched = "" then [] else String.split_on_char ' ' sched)
-      |> Option.map List.rev
-    in
+    let* sched, message = Checkpoint.cut ~sep:";msg=" tail in
+    let* decisions = Checkpoint.pids_of_string sched in
     Some
       {
         sruns;
@@ -648,150 +493,121 @@ let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_lim
   in
   Printf.sprintf "explore/%s/%s" scenario.name (Digest.to_hex (Digest.string params))
 
-let explore_checkpointed ~preemption_bound ~max_runs ~max_depth ~step_limit
-    ~on_step_limit ~jobs ~grain ~dpor ~relation ~stats ~cell_wall_s ~path ~resume
-    ~should_stop scenario =
-  (* Structural probe: discovers the top-level width and the clock-read
-     taint that decides pruning. Uncounted and unrecorded — subtree 0
-     re-runs this schedule as its first run. *)
+(* The search itself. [journal], when given, is [(path, resume)]: the
+   checkpoint hook, opened once the probe has fixed the width and the
+   armed [dpor] that the campaign id names. *)
+let search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jobs ~grain
+    ~dpor ~relation ~stats ~cell_wall_s ~journal ~should_stop ~judge scenario =
   let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
-  let probe_inst = scenario.make () in
-  let _, probe_slots, _, probe_tainted, _ =
+  let probe_instance = scenario.make () in
+  let probe =
     run_one ~dpor:dpor_req ~relation ~preemption_bound ~max_depth ~step_limit
-      ~config:scenario.config probe_inst [||]
+      ~config:scenario.config ~arena:(make_arena ()) probe_instance [||]
   in
+  let _, probe_slots, _, probe_tainted, _ = probe in
   let dpor = dpor_req && not probe_tainted in
   let width =
     if Vec.length probe_slots = 0 then 1 else max 1 (Vec.get probe_slots 0).candidates
   in
-  let campaign =
-    campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_limit
-      ~on_step_limit scenario
+  let restored = Hashtbl.create 8 in
+  let journal =
+    Option.map
+      (fun (path, resume) ->
+        let campaign =
+          campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_limit
+            ~on_step_limit scenario
+        in
+        match Checkpoint.open_ ~path ~campaign ~cells:width ~resume with
+        | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
+        | Ok (t, entries) ->
+          List.iter
+            (fun (e : Checkpoint.entry) ->
+              if e.idx >= 0 && e.idx < width then
+                match subtree_of_payload ~step_limit scenario e.payload with
+                | Some st -> Hashtbl.replace restored e.idx st
+                | None -> ())
+            entries;
+          t)
+      journal
   in
-  match Checkpoint.open_ ~path ~campaign ~cells:width ~resume with
-  | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
-  | Ok (journal, entries) ->
-    let restored = Hashtbl.create 8 in
-    List.iter
-      (fun (e : Checkpoint.entry) ->
-        if e.idx >= 0 && e.idx < width then
-          match subtree_of_payload ~step_limit scenario e.payload with
-          | Some st -> Hashtbl.replace restored e.idx st
-          | None -> ())
-      entries;
-    (* Seed the global budget with the journaled work, so the resumed
-       search claims only the remaining runs. *)
-    let already = Hashtbl.fold (fun _ st acc -> acc + st.sruns) restored 0 in
-    let claimed = Atomic.make already in
-    let claim () =
-      Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
+  (* Seed the budget with the journaled work, so a resumed search claims
+     only the remaining runs. *)
+  let claimed = Atomic.make (Hashtbl.fold (fun _ st acc -> acc + st.sruns) restored 0) in
+  let claim () =
+    Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
+  in
+  (* The probe is subtree 0's first run: claimed here, before any cell
+     can race for the budget, unless subtree 0 is restored. *)
+  let probe_claimed = (not (Hashtbl.mem restored 0)) && claim () in
+  let stopping () = should_stop () || Resil.interrupted () in
+  let deadline_for ~attempt:_ =
+    match cell_wall_s with
+    | None -> Resil.no_deadline
+    | Some s -> Resil.deadline ~wall_s:s ()
+  in
+  let eval ~lower_failed arena i deadline =
+    (* Watchdog demotion: an expired deadline retires the subtree with a
+       partial, non-exhaustive result instead of hanging. *)
+    let aborted () = lower_failed () || stopping () || Resil.expired deadline in
+    let first = if i = 0 && probe_claimed then Some (probe_instance, probe) else None in
+    let st =
+      subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_depth
+        ~step_limit ~judge ~root:i ?first ~arena scenario
     in
-    let best = Atomic.make max_int in
-    let eval arena i deadline =
-      let aborted () =
-        Atomic.get best < i || should_stop () || Resil.interrupted ()
-        (* Watchdog demotion: an expired deadline retires the subtree
-           with a partial, non-exhaustive result instead of hanging. *)
-        || Resil.expired deadline
-      in
-      let root = if width <= 1 then None else Some i in
-      let start = if width <= 1 then [||] else [| i |] in
-      let st =
-        subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound
-          ~max_depth ~step_limit ~on_step_limit ~root ~arena scenario start
-      in
-      (match st.scx with Some _ -> atomic_min best i | None -> ());
-      (* Journal only untainted cells: a cell cut short by an interrupt
-         or stop request must re-run on resume, not restore partial. *)
-      if not (should_stop () || Resil.interrupted ()) then
-        Checkpoint.record journal ~idx:i
-          ~key:(Printf.sprintf "subtree-%d" i)
-          ~payload:(payload_of_subtree st);
-      st
-    in
-    let deadline_for ~attempt:_ =
-      match cell_wall_s with
-      | None -> Resil.no_deadline
-      | Some s -> Resil.deadline ~wall_s:s ()
-    in
-    let cells =
-      Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats)
-        ~make:make_arena
-        (fun arena i ->
-          match Hashtbl.find_opt restored i with
-          | Some st -> { Resil.outcome = Resil.Ok_cell st; attempts = 1 }
+    (* Journal only untainted cells: a cell cut short by an interrupt or
+       stop request must re-run on resume, not restore partial. *)
+    (match journal with
+    | Some t when not (stopping ()) ->
+      Checkpoint.record t ~idx:i
+        ~key:(Printf.sprintf "subtree-%d" i)
+        ~payload:(payload_of_subtree st)
+    | Some _ | None -> ());
+    st
+  in
+  let outcome =
+    run_cells ~jobs ~grain ~stats width (fun ~lower_failed arena i ->
+        match Hashtbl.find_opt restored i with
+        | Some st -> { Resil.outcome = Resil.Ok_cell st; attempts = 1 }
+        | None when stopping () ->
+          { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
+        | None -> (
+          let f = eval ~lower_failed arena i in
+          match journal with
+          | Some _ -> Resil.run_cell ~deadline_for f
           | None ->
-            if Resil.interrupted () || should_stop () then
-              { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
-            else Resil.run_cell ~retry:Resil.no_retry ~deadline_for (eval arena i))
-        (Array.init width Fun.id)
-    in
-    Checkpoint.close journal;
-    (* Canonical merge, stopping at the first cell without a result: a
-       counterexample found after a gap cannot be called canonical, so
-       the gap truncates the merge and coverage reports the rest. *)
-    let total = ref 0 and exhaustive = ref true and cx = ref None in
-    (try
-       Array.iter
-         (fun cell ->
-           match cell.Resil.outcome with
-           | Resil.Ok_cell st -> (
-             total := !total + st.sruns;
-             if not st.sexhaustive then exhaustive := false;
-             match st.scx with
-             | Some c ->
-               cx := Some c;
-               raise Exit
-             | None -> ())
-           | Resil.Timed_out _ | Resil.Errored _ | Resil.Skipped _ ->
-             exhaustive := false;
-             raise Exit)
-         cells
-     with Exit -> ());
-    {
-      runs = !total;
-      exhaustive = !exhaustive && !cx = None;
-      counterexample = !cx;
-      coverage = Resil.coverage_of_cells cells;
-    }
+            (* Without a journal an exception escaping a subtree (a bug in
+               a process body, a latent clock read) propagates — lowest
+               subtree first — instead of being contained as an errored
+               cell: nothing would record it, and it must not pass for a
+               verdict. *)
+            { Resil.outcome = Resil.Ok_cell (f (deadline_for ~attempt:1)); attempts = 1 }))
+  in
+  Option.iter Checkpoint.close journal;
+  outcome
 
 let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
     ?(step_limit = 100_000) ?(on_step_limit = `Fail) ?(jobs = 1) ?grain
     ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
     ?(resume = false) ?(should_stop = fun () -> false) scenario =
-  match checkpoint with
-  | None ->
-    explore_plain ?preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit
-      ~jobs ~grain ~dpor ~relation ?stats scenario
-  | Some path ->
-    explore_checkpointed ~preemption_bound ~max_runs ~max_depth ~step_limit
-      ~on_step_limit ~jobs ~grain ~dpor ~relation ~stats ~cell_wall_s ~path ~resume
-      ~should_stop scenario
+  search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jobs ~grain
+    ~dpor ~relation ~stats ~cell_wall_s
+    ~journal:(Option.map (fun path -> (path, resume)) checkpoint)
+    ~should_stop
+    ~judge:(fun instance result _ -> verdict ~on_step_limit instance result)
+    scenario
 
 let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
     ?(step_limit = 100_000) scenario ~f =
   (* Deliberately unpruned: callers (Bivalence) reason about the full
-     schedule enumeration, not a reduced one. *)
-  let runs = ref 0 in
-  let rec loop prefix =
-    if !runs < max_runs then begin
-      incr runs;
-      let instance = scenario.make () in
-      let result, slots, _truncated, _tainted, _blocked =
-        run_one ~dpor:false ~relation:base_relation ~preemption_bound ~max_depth
-          ~step_limit ~config:scenario.config instance prefix
-      in
-      let pids = List.map (fun s -> s.pid) (Vec.to_list slots) in
-      match f ~pids result with
-      | `Stop -> ()
-      | `Continue -> (
-        match backtrack ~dpor:false slots with
-        | None -> ()
-        | Some prefix -> loop prefix)
-    end
+     schedule enumeration, not a reduced one. One domain, so [f] may be
+     stateful; a [`Stop] ends the search like a counterexample. *)
+  let judge _ result slots =
+    match f ~pids:(pids_of slots) result with `Continue -> Ok () | `Stop -> Error "stopped"
   in
-  loop [||];
-  !runs
+  (search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit:`Ignore ~jobs:1
+     ~grain:None ~dpor:false ~relation:base_relation ~stats:None ~cell_wall_s:None ~journal:None
+     ~should_stop:(fun () -> false) ~judge scenario)
+    .runs
 
 (* Per-run seed derivation for sampling campaigns, exposed for the
    regression test that adjacent campaign seeds stay disjoint. *)
@@ -812,18 +628,11 @@ let record_decisions policy decisions =
 
 let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
     ?(jobs = 1) ?grain ?stats ?runner ~strategy ~seed scenario =
-  (* Run [i] is fully determined by [run_seed seed i] (a splitmix-style
-     hash — the earlier [seed + i] scheme made adjacent campaign seeds
-     share all but one of their runs), so the cells are independent and
-     the parallel merge is by index: the reported counterexample is the
-     lowest-index failure, exactly the one the sequential loop stops
-     at. *)
   let profile, horizon =
     (* SURW weights candidates by estimated remaining statements and PCT
        draws change points over a schedule-length horizon; both
        estimates come from one deterministic pilot run, computed before
-       the fan-out so run [i] stays a pure function of [run_seed seed i]
-       and cells remain independent across [jobs]. *)
+       the cells so run [i] stays a pure function of [run_seed seed i]. *)
     match strategy with
     | Randsched.Naive | Randsched.Pos -> (None, None)
     | Randsched.Pct _ | Randsched.Surw ->
@@ -852,73 +661,28 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
           instance.programs
       | Some f -> f ~step_limit ~policy instance
     in
-    record_sampled stats;
+    Option.iter (fun s -> Atomic.incr s.sampled) stats;
     match verdict ~on_step_limit instance result with
     | Error message ->
       sever arena;
       Some { message; trace = result.trace; decisions = List.rev !decisions }
     | Ok () -> None
   in
-  if jobs <= 1 then begin
-    let arena = make_arena () in
-    let rec loop i =
-      if i >= runs then
-        {
-          runs = i;
-          exhaustive = false;
-          counterexample = None;
-          coverage = Resil.full_coverage 1;
-        }
-      else
-        match one arena i with
-        | Some cx ->
-          {
-            runs = i + 1;
-            exhaustive = false;
-            counterexample = Some cx;
-            coverage = Resil.full_coverage 1;
-          }
-        | None -> loop (i + 1)
-    in
-    loop 0
-  end
-  else begin
-    let best = Atomic.make max_int in
-    let cell arena i =
-      (* Cells canonically after a known failure are skipped; cells
-         before it still run, so the minimum failing index is exact. *)
-      if Atomic.get best < i then None
-      else
-        match one arena i with
-        | Some cx ->
-          atomic_min best i;
-          Some cx
-        | None -> None
-    in
-    let results =
-      Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats)
-        ~make:make_arena cell (Array.init runs Fun.id)
-    in
-    let hit = ref None in
-    Array.iteri
-      (fun i r -> if !hit = None && r <> None then hit := Some (i, Option.get r))
-      results;
-    match !hit with
-    | Some (i, cx) ->
-      {
-        runs = i + 1;
-        exhaustive = false;
-        counterexample = Some cx;
-        coverage = Resil.full_coverage 1;
-      }
-    | None ->
-      { runs; exhaustive = false; counterexample = None; coverage = Resil.full_coverage 1 }
-  end
-
-let random_runs ?runs ?step_limit ?on_step_limit ?jobs ?grain ?stats ~seed
-    scenario =
-  sample ?runs ?step_limit ?on_step_limit ?jobs ?grain ?stats
-    ~strategy:Randsched.Naive ~seed scenario
+  (* Run [i] is fully determined by [run_seed seed i] (a splitmix-style
+     hash — the earlier [seed + i] scheme made adjacent campaign seeds
+     share all but one of their runs), so every run is its own cell and
+     the canonical merge reports the lowest-index failure. Cells after a
+     known failure are skipped; cells before it still run, so the
+     minimum failing index is exact. *)
+  let o =
+    run_cells ~jobs ~grain ~stats runs (fun ~lower_failed arena i ->
+        let st =
+          if lower_failed () then { sruns = 0; sexhaustive = false; scx = None }
+          else { sruns = 1; sexhaustive = false; scx = one arena i }
+        in
+        { Resil.outcome = Resil.Ok_cell st; attempts = 1 })
+  in
+  { o with exhaustive = false }
 
 (* Exact (Clopper–Pearson-style) confidence interval on
    schedules-to-first-bug from a geometric observation: the first bug at

@@ -15,6 +15,16 @@
     about (at most one quantum preemption per short code sequence) plus
     a margin.
 
+    {2 One search driver}
+
+    Every search ({!explore} at any [jobs], [grain] or checkpoint, and
+    {!iter_schedules}) runs one {e probe} (the all-defaults schedule,
+    which fixes the top-level width and the clock taint), then one
+    {e subtree cell} per top-level candidate on the domain pool (inline
+    at [jobs = 1]), merged in DFS order. The probe is subtree 0's first
+    run. {!sample} shares the pool and the merge, one cell per run; a
+    checkpoint journals finished cells and restores them on resume.
+
     {2 Sleep-set pruning and source sets}
 
     The search applies {e sleep-set pruning} (dynamic partial-order
@@ -104,10 +114,9 @@ type outcome = {
           transitions, which preserves every verdict). *)
   counterexample : counterexample option;
   coverage : Hwf_resil.Resil.coverage;
-      (** Harness-level accounting (see [docs/ROBUSTNESS.md]). Plain
-          searches run as one completed unit and report full coverage;
-          checkpointed searches report per-subtree cells, so an
-          interrupted or degraded campaign is visibly partial. *)
+      (** Harness-level accounting (see [docs/ROBUSTNESS.md]), one cell
+          per top-level subtree ({!sample}: per run), so an interrupted,
+          timed-out or degraded search is visibly partial. *)
 }
 
 type stats
@@ -153,8 +162,9 @@ val stats_source_prunes : stats -> int
     scenarios and with [~dpor:false]. *)
 
 val stats_sampled : stats -> int
-(** Engine runs performed by {!sample} (and {!random_runs}) — the
-    sampling analogue of the subtree run counts. *)
+(** Engine runs performed by {!sample} — the sampling analogue of the
+    subtree run counts. With [jobs > 1] it can exceed the outcome's
+    [runs], since cells racing ahead of the first failure still run. *)
 
 val stats_pool : stats -> Hwf_par.Pool.stats
 
@@ -193,43 +203,38 @@ val explore :
     prefixes discarded as sleep-set blocked are reported through
     {!stats_source_prunes} instead.
 
-    [jobs] (default 1) fans the search out over that many domains: each
-    top-level scheduler candidate roots an independent subtree explored
-    by the unchanged sequential DFS, and the per-subtree results are
-    merged in canonical (sequential DFS) order. Whenever the search
-    completes within [max_runs] the outcome — run count, exhaustiveness,
-    and the first counterexample with its decision path — is identical
-    to [~jobs:1]; [scenario.make] must therefore be domain-safe (fresh
-    state per call, which well-behaved scenarios already guarantee — see
-    [docs/PARALLELISM.md]). Sleep sets are recomputed from each decision
-    prefix, so pruning commutes with the fan-out and the identity holds
-    with [dpor] on. [grain] sets the pool's cells-per-claim (default
-    automatic; subtree cells are coarse, so the default resolves to 1
-    here — the knob matters for {!random_runs}). Workers reuse
-    per-domain scratch arenas (trace and decision buffers) across runs;
-    this is invisible in results. The [max_runs] budget is claimed from
-    one global atomic counter, one claim per engine run, so the total
-    number of runs across all domains never exceeds [max_runs]; if the
-    budget truncates the parallel search, the outcome reports
-    [exhaustive = false] just as the sequential search does, but the
-    truncation point (and so [runs]) may differ.
+    [jobs] (default 1) is the number of domains the subtree cells are
+    spread over. Whenever the search completes within [max_runs] the
+    outcome — run count, exhaustiveness, the first counterexample with
+    its decision path, and the prune counters — is the same at every
+    [jobs] and [grain]; [scenario.make] must therefore be domain-safe
+    (fresh state per call — see [docs/PARALLELISM.md]). [grain] sets
+    the pool's cells-per-claim (default automatic: 1 for these coarse
+    cells; the knob matters for {!sample}). The [max_runs] budget is
+    claimed from one atomic counter, one claim per engine run (the
+    probe included), so the runs across all domains never exceed
+    [max_runs]. A truncated search reports [exhaustive = false]; its
+    cut point is the DFS order's at [jobs = 1] and depends on how the
+    domains raced at [jobs > 1] (and so may [runs]).
+
+    Without a checkpoint an exception escaping a subtree (a bug in a
+    process body, a latent clock read) propagates, lowest subtree
+    first. With one, the cell is contained as an errored cell and the
+    outcome's coverage reports it ([docs/ROBUSTNESS.md]).
 
     Resilience (see [docs/ROBUSTNESS.md]): [checkpoint] journals each
-    completed top-level subtree to an [hwf-ckpt/1] file, and forces the
-    subtree decomposition even at [jobs = 1] (the subtree is the unit
-    of resume; subtree [i]'s first run is exactly the schedule the
-    sequential DFS reaches on entering it, so a clean completed
-    campaign merges to the plain outcome run for run; the journal stays
-    per subtree at every [grain]). With [resume = true] journaled
-    subtrees are restored instead of re-run — their run counts re-seed
-    the [max_runs] budget and a restored counterexample's trace is
-    rebuilt by replaying its decisions — and the journal must match the
-    campaign (same scenario name, search bounds, and armed [dpor]) or
-    the call raises [Invalid_argument]. [cell_wall_s] gives
-    each subtree a wall-clock budget; an expired subtree is {e demoted}
-    (retired with a partial, non-exhaustive result) rather than hung.
-    [should_stop] (polled between runs, ORed with
-    {!Hwf_resil.Resil.interrupted}) stops the search cooperatively;
+    completed subtree cell to an [hwf-ckpt/1] file; a clean completed
+    campaign merges to the outcome without a checkpoint, run for run,
+    and the journal stays per subtree at every [grain]. With
+    [resume = true] journaled subtrees are restored instead of re-run —
+    their run counts re-seed the [max_runs] budget and a restored
+    counterexample's trace is rebuilt by replaying its decisions — and
+    the journal must match the campaign (same scenario name, search
+    bounds, and armed [dpor]) or the call raises [Invalid_argument].
+    [cell_wall_s] gives each subtree a wall-clock budget; an expired
+    subtree is {e demoted} (retired with a partial, non-exhaustive
+    result) rather than hung. [should_stop] (polled between runs, ORed
+    with {!Hwf_resil.Resil.interrupted}) stops the search cooperatively;
     cells cut short by it are not journaled, so a resume re-runs them
     in full. *)
 
@@ -241,11 +246,13 @@ val iter_schedules :
   scenario ->
   f:(pids:Hwf_sim.Proc.pid list -> Hwf_sim.Engine.result -> [ `Continue | `Stop ]) ->
   int
-(** Lower-level driver underlying [explore]: enumerates schedules in the
-    same DFS order and hands each completed run (with its decision path)
-    to [f]. Returns the number of runs performed. Deliberately unpruned
-    — callers ({!Bivalence}) reason about the full enumeration. Used by
-    {!Bivalence}. *)
+(** The search driver of {!explore} with a caller-supplied verdict:
+    enumerates schedules in the same DFS order, through the same probe
+    and subtree cells, and hands each completed run (with its decision
+    path) to [f]; [`Stop] ends the search. Returns the number of runs
+    performed. Always one domain ([f] may be stateful), never
+    checkpointed, and deliberately unpruned: its caller ({!Bivalence})
+    reasons about the full schedule enumeration. *)
 
 val run_seed : int -> int -> int
 (** [run_seed seed i] is the seed of run [i] of sampling campaign
@@ -268,11 +275,11 @@ val sample :
 (** Volume testing with seeded randomized schedules — the statistical
     complement to [explore] for configurations too large to enumerate,
     parametric in the {!Randsched.strategy} (docs/SAMPLING.md). Run [i]
-    uses seed [run_seed seed i], so runs are independent cells: with
-    [jobs > 1] they are distributed over a domain pool and the reported
-    counterexample is the lowest-index failure — the same one the
-    sequential loop stops at, with the same [runs] count, byte-identical
-    across [jobs]/[grain]. These cells are micro-cells (one engine run
+    uses seed [run_seed seed i], so every run is an independent cell of
+    the same pool-and-merge driver {!explore} uses: the reported
+    counterexample is the lowest-index failure, with the same [runs]
+    count, byte-identical across [jobs]/[grain]; cells after a known
+    failure are skipped. These cells are micro-cells (one engine run
     each), so [grain] matters here: the default chunks hundreds of runs
     per claim ([docs/PARALLELISM.md] has the tuning guide).
 
@@ -284,7 +291,7 @@ val sample :
     counterexample.
 
     PCT's horizon and SURW's per-pid statement profile are estimated by
-    one deterministic round-robin pilot run before the fan-out (pure
+    one deterministic round-robin pilot run before the cells (pure
     function of the scenario, so determinism across [jobs] holds).
 
     [runner] substitutes the engine invocation (e.g. routing through
@@ -299,17 +306,5 @@ val stf_ci : ?level:float -> outcome -> float * float
     geometric likelihood of the observation. First bug at run [k]:
     two-sided interval around [k]; no bug in [n] runs: one-sided
     [(lo, infinity)] ("rule of three"). *)
-
-val random_runs :
-  ?runs:int ->
-  ?step_limit:int ->
-  ?on_step_limit:[ `Fail | `Ignore ] ->
-  ?jobs:int ->
-  ?grain:int ->
-  ?stats:stats ->
-  seed:int ->
-  scenario ->
-  outcome
-(** [sample ~strategy:Randsched.Naive] — uniform random schedules. *)
 
 val pp_outcome : outcome Fmt.t

@@ -15,7 +15,7 @@
       histories remain well-formed — the point of Theorem 3 is precisely
       that small quanta make these histories legal.
 
-    Use together with {!Explore.random_runs} / a fallback seed sweep to
+    Use together with {!Explore.sample} / a fallback seed sweep to
     search for agreement violations below the Table 1 threshold
     (experiment E6). *)
 

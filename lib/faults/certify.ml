@@ -167,49 +167,28 @@ let payload_of_cell = function
     Printf.sprintf "pass;blocked=%d;worst=%d" (if blocked then 1 else 0) worst
   | Cell_fail (f, worst) ->
     Printf.sprintf "fail;worst=%d;from=%d;sched=%s;msg=%s" worst f.shrunk_from
-      (String.concat " " (List.map string_of_int f.schedule))
+      (Checkpoint.pids_to_string f.schedule)
       f.message
-
-let strip_prefix ~prefix s =
-  let np = String.length prefix and ns = String.length s in
-  if ns >= np && String.sub s 0 np = prefix then Some (String.sub s np (ns - np))
-  else None
-
-let index_of_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
 
 let cell_of_payload plan payload =
   let ( let* ) = Option.bind in
-  let int_kv key part = Option.bind (strip_prefix ~prefix:(key ^ "=") part) int_of_string_opt in
-  match strip_prefix ~prefix:"pass;" payload with
+  match Checkpoint.strip_prefix ~prefix:"pass;" payload with
   | Some rest -> (
     match String.split_on_char ';' rest with
     | [ b; w ] ->
-      let* b = int_kv "blocked" b in
-      let* worst = int_kv "worst" w in
+      let* b = Checkpoint.int_field "blocked" b in
+      let* worst = Checkpoint.int_field "worst" w in
       if b = 0 || b = 1 then Some (Cell_pass { blocked = b = 1; worst }) else None
     | _ -> None)
-  | None ->
-    let* rest = strip_prefix ~prefix:"fail;" payload in
-    let* mi = index_of_sub rest ";msg=" in
-    let message = String.sub rest (mi + 5) (String.length rest - mi - 5) in
-    (match String.split_on_char ';' (String.sub rest 0 mi) with
+  | None -> (
+    let* rest = Checkpoint.strip_prefix ~prefix:"fail;" payload in
+    let* fields, message = Checkpoint.cut ~sep:";msg=" rest in
+    match String.split_on_char ';' fields with
     | [ w; f; s ] ->
-      let* worst = int_kv "worst" w in
-      let* shrunk_from = int_kv "from" f in
-      let* sched = strip_prefix ~prefix:"sched=" s in
-      let* schedule =
-        List.fold_left
-          (fun acc p ->
-            let* acc = acc in
-            let* v = int_of_string_opt p in
-            Some (v :: acc))
-          (Some [])
-          (if sched = "" then [] else String.split_on_char ' ' sched)
-        |> Option.map List.rev
-      in
+      let* worst = Checkpoint.int_field "worst" w in
+      let* shrunk_from = Checkpoint.int_field "from" f in
+      let* sched = Checkpoint.strip_prefix ~prefix:"sched=" s in
+      let* schedule = Checkpoint.pids_of_string sched in
       Some (Cell_fail ({ plan; message; schedule; shrunk_from }, worst))
     | _ -> None)
 

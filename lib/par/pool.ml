@@ -256,6 +256,3 @@ let map_scratch ?jobs ?grain ?stats ~make f a =
 
 let map ?jobs ?grain ?stats f a =
   map_scratch ?jobs ?grain ?stats ~make:(fun () -> ()) (fun () x -> f x) a
-
-let map_list ?jobs ?grain ?stats f l =
-  Array.to_list (map ?jobs ?grain ?stats f (Array.of_list l))

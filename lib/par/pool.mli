@@ -126,6 +126,3 @@ val worker_retire_test_hook : (int -> unit) option ref
     reset to [None] afterwards. *)
 
 (**/**)
-
-val map_list : ?jobs:int -> ?grain:int -> ?stats:stats -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list, preserving order. *)

@@ -238,3 +238,29 @@ let record t ~idx ~key ~payload =
       flush t.oc)
 
 let close t = close_out t.oc
+
+(* ---- payload codec ---- *)
+
+let strip_prefix ~prefix s =
+  let np = String.length prefix and ns = String.length s in
+  if ns >= np && String.sub s 0 np = prefix then Some (String.sub s np (ns - np))
+  else None
+
+let cut ~sep s =
+  let n = String.length s and m = String.length sep in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sep then
+      Some (String.sub s 0 i, String.sub s (i + m) (n - i - m))
+    else go (i + 1)
+  in
+  go 0
+
+let int_field key part =
+  Option.bind (strip_prefix ~prefix:(key ^ "=") part) int_of_string_opt
+
+let pids_to_string pids = String.concat " " (List.map string_of_int pids)
+
+let pids_of_string s =
+  let ps = if s = "" then [] else List.map int_of_string_opt (String.split_on_char ' ' s) in
+  if List.mem None ps then None else Some (List.map Option.get ps)

@@ -48,3 +48,19 @@ val record : t -> idx:int -> key:string -> payload:string -> unit
 (** Append one completed-cell record and flush. *)
 
 val close : t -> unit
+
+(** {1 Payload codec}
+
+    Shared by the runners' payloads: [key=value] fields split by [;], a
+    free-text message as the last field, schedules as space-separated
+    0-based pids. *)
+
+val strip_prefix : prefix:string -> string -> string option
+val cut : sep:string -> string -> (string * string) option
+(** Split around the first occurrence of [sep]. *)
+
+val int_field : string -> string -> int option
+(** [int_field "runs" "runs=42"] is [Some 42]. *)
+
+val pids_to_string : int list -> string
+val pids_of_string : string -> int list option

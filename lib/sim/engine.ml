@@ -22,6 +22,9 @@ type pstate =
       (* Mid-invocation (or about to start one), next statement pending. *)
   | Finished
 
+(* Discontinues the processes a run leaves suspended (see [abandon]). *)
+exception Abandoned
+
 type cell = {
   info : Proc.t;
   mutable priority : int;  (* current priority; Sec. 5 dynamic priorities *)
@@ -284,13 +287,14 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
     if step_limit >= max_int / 4 then max_int else 4 * step_limit
   in
   let stop = ref All_finished in
+  (* The in-handler burst runs only within budget: at a limit it parks
+     the process, and the decision loop's check stops the run. *)
+  let within_limits () =
+    Trace.statements trace < step_limit && !decisions < decision_limit
+  in
   let check_limits () =
-    if Trace.statements trace >= step_limit then begin
-      stop := Step_limit;
-      raise Exit
-    end;
-    if !decisions >= decision_limit then begin
-      stop := Decision_limit;
+    if not (within_limits ()) then begin
+      stop := if Trace.statements trace >= step_limit then Step_limit else Decision_limit;
       raise Exit
     end
   in
@@ -336,6 +340,12 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
      the per-statement handler path allocation-free — a fresh closure +
      option per perform is most of what the old path allocated. *)
   let stash_op = ref (Op.local "") in
+  (* A handler failing before it resumes [k] parks it, so teardown
+     discontinues it. *)
+  let park c k e =
+    c.state <- Boundary k;
+    raise e
+  in
   let stash_str = ref "" in
   let stash_level = ref 0 in
   let step_fn (k : (unit, unit) continuation) =
@@ -355,6 +365,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
        test reads before the next statement can reach it. *)
     if
       !chain > 0
+      && within_limits ()
       && (!live_total = 1
          ||
          let p = c.info.processor in
@@ -364,16 +375,17 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
             || (config.axiom2 && c.guarantee > 0)))
     then begin
       decr chain;
-      check_limits ();
       incr decisions;
-      if not c.mid_inv then begin_inv c;
-      if is_pending c then set_guarantee c config.quantum;
-      let cost = config.tmin in
-      Trace.add_stmt trace ~pid:c.info.pid ~op ~inv:(c.inv - 1) ~cost;
-      c.own_steps <- c.own_steps + 1;
-      c.inv_steps <- c.inv_steps + 1;
-      mark_dirty c;
-      set_guarantee c (max 0 (c.guarantee - cost));
+      (try
+         if not c.mid_inv then begin_inv c;
+         if is_pending c then set_guarantee c config.quantum;
+         let cost = config.tmin in
+         Trace.add_stmt trace ~pid:c.info.pid ~op ~inv:(c.inv - 1) ~cost;
+         c.own_steps <- c.own_steps + 1;
+         c.inv_steps <- c.inv_steps + 1;
+         mark_dirty c;
+         set_guarantee c (max 0 (c.guarantee - cost))
+       with e -> park c k e);
       let proc = c.info.processor in
       note_exec c proc;
       proc_stmts.(proc) <- proc_stmts.(proc) + 1;
@@ -388,21 +400,22 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
     let label = !stash_str in
     let c = !cur in
     if c.mid_inv then
-      Fmt.invalid_arg "Eff.invocation: nested invocation %S in %s" label
-        c.info.name;
+      Fmt.kstr (fun m -> park c k (Invalid_argument m))
+        "Eff.invocation: nested invocation %S in %s" label c.info.name;
     c.inv_label <- label;
     set_state c (Boundary k)
   in
   let inv_begin_some = Some inv_begin_fn in
   let inv_end_fn (k : (unit, unit) continuation) =
     Runtime.exit_process ();
-    end_inv !cur !stash_str;
+    (try end_inv !cur !stash_str with e -> park !cur k e);
     resume k ()
   in
   let inv_end_some = Some inv_end_fn in
   let note_fn (k : (unit, unit) continuation) =
     Runtime.exit_process ();
-    Trace.add trace (Trace.Note { pid = !cur.info.pid; text = !stash_str });
+    (try Trace.add trace (Trace.Note { pid = !cur.info.pid; text = !stash_str })
+     with e -> park !cur k e);
     resume k ()
   in
   let note_some = Some note_fn in
@@ -424,10 +437,10 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
     let p = !stash_level in
     let c = !cur in
     if c.mid_inv then
-      Fmt.invalid_arg "Eff.set_priority: %s cannot change priority mid-invocation"
-        c.info.name;
+      Fmt.kstr (fun m -> park c k (Invalid_argument m))
+        "Eff.set_priority: %s cannot change priority mid-invocation" c.info.name;
     if p < 1 || p > config.levels then
-      invalid_arg "Eff.set_priority: level out of range";
+      park c k (Invalid_argument "Eff.set_priority: level out of range");
     if p <> c.priority then begin
       let proc = c.info.processor in
       (match c.state with
@@ -447,10 +460,28 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
       | Ready _ -> incr_ready proc p
       | Boundary _ | Finished -> ())
     end;
-    Trace.add trace (Trace.Set_priority { pid = c.info.pid; priority = p });
+    (try Trace.add trace (Trace.Set_priority { pid = c.info.pid; priority = p })
+     with e -> park c k e);
     resume k ()
   in
   let set_priority_some = Some set_priority_fn in
+  (* Teardown: a dropped continuation's fiber stack is never freed, so
+     every process still suspended when the run ends (limit or policy
+     stop, All_halted, an exception) is discontinued with [Abandoned]:
+     its finalizers run in process context, effects it performs while
+     unwinding are discontinued too, and the handler swallows it. *)
+  let abandoning = ref false in
+  let abandon c =
+    match c.state with
+    | Finished -> ()
+    | Boundary k | Ready (k, _) ->
+      c.state <- Finished;
+      cur := c;
+      abandoning := true;
+      Runtime.enter_process ();
+      (try discontinue k Abandoned with _ -> ());
+      Runtime.exit_process ()
+  in
   let handler =
     {
       retc =
@@ -468,9 +499,11 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
       exnc =
         (fun e ->
           Runtime.exit_process ();
-          raise e);
+          match e with Abandoned -> () | e -> raise e);
       effc =
         (fun (type a) (e : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          if !abandoning then Some (fun k -> discontinue k Abandoned)
+          else
           match e with
           | Eff.Step op ->
             stash_op := op;
@@ -498,7 +531,10 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
      misbehaviour — so a [trace_buf] reused across runs can never leak a
      stale observer into the next run, and a returned [result.trace]
      never escapes with a live hook attached. *)
-  Fun.protect ~finally:(fun () -> Trace.clear_observer trace) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Trace.clear_observer trace;
+      Array.iter abandon cells)
+  @@ fun () ->
   (* Launch every process up to its first suspension point. *)
   Array.iteri
     (fun pid body ->

@@ -70,8 +70,8 @@ let test_iter_schedules_coverage () =
 
 let test_random_runs_deterministic () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
-  let o1 = Explore.random_runs ~runs:300 ~seed:5 b.scenario in
-  let o2 = Explore.random_runs ~runs:300 ~seed:5 b.scenario in
+  let o1 = Explore.sample ~strategy:Randsched.Naive ~runs:300 ~seed:5 b.scenario in
+  let o2 = Explore.sample ~strategy:Randsched.Naive ~runs:300 ~seed:5 b.scenario in
   Util.checki "same verdict run count" o1.runs o2.runs
 
 (* Record the naive sampler's schedule for run [i] of a campaign — the

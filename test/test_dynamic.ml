@@ -201,7 +201,8 @@ let test_renaming_distinct () =
   let scenario = Explore.{ name = "renaming"; config; make } in
   Util.expect_ok "renaming pb=2"
     (Explore.explore ~preemption_bound:2 ~max_runs:300_000 scenario);
-  Util.expect_ok "renaming random" (Explore.random_runs ~runs:200 ~seed:3 scenario)
+  Util.expect_ok "renaming random" (Explore.sample ~strategy:Randsched.Naive
+      ~runs:200 ~seed:3 scenario)
 
 let test_renaming_mixed_priorities () =
   let config = Util.uni_config ~quantum:3000 [ 1; 2; 3 ] in

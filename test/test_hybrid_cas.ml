@@ -79,7 +79,7 @@ let test_tag_reuse_stress () =
   in
   let s = scen ~quantum:q ~pris:[ 1; 1 ] ~script in
   Util.expect_ok "tag reuse random"
-    (Explore.random_runs ~runs:150 ~step_limit:2_000_000 ~seed:41 s);
+    (Explore.sample ~strategy:Randsched.Naive ~runs:150 ~step_limit:2_000_000 ~seed:41 s);
   Util.expect_ok "tag reuse pb=1"
     (Explore.explore ~preemption_bound:1 ~max_runs:300_000 ~step_limit:2_000_000 s)
 
@@ -103,7 +103,7 @@ let test_contended_mix () =
   in
   let s = scen ~quantum:q ~pris ~script in
   Util.expect_ok "contended mix"
-    (Explore.random_runs ~runs:60 ~step_limit:2_000_000 ~seed:42 s)
+    (Explore.sample ~strategy:Randsched.Naive ~runs:60 ~step_limit:2_000_000 ~seed:42 s)
 
 let prop_random_mixed =
   Util.qtest ~count:25 "random scripts, random priorities, random schedules"
@@ -114,7 +114,8 @@ let prop_random_mixed =
       let pris = List.init n (fun _ -> 1 + Random.State.int st 3) in
       let script = Scenarios.random_script ~seed ~n ~ops_per:2 in
       let s = scen ~quantum:q ~pris ~script in
-      (Explore.random_runs ~runs:20 ~seed ~step_limit:400_000 s).counterexample = None)
+      (Explore.sample ~strategy:Randsched.Naive
+          ~runs:20 ~seed ~step_limit:400_000 s).counterexample = None)
 
 (* O(V) scan: per-operation own statements grow linearly in V, not with N
    (E4b quantifies; here we sanity-check monotone, bounded growth). *)

@@ -31,7 +31,7 @@ let test_level_constant () =
 
 let random_ok ?(runs = 60) ~quantum ~consensus_number ~layout ~seed () =
   let b = mc ~quantum ~consensus_number ~layout in
-  let o = Explore.random_runs ~runs ~step_limit:4_000_000 ~seed b.scenario in
+  let o = Explore.sample ~strategy:Randsched.Naive ~runs ~step_limit:4_000_000 ~seed b.scenario in
   Util.expect_ok "mc random" o
 
 let test_p2_c2_uniform () =

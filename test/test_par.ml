@@ -32,11 +32,7 @@ let test_pool_map_grained () =
 
 let test_pool_map_edges () =
   Util.check Alcotest.(array int) "empty" [||] (Hwf_par.Pool.map ~jobs:4 succ [||]);
-  Util.check Alcotest.(array int) "singleton" [| 2 |] (Hwf_par.Pool.map ~jobs:4 succ [| 1 |]);
-  Util.check
-    Alcotest.(list int)
-    "map_list" [ 2; 3; 4 ]
-    (Hwf_par.Pool.map_list ~jobs:3 succ [ 1; 2; 3 ])
+  Util.check Alcotest.(array int) "singleton" [| 2 |] (Hwf_par.Pool.map ~jobs:4 succ [| 1 |])
 
 let test_pool_exception_deterministic () =
   (* Several cells raise; the re-raised exception must be the one of the
@@ -296,26 +292,27 @@ let test_explore_jobs_grain_matrix () =
 
 let test_random_runs_parallel_identical () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
-  let o1 = Explore.random_runs ~runs:200 ~seed:5 ~jobs:1 b.scenario in
-  let o4 = Explore.random_runs ~runs:200 ~seed:5 ~jobs:4 b.scenario in
+  let o1 = Explore.sample ~strategy:Randsched.Naive ~runs:200 ~seed:5 ~jobs:1 b.scenario in
+  let o4 = Explore.sample ~strategy:Randsched.Naive ~runs:200 ~seed:5 ~jobs:4 b.scenario in
   Util.checki "same first failing run" o1.runs o4.runs;
   match (o1.counterexample, o4.counterexample) with
   | Some c1, Some c4 -> Util.check Alcotest.string "same message" c1.message c4.message
   | None, None -> ()
-  | _ -> Alcotest.fail "random_runs: jobs=1 and jobs=4 verdicts differ"
+  | _ -> Alcotest.fail "naive sample: jobs=1 and jobs=4 verdicts differ"
 
 let test_random_runs_grain_identical () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
-  let o1 = Explore.random_runs ~runs:100 ~seed:5 ~jobs:1 b.scenario in
+  let o1 = Explore.sample ~strategy:Randsched.Naive ~runs:100 ~seed:5 ~jobs:1 b.scenario in
   List.iter
     (fun grain ->
-      let o = Explore.random_runs ~runs:100 ~seed:5 ~jobs:4 ~grain b.scenario in
+      let o = Explore.sample ~strategy:Randsched.Naive
+          ~runs:100 ~seed:5 ~jobs:4 ~grain b.scenario in
       Util.checki (Printf.sprintf "grain=%d: same first failing run" grain) o1.runs
         o.runs;
       match (o1.counterexample, o.counterexample) with
       | Some c1, Some c -> Util.check Alcotest.string "same message" c1.message c.message
       | None, None -> ()
-      | _ -> Alcotest.failf "random_runs grain=%d: verdict differs from jobs=1" grain)
+      | _ -> Alcotest.failf "naive sample grain=%d: verdict differs from jobs=1" grain)
     [ 1; 7; 50 ]
 
 (* ---- parallel certify ---- *)

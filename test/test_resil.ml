@@ -282,8 +282,15 @@ let fig3_scenario ~quantum ~pris =
      ~layout:(List.map (fun p -> (0, p)) pris))
     .Scenarios.scenario
 
-let check_outcomes name (o1 : Hwf_adversary.Explore.outcome)
+(* [stats], when given, pairs the two searches' counters, which must
+   agree too: sleep-set skips, source-set prunes, runs per subtree. *)
+let check_outcomes ?stats name (o1 : Hwf_adversary.Explore.outcome)
     (o2 : Hwf_adversary.Explore.outcome) =
+  let open Hwf_adversary.Explore in
+  let counters s = (stats_pruned s, stats_source_prunes s, stats_subtree_runs s) in
+  Option.iter
+    (fun (s1, s2) -> Util.checkb (name ^ ": search counters") (counters s1 = counters s2))
+    stats;
   Util.checki (name ^ ": runs") o1.runs o2.runs;
   Util.checkb (name ^ ": exhaustive") (o1.exhaustive = o2.exhaustive);
   match (o1.counterexample, o2.counterexample) with
@@ -293,25 +300,98 @@ let check_outcomes name (o1 : Hwf_adversary.Explore.outcome)
     Util.check Alcotest.(list int) (name ^ ": decisions") c1.decisions c2.decisions
   | _ -> Alcotest.failf "%s: counterexample verdicts differ" name
 
-let test_explore_checkpoint_resume () =
-  let open Hwf_adversary in
-  let scenario = fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ] in
-  let reference = Explore.explore ~jobs:1 scenario in
-  let path = tmpfile () in
-  let fresh = Explore.explore ~checkpoint:path scenario in
-  check_outcomes "checkpointed equals plain" reference fresh;
-  let resumed = Explore.explore ~checkpoint:path ~resume:true scenario in
-  check_outcomes "full resume equals plain" reference resumed;
-  (* Truncate the journal to its header plus the first subtree — the
-     state a SIGKILL early in the campaign leaves behind — and resume:
-     the restored subtree merges with the re-run ones, identically. *)
+(* Cut a journal to its header plus the first subtree — the state a
+   SIGKILL early in the campaign leaves behind. *)
+let keep_first_cell path =
   let lines = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all) in
   let keep = List.filteri (fun i l -> i < 2 && l <> "") lines in
   Out_channel.with_open_text path (fun oc ->
-      List.iter (fun l -> Printf.fprintf oc "%s\n" l) keep);
-  let resumed = Explore.explore ~checkpoint:path ~resume:true scenario in
-  check_outcomes "partial resume equals plain" reference resumed;
-  Sys.remove path
+      List.iter (fun l -> Printf.fprintf oc "%s\n" l) keep)
+
+(* Three processes on two processors: cross-processor pairs on distinct
+   variables commute, so sleep sets skip branches and block prefixes. *)
+let mixed_2cpu_scenario () =
+  let make () =
+    let a = Shared.make "a" 0 and b = Shared.make "b" 0 and c = Shared.make "c" 0 in
+    let bump v = Shared.write v (Shared.read v + 1) in
+    let programs =
+      [|
+        (fun () -> Eff.invocation "p0" (fun () -> bump a; bump a));
+        (fun () -> Eff.invocation "p1" (fun () -> bump b; ignore (Shared.read a)));
+        (fun () -> Eff.invocation "p2" (fun () -> bump c; ignore (Shared.read b)));
+      |]
+    in
+    let check (r : Engine.result) =
+      let finals = (Shared.peek a, Shared.peek b, Shared.peek c) in
+      if Array.for_all Fun.id r.Engine.finished && finals = (2, 1, 1) then Ok ()
+      else Error "bad final state"
+    in
+    Hwf_adversary.Explore.{ programs; check }
+  in
+  let config = Layout.to_config ~quantum:4 [ (0, 1); (1, 1); (0, 1) ] in
+  Hwf_adversary.Explore.{ name = "resil.mixed"; config; make }
+
+let test_explore_checkpoint_resume () =
+  (* Plain, freshly checkpointed and resumed searches are one subtree-cell
+     loop: they agree on the outcome and, where cells run, on the search
+     counters. The 2-cpu Fig. 7 search is cut by [max_runs], which is
+     deterministic only at jobs = 1, and is not resumed partially: the
+     journal does not record the budget spent on blocked prefixes. *)
+  let open Hwf_adversary in
+  let fig7 =
+    (Scenarios.consensus ~name:"resil.f7" ~impl:(Scenarios.Fig7 { consensus_number = 2 })
+       ~quantum:8 ~layout:[ (0, 1); (1, 1); (0, 1) ])
+      .Scenarios.scenario
+  in
+  List.iter
+    (fun (name, scenario, max_runs, jobs_list) ->
+      let run ?checkpoint ?resume jobs =
+        let stats = Explore.make_stats ~jobs:4 scenario in
+        (Explore.explore ?max_runs ?checkpoint ?resume ~jobs ~stats scenario, stats)
+      in
+      let reference, rs = run 1 in
+      List.iter
+        (fun jobs ->
+          let tag mode = Printf.sprintf "%s jobs=%d: %s" name jobs mode in
+          let plain, s = run jobs in
+          check_outcomes ~stats:(rs, s) (tag "plain") reference plain;
+          let path = tmpfile () in
+          let fresh, s = run ~checkpoint:path jobs in
+          check_outcomes ~stats:(rs, s) (tag "checkpointed") reference fresh;
+          let resumed, s = run ~checkpoint:path ~resume:true jobs in
+          check_outcomes (tag "full resume") reference resumed;
+          Util.checkb (tag "full resume runs nothing")
+            (Array.for_all (( = ) 0) (Explore.stats_subtree_runs s));
+          (* Truncate the journal to its header plus the first subtree —
+             the state a SIGKILL early in the campaign leaves behind — and
+             resume: the other subtrees re-run exactly as before. *)
+          if max_runs = None then begin
+            keep_first_cell path;
+            let kept =
+              match Checkpoint.load ~path with
+              | Ok (_, [ e ]) -> e.Checkpoint.idx
+              | _ -> Alcotest.fail "expected one journaled subtree"
+            in
+            let resumed, s = run ~checkpoint:path ~resume:true jobs in
+            check_outcomes (tag "partial resume") reference resumed;
+            Util.check
+              Alcotest.(array int)
+              (tag "partial resume re-runs")
+              (Array.mapi
+                 (fun i n -> if i = kept then 0 else n)
+                 (Explore.stats_subtree_runs rs))
+              (Explore.stats_subtree_runs s)
+          end;
+          Sys.remove path)
+        jobs_list;
+      if name <> "fig3" then
+        Util.checkb (name ^ ": sleep and source sets prune")
+          (Explore.stats_pruned rs > 0 && Explore.stats_source_prunes rs > 0))
+    [
+      ("fig3", fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ], None, [ 1 ]);
+      ("fig7 2-cpu, max_runs cut", fig7, Some 300, [ 1 ]);
+      ("mixed 2-cpu", mixed_2cpu_scenario (), None, [ 1; 4 ]);
+    ]
 
 let test_explore_checkpoint_resume_counterexample () =
   let open Hwf_adversary in

@@ -249,6 +249,54 @@ let test_exceptions_propagate () =
   Alcotest.check_raises "propagates" (Failure "kaboom") (fun () ->
       ignore (Engine.run ~config ~policy:Policy.first bodies))
 
+(* Regression: a run that ends with processes still suspended (policy
+   stop, step limit, All_halted, a sibling's exception) must unwind them
+   — a dropped continuation's fiber stack is never reclaimed. Every
+   finalizer must run, in process context, and a statement attempted
+   while unwinding must not reach the trace. *)
+let test_abandoned_processes_released () =
+  let released = ref 0 and in_process = ref true in
+  let body ~fail () =
+    Fun.protect
+      ~finally:(fun () ->
+        in_process := !in_process && Runtime.in_process ();
+        (try Eff.local "cleanup" with _ -> ());
+        incr released)
+      (fun () ->
+        Eff.invocation "spin" (fun () ->
+            Eff.local "s";
+            if fail then failwith "kaboom";
+            while true do
+              Eff.local "s"
+            done))
+  in
+  let case name ?step_limit ?halted ?(fail = false) ~policy pris stop =
+    released := 0;
+    in_process := true;
+    let config = Util.uni_config ~quantum:4 pris in
+    let bodies = Array.of_list (List.mapi (fun i _ -> body ~fail:(fail && i = 0)) pris) in
+    (match Engine.run ?step_limit ?halted ~config ~policy bodies with
+    | r ->
+      Util.checkb (name ^ ": stop reason") (Some r.stop = stop);
+      Option.iter
+        (Util.checki (name ^ ": statements") (Trace.statements r.trace))
+        step_limit
+    | exception Failure _ -> Util.checkb (name ^ ": body exception") (stop = None));
+    Util.checki (name ^ ": every body released") (List.length pris) !released;
+    Util.checkb (name ^ ": finalizers in process context") !in_process;
+    Util.checkb (name ^ ": harness context after") (not (Runtime.in_process ()))
+  in
+  case "policy stop" ~policy:(Policy.scripted [ 0; 1; 2; 0 ]) [ 1; 1; 1 ]
+    (Some Engine.Policy_stopped);
+  case "step limit (bursts)" ~step_limit:50 ~policy:(Policy.round_robin ()) [ 1; 1; 1 ]
+    (Some Engine.Step_limit);
+  case "step limit (solo)" ~step_limit:50 ~policy:Policy.first [ 1 ]
+    (Some Engine.Step_limit);
+  case "all halted"
+    ~halted:(fun (pv : Policy.pview) -> pv.own_steps >= 2)
+    ~policy:(Policy.round_robin ()) [ 1; 1 ] (Some Engine.All_halted);
+  case "sibling exception" ~fail:true ~policy:(Policy.round_robin ()) [ 1; 1; 1 ] None
+
 let test_empty_invocation () =
   (* An invocation with zero statements is recorded and doesn't wedge the
      scheduler. *)
@@ -551,6 +599,8 @@ let () =
           Alcotest.test_case "nested invocation rejected" `Quick
             test_nested_invocation_rejected;
           Alcotest.test_case "exceptions propagate" `Quick test_exceptions_propagate;
+          Alcotest.test_case "abandoned processes released" `Quick
+            test_abandoned_processes_released;
           Alcotest.test_case "empty invocation" `Quick test_empty_invocation;
           Alcotest.test_case "finished process releases guarantee" `Quick
             test_finished_releases_guarantee;

@@ -103,7 +103,7 @@ let prop_agreement_random_layouts =
       let st = Random.State.make [| seed |] in
       let pris = List.init n (fun _ -> 1 + Random.State.int st 3) in
       let b = built ~quantum:8 ~pris in
-      let o = Explore.random_runs ~runs:30 ~seed b.scenario in
+      let o = Explore.sample ~strategy:Randsched.Naive ~runs:30 ~seed b.scenario in
       o.counterexample = None)
 
 let () =

@@ -17,7 +17,8 @@ let run_uni ~pris ~seed bodies_of =
 let test_counter_uniprocessor () =
   (* N increments over Fig. 3 consensus cells: results are 1..N. *)
   let s = Scenarios.universal_counter_uni ~name:"uc" ~quantum:3000 ~pris:[ 1; 1; 2; 3 ] in
-  Util.expect_ok "counter" (Explore.random_runs ~runs:40 ~step_limit:4_000_000 ~seed:31 s)
+  Util.expect_ok "counter" (Explore.sample ~strategy:Randsched.Naive
+      ~runs:40 ~step_limit:4_000_000 ~seed:31 s)
 
 let test_counter_exhaustive_small () =
   let s = Scenarios.universal_counter_uni ~name:"uc2" ~quantum:3000 ~pris:[ 1; 1 ] in
@@ -33,7 +34,7 @@ let test_queue_over_multiprocessor_consensus () =
       ~layout ~ops_per:1
   in
   Util.expect_ok "queue over Fig 7"
-    (Explore.random_runs ~runs:25 ~step_limit:20_000_000 ~seed:32 s)
+    (Explore.sample ~strategy:Randsched.Naive ~runs:25 ~step_limit:20_000_000 ~seed:32 s)
 
 let test_stack_semantics_sequential () =
   let out = ref [] in
