@@ -303,8 +303,16 @@ let tainted_msg =
 
 (* Outcome of one cell. [sruns] counts verdict-checked runs; on a
    counterexample the cell stops, so [sruns] is also the canonical "runs
-   until failure" of that cell. *)
-type subtree = { sruns : int; sexhaustive : bool; scx : counterexample option }
+   until failure" of that cell. [sclaims] counts the engine runs the
+   cell claimed from the [max_runs] budget — its verdict runs plus the
+   blocked prefixes it discarded — which is what a resumed search must
+   re-seed the budget with. *)
+type subtree = {
+  sruns : int;
+  sclaims : int;
+  sexhaustive : bool;
+  scx : counterexample option;
+}
 
 let pids_of slots = List.map (fun s -> s.pid) (Vec.to_list slots)
 
@@ -317,12 +325,13 @@ let pids_of slots = List.map (fun s -> s.pid) (Vec.to_list slots)
    per-run verdict; an [Error] is a counterexample and stops the cell. *)
 let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_depth
     ~step_limit ~judge ~root ?first ~arena scenario =
-  let runs = ref 0 in
+  let runs = ref 0 and claims = ref 0 in
   let exhaustive = ref true in
   let rec loop ?pre prefix =
     if aborted () || (Option.is_none pre && not (claim ())) then
-      { sruns = !runs; sexhaustive = false; scx = None }
+      { sruns = !runs; sclaims = !claims; sexhaustive = false; scx = None }
     else begin
+      incr claims;
       let instance, (result, slots, truncated, tainted, blocked) =
         match pre with
         | Some run -> run
@@ -356,13 +365,15 @@ let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_de
         sever arena;
         {
           sruns = !runs;
+          sclaims = !claims;
           sexhaustive = false;
           scx = Some { message; trace = result.trace; decisions };
         }
       | Ok () -> (
         match backtrack ~dpor ?stats slots with
         | Some prefix when prefix.(0) = root -> loop prefix
-        | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None })
+        | Some _ | None ->
+          { sruns = !runs; sclaims = !claims; sexhaustive = !exhaustive; scx = None })
     end
   in
   loop ?pre:first [| root |]
@@ -441,9 +452,10 @@ let dpor_requested ~dpor ~preemption_bound scenario =
 let payload_of_subtree st =
   match st.scx with
   | None ->
-    Printf.sprintf "runs=%d;exh=%d;cx=none" st.sruns (if st.sexhaustive then 1 else 0)
+    Printf.sprintf "runs=%d;claims=%d;exh=%d;cx=none" st.sruns st.sclaims
+      (if st.sexhaustive then 1 else 0)
   | Some c ->
-    Printf.sprintf "runs=%d;exh=0;cx=%s;msg=%s" st.sruns
+    Printf.sprintf "runs=%d;claims=%d;exh=0;cx=%s;msg=%s" st.sruns st.sclaims
       (Checkpoint.pids_to_string c.decisions)
       c.message
 
@@ -459,21 +471,23 @@ let replay_decisions ~step_limit scenario decisions message =
 let subtree_of_payload ~step_limit scenario payload =
   let ( let* ) = Option.bind in
   let* head, tail = Checkpoint.cut ~sep:";cx=" payload in
-  let* sruns, sexh =
+  let* sruns, sclaims, sexh =
     match String.split_on_char ';' head with
-    | [ r; e ] ->
+    | [ r; c; e ] ->
       let* r = Checkpoint.int_field "runs" r in
+      let* c = Checkpoint.int_field "claims" c in
       let* e = Checkpoint.int_field "exh" e in
-      Some (r, e = 1)
+      Some (r, c, e = 1)
     | _ -> None
   in
-  if tail = "none" then Some { sruns; sexhaustive = sexh; scx = None }
+  if tail = "none" then Some { sruns; sclaims; sexhaustive = sexh; scx = None }
   else
     let* sched, message = Checkpoint.cut ~sep:";msg=" tail in
     let* decisions = Checkpoint.pids_of_string sched in
     Some
       {
         sruns;
+        sclaims;
         sexhaustive = false;
         scx = Some (replay_decisions ~step_limit scenario decisions message);
       }
@@ -530,9 +544,10 @@ let search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jo
           t)
       journal
   in
-  (* Seed the budget with the journaled work, so a resumed search claims
-     only the remaining runs. *)
-  let claimed = Atomic.make (Hashtbl.fold (fun _ st acc -> acc + st.sruns) restored 0) in
+  (* Seed the budget with the journaled claims — verdict runs and blocked
+     prefixes alike — so a resumed search claims only the remaining
+     runs. *)
+  let claimed = Atomic.make (Hashtbl.fold (fun _ st acc -> acc + st.sclaims) restored 0) in
   let claim () =
     Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
   in
@@ -677,8 +692,9 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
   let o =
     run_cells ~jobs ~grain ~stats runs (fun ~lower_failed arena i ->
         let st =
-          if lower_failed () then { sruns = 0; sexhaustive = false; scx = None }
-          else { sruns = 1; sexhaustive = false; scx = one arena i }
+          if lower_failed () then
+            { sruns = 0; sclaims = 0; sexhaustive = false; scx = None }
+          else { sruns = 1; sclaims = 1; sexhaustive = false; scx = one arena i }
         in
         { Resil.outcome = Resil.Ok_cell st; attempts = 1 })
   in

@@ -104,18 +104,18 @@ let judge subject (inst : instance) (r : Engine.result) =
           | Error m -> Fail m))
     end
 
-let replay_judge ?observer subject plan schedule =
+let replay_judge ?observer ?trace_buf subject plan schedule =
   let inst = subject.make () in
   let r =
-    Inject.replay ~step_limit:subject.step_limit ?observer ~plan ~config:subject.config
-      ~schedule inst.programs
+    Inject.replay ~step_limit:subject.step_limit ?observer ?trace_buf ~plan
+      ~config:subject.config ~schedule inst.programs
   in
   judge subject inst r
 
-let run_plan ?observer subject plan =
+let run_plan ?observer ?trace_buf subject plan =
   let inst = subject.make () in
   let result, decisions =
-    Inject.run_recorded ~step_limit:subject.step_limit ?observer ~plan
+    Inject.run_recorded ~step_limit:subject.step_limit ?observer ?trace_buf ~plan
       ~config:subject.config ~policy:(subject.policy ()) inst.programs
   in
   (judge subject inst result, result, decisions)
@@ -124,22 +124,30 @@ let run_plan ?observer subject plan =
    run (and, on failure, its shrink). Cells are fully independent — the
    policy is rebuilt per plan from the subject's seed and shrinking
    replays only this cell's plan — so they can be evaluated on any
-   domain in any order and folded back in plan order. *)
+   domain in any order and folded back in plan order.
+
+   Every engine run of a cell records into [trace_buf], the evaluating
+   worker's scratch trace. A cell's result never references a trace (a
+   failure is a plan, a schedule and a message), so the buffer cannot
+   escape and needs no severing. *)
 type cell = Cell_pass of { blocked : bool; worst : int } | Cell_fail of failure * int
 
-let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) subject plan =
+let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) ~trace_buf
+    subject plan =
   (* One guard for the whole cell: the event count and fuel accumulate
      across the initial run and every shrink replay, so the deadline
      bounds the cell, not each engine run separately. *)
   let observer = Resil.guard_observer deadline in
-  let verdict, result, decisions = run_plan ~observer subject plan in
+  let verdict, result, decisions = run_plan ~observer ~trace_buf subject plan in
   let worst = Array.fold_left max 0 result.Engine.own_steps in
   match verdict with
   | Pass { blocked } -> Cell_pass { blocked; worst }
   | Fail message ->
     let fails sched =
       Resil.check_deadline deadline;
-      match replay_judge ~observer subject plan sched with Fail _ -> true | Pass _ -> false
+      match replay_judge ~observer ~trace_buf subject plan sched with
+      | Fail _ -> true
+      | Pass _ -> false
     in
     let schedule =
       if shrink then Shrink.shrink_by ~max_rounds:max_shrink_rounds ~fails decisions
@@ -149,7 +157,7 @@ let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) subject 
        plan; report the message the shrunk schedule actually
        produces. *)
     let message =
-      match replay_judge ~observer subject plan schedule with
+      match replay_judge ~observer ~trace_buf subject plan schedule with
       | Fail m -> m
       | Pass _ -> message
     in
@@ -222,7 +230,7 @@ let certify ?(shrink = true) ?(max_shrink_rounds = 200) ?(jobs = 1) ?grain
           entries;
         (Some t, fun i -> Hashtbl.find_opt tbl i))
   in
-  let eval i plan =
+  let eval trace_buf i plan =
     (* Graceful degradation: a cell that exhausts its budget (or hits a
        transient error) re-runs with shrinking demoted off — the shrink
        replays are the expensive part — trading counterexample
@@ -236,8 +244,8 @@ let certify ?(shrink = true) ?(max_shrink_rounds = 200) ?(jobs = 1) ?grain
     in
     let rc =
       Resil.run_cell ~retry ~deadline_for ?sleep (fun deadline ->
-          run_cell ~shrink:(shrink && not !demoted) ~max_shrink_rounds ~deadline subject
-            plan)
+          run_cell ~shrink:(shrink && not !demoted) ~max_shrink_rounds ~deadline ~trace_buf
+            subject plan)
     in
     (match (journal, rc.Resil.outcome) with
     | Some t, Resil.Ok_cell c ->
@@ -246,14 +254,15 @@ let certify ?(shrink = true) ?(max_shrink_rounds = 200) ?(jobs = 1) ?grain
     rc
   in
   let cells =
-    Hwf_par.Pool.map ~jobs ?grain ?stats:pool_stats
-      (fun (i, plan) ->
+    Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:pool_stats
+      ~make:(fun () -> Trace.create subject.config)
+      (fun trace_buf (i, plan) ->
         match restored i with
         | Some c -> { Resil.outcome = Resil.Ok_cell c; attempts = 1 }
         | None ->
           if Resil.interrupted () || should_stop () then
             { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
-          else eval i plan)
+          else eval trace_buf i plan)
       (Array.mapi (fun i p -> (i, p)) plan_arr)
   in
   Option.iter Checkpoint.close journal;

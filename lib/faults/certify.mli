@@ -78,12 +78,27 @@ val judge : subject -> instance -> Engine.result -> verdict
 (** The three-verdict judgement described above, applied to one run. *)
 
 val run_plan :
-  ?observer:(Trace.event -> unit) -> subject -> Plan.t -> verdict * Engine.result * Schedule.t
-(** One judged run under a plan, with its recorded decision sequence. *)
+  ?observer:(Trace.event -> unit) ->
+  ?trace_buf:Trace.t ->
+  subject ->
+  Plan.t ->
+  verdict * Engine.result * Schedule.t
+(** One judged run under a plan, with its recorded decision sequence.
+    Without [trace_buf] the result's trace is freshly allocated and
+    owned by the caller ([hybridsim faults --trace-out] exports it).
+    With it the run records into that reused buffer
+    ({!Inject.run_recorded}), and the result's trace is valid only until
+    the buffer's next run — how {!certify} runs every plan. *)
 
-val replay_judge : ?observer:(Trace.event -> unit) -> subject -> Plan.t -> Schedule.t -> verdict
+val replay_judge :
+  ?observer:(Trace.event -> unit) ->
+  ?trace_buf:Trace.t ->
+  subject ->
+  Plan.t ->
+  Schedule.t ->
+  verdict
 (** Deterministic re-execution (fresh instance, scripted policy) — the
-    predicate behind shrinking. *)
+    predicate behind shrinking. [trace_buf] as in {!run_plan}. *)
 
 val certify :
   ?shrink:bool ->
@@ -113,7 +128,12 @@ val certify :
     [~jobs:1] plan for plan, including the shrunk counterexample
     schedules. [grain] sets the pool's cells-per-claim (default
     automatic — grain 1 for campaign-sized plan lists, which is right
-    for cells this coarse).
+    for cells this coarse). Each worker keeps one scratch trace
+    ({!Hwf_par.Pool.map_scratch}) and records every engine run of its
+    cells into it — judged run, shrink replays and message replay — so
+    per-run trace growth and intern-table rebuilding are paid once per
+    worker; a report references plans, schedules and messages only,
+    never that trace.
 
     [pool_stats] (off by default) accumulates the domain pool's
     occupancy counters for [hybridsim stats]; it never affects the

@@ -13,6 +13,7 @@ open Hwf_sim
 val run :
   ?step_limit:int ->
   ?observer:(Trace.event -> unit) ->
+  ?trace_buf:Trace.t ->
   ?self_check:bool ->
   plan:Plan.t ->
   config:Config.t ->
@@ -25,11 +26,16 @@ val run :
     ({!Hwf_resil.Resil.guard_observer}). [self_check] (passed through
     likewise) runs the engine's self-checking reference mode; the
     burst/caching differential suite uses it to pin faulted runs to the
-    naive scheduler byte-for-byte. *)
+    naive scheduler byte-for-byte. [trace_buf] (passed through likewise)
+    records the run into a reused scratch trace instead of a fresh one;
+    the returned [result.trace] is then that buffer and is valid only
+    until the buffer's next run (see {!Hwf_sim.Engine.run}). Without it
+    the trace is freshly allocated and owned by the caller. *)
 
 val run_recorded :
   ?step_limit:int ->
   ?observer:(Trace.event -> unit) ->
+  ?trace_buf:Trace.t ->
   plan:Plan.t ->
   config:Config.t ->
   policy:Policy.t ->
@@ -37,11 +43,12 @@ val run_recorded :
   Engine.result * Proc.pid list
 (** Like {!run}, also returning the scheduling decisions taken, in
     order — a replayable schedule for {!replay} and
-    {!Hwf_adversary.Shrink.shrink_by}. *)
+    {!Hwf_adversary.Shrink.shrink_by}. [trace_buf] as in {!run}. *)
 
 val replay :
   ?step_limit:int ->
   ?observer:(Trace.event -> unit) ->
+  ?trace_buf:Trace.t ->
   plan:Plan.t ->
   config:Config.t ->
   schedule:Proc.pid list ->
@@ -50,7 +57,7 @@ val replay :
 (** Re-run under [plan] following [schedule]
     (via {!Hwf_sim.Policy.scripted} with {!Hwf_sim.Policy.first} as
     fallback, so shrunk schedules — which may have gaps — still drive a
-    complete run). *)
+    complete run). [trace_buf] as in {!run}. *)
 
 val halted_pred : Plan.t -> (Policy.pview -> bool) option
 (** The crash predicate the plan induces ([None] when it has no

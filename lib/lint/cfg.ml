@@ -30,8 +30,26 @@ type t = {
 
 let key op = Fmt.str "%a" Op.pp op
 
-(* Per-pid state while replaying one run's event stream. *)
-type path = { p_label : string; mutable p_ops : Op.t list (* reversed *) }
+(* Per-pid state while replaying one run's event stream. Each statement
+   is rendered once: [p_last] is the previous statement's key (the edge
+   source) and [p_seen] maps each key to its latest position in the
+   invocation, so a back edge is found by one lookup instead of a walk
+   back through the path. *)
+type path = {
+  p_label : string;
+  mutable p_ops : Op.t list;  (* reversed *)
+  mutable p_len : int;
+  mutable p_last : string;
+  p_seen : (string, int) Hashtbl.t;
+}
+
+(* The first [n] ops of a reversed path, in execution order. *)
+let recent n ops =
+  let rec go n acc = function
+    | o :: rest when n > 0 -> go (n - 1) (o :: acc) rest
+    | _ -> acc
+  in
+  go n [] ops
 
 let build (store : Astore.t) (runs : Recorder.run list) =
   let edges = Hashtbl.create 256 in
@@ -55,12 +73,6 @@ let build (store : Astore.t) (runs : Recorder.run list) =
     in
     if List.exists reads_var_of_other body then Helping else Static
   in
-  let record_loop pid label head body =
-    let k = (pid, label, head) in
-    if not (Hashtbl.mem loops k) then
-      Hashtbl.add loops k
-        { l_pid = pid; l_label = label; l_head = head; l_body = body; l_class = classify pid body }
-  in
   List.iter
     (fun (r : Recorder.run) ->
       let paths : (int, path) Hashtbl.t = Hashtbl.create 8 in
@@ -68,35 +80,53 @@ let build (store : Astore.t) (runs : Recorder.run list) =
         (fun ev ->
           match ev with
           | Trace.Inv_begin { pid; label; _ } ->
-            Hashtbl.replace paths pid { p_label = label; p_ops = [] }
+            Hashtbl.replace paths pid
+              {
+                p_label = label;
+                p_ops = [];
+                p_len = 0;
+                p_last = "entry:" ^ label;
+                p_seen = Hashtbl.create 16;
+              }
           | Trace.Stmt { pid; op; _ } -> (
             match Hashtbl.find_opt paths pid with
             | None -> ()  (* statement outside an invocation: engine forbids *)
             | Some p ->
               let k = key op in
-              (match p.p_ops with
-              | [] -> edge pid ("entry:" ^ p.p_label) k
-              | prev :: _ -> edge pid (key prev) k);
+              edge pid p.p_last k;
               (* Back edge: this op already executed in the current
                  invocation — the segment since its last occurrence is
-                 one iteration of a loop body. *)
-              (let rec since acc = function
-                 | [] -> None
-                 | o :: rest -> if key o = k then Some (o :: acc) else since (o :: acc) rest
-               in
-               match since [] p.p_ops with
-               | None -> ()
-               | Some body -> record_loop pid p.p_label k body);
-              p.p_ops <- op :: p.p_ops)
+                 one iteration of a loop body. Only the first body seen
+                 per (pid, label, head) is kept, so later ones are never
+                 built. *)
+              (match Hashtbl.find_opt p.p_seen k with
+              | None -> ()
+              | Some j ->
+                let lk = (pid, p.p_label, k) in
+                if not (Hashtbl.mem loops lk) then begin
+                  let body = recent (p.p_len - j) p.p_ops in
+                  Hashtbl.add loops lk
+                    {
+                      l_pid = pid;
+                      l_label = p.p_label;
+                      l_head = k;
+                      l_body = body;
+                      l_class = classify pid body;
+                    }
+                end);
+              Hashtbl.replace p.p_seen k p.p_len;
+              p.p_ops <- op :: p.p_ops;
+              p.p_len <- p.p_len + 1;
+              p.p_last <- k)
           | Trace.Inv_end { pid; label; _ } -> (
             match Hashtbl.find_opt paths pid with
             | None -> ()
             | Some p ->
-              (match p.p_ops with
-              | [] -> edge pid ("entry:" ^ label) ("exit:" ^ label)
-              | last :: _ -> edge pid (key last) ("exit:" ^ label));
+              edge pid
+                (if p.p_len = 0 then "entry:" ^ label else p.p_last)
+                ("exit:" ^ label);
               let s = shape label in
-              s.s_max_stmts <- max s.s_max_stmts (List.length p.p_ops);
+              s.s_max_stmts <- max s.s_max_stmts p.p_len;
               s.s_completed <- s.s_completed + 1;
               Hashtbl.remove paths pid)
           | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ())

@@ -111,11 +111,13 @@ val map_scratch :
     the evaluating domain's minor heap), and the result is passed to
     every cell the worker evaluates. This is the reuse hook for
     allocation-heavy cells — an exploration worker keeps one trace
-    buffer and one decision stack for its thousands of engine runs
-    instead of allocating fresh ones per run and paying cross-domain GC
-    traffic. The scratch must not escape into results that outlive the
-    call unless [f] severs the reference first (the explorer drops its
-    buffer from the scratch when a counterexample escapes with it). *)
+    buffer and one decision stack for its thousands of engine runs, and
+    a certification worker one trace for every run of every plan it
+    evaluates, instead of allocating fresh ones per run and paying
+    cross-domain GC traffic. The scratch must not escape into results
+    that outlive the call unless [f] severs the reference first (the
+    explorer drops its buffer from the scratch when a counterexample
+    escapes with it; certify results never reference theirs). *)
 
 (**/**)
 

@@ -75,6 +75,127 @@ let test_report_deterministic () =
   Alcotest.(check string) "byte-equal reports" a b;
   Util.checkb "carries schema tag" (String.length a > 0 && contains ~sub:"hwf-lint/1" a)
 
+(* ---- the CFG against a naive reference ----
+
+   A test-only rebuild of {!Cfg.build} straight from its interface
+   definition, deliberately quadratic: every statement walks back
+   through its invocation's earlier statements, re-rendering each, to
+   find its previous occurrence. The library's builder renders each
+   statement once and indexes positions; the two must agree on every
+   field. *)
+module Naive_cfg = struct
+  let render op = Fmt.str "%a" Op.pp op
+
+  let build store (runs : Recorder.run list) : Cfg.t =
+    let edges = Hashtbl.create 256 and loops = Hashtbl.create 16 in
+    let shapes = Hashtbl.create 16 and truncated = Hashtbl.create 8 in
+    let helping pid body =
+      List.exists
+        (function
+          | Op.Read v | Op.Rmw { var = v; _ } -> Astore.written_by_other store ~var:v ~pid
+          | Op.Write _ | Op.Local _ -> false)
+        body
+    in
+    let shape label =
+      match Hashtbl.find_opt shapes label with
+      | Some s -> s
+      | None ->
+        let s = { Cfg.s_label = label; s_max_stmts = 0; s_completed = 0 } in
+        Hashtbl.add shapes label s;
+        s
+    in
+    let last_node label = function [] -> "entry:" ^ label | last :: _ -> render last in
+    List.iter
+      (fun (r : Recorder.run) ->
+        (* pid -> (label, statements so far, latest first) *)
+        let open_ = Hashtbl.create 8 in
+        List.iter
+          (function
+            | Trace.Inv_begin { pid; label; _ } -> Hashtbl.replace open_ pid (label, [])
+            | Trace.Stmt { pid; op; _ } -> (
+              match Hashtbl.find_opt open_ pid with
+              | None -> ()
+              | Some (label, ops) ->
+                let k = render op in
+                Hashtbl.replace edges (pid, last_node label ops, k) ();
+                (* Walk back to the previous occurrence of [k]; the
+                   statements from it on are one loop iteration. *)
+                let rec back body = function
+                  | [] -> None
+                  | o :: older ->
+                    if render o = k then Some (o :: body) else back (o :: body) older
+                in
+                (match back [] ops with
+                | Some body when not (Hashtbl.mem loops (pid, label, k)) ->
+                  Hashtbl.add loops (pid, label, k)
+                    {
+                      Cfg.l_pid = pid;
+                      l_label = label;
+                      l_head = k;
+                      l_body = body;
+                      l_class = (if helping pid body then Cfg.Helping else Cfg.Static);
+                    }
+                | _ -> ());
+                Hashtbl.replace open_ pid (label, op :: ops))
+            | Trace.Inv_end { pid; label; _ } -> (
+              match Hashtbl.find_opt open_ pid with
+              | None -> ()
+              | Some (_, ops) ->
+                Hashtbl.replace edges (pid, last_node label ops, "exit:" ^ label) ();
+                let s = shape label in
+                s.s_max_stmts <- max s.s_max_stmts (List.length ops);
+                s.s_completed <- s.s_completed + 1;
+                Hashtbl.remove open_ pid)
+            | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ())
+          r.events;
+        match r.outcome with
+        | Ok { Engine.stop = Engine.Step_limit | Engine.Decision_limit; _ } ->
+          Hashtbl.iter
+            (fun pid (label, _) ->
+              Hashtbl.replace truncated (pid, label) ();
+              Hashtbl.iter
+                (fun _ (l : Cfg.loop) ->
+                  if l.l_pid = pid && l.l_label = label then l.l_class <- Cfg.Unbounded)
+                loops)
+            open_
+        | Ok _ | Error _ -> ())
+      runs;
+    let sorted_keys tbl =
+      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+    in
+    let shapes = List.map (Hashtbl.find shapes) (sorted_keys shapes) in
+    {
+      Cfg.edges = sorted_keys edges;
+      loops = List.map (Hashtbl.find loops) (sorted_keys loops);
+      shapes;
+      truncated = sorted_keys truncated;
+      derived_c = List.fold_left (fun acc s -> max acc s.Cfg.s_max_stmts) 0 shapes;
+    }
+end
+
+let test_cfg_matches_reference () =
+  let same ~what (spec : Lint.spec) ?budget () =
+    let o = Lint.run ?budget spec in
+    let want = Naive_cfg.build o.Lint.store o.Lint.runs_detail and got = o.Lint.cfg in
+    let name field =
+      Fmt.str "%s %s (budget %s): %s" what spec.Lint.name
+        (match budget with None -> "default" | Some b -> string_of_int b)
+        field
+    in
+    Util.checkb (name "edges") (got.Cfg.edges = want.Cfg.edges);
+    Util.checkb (name "loops") (got.Cfg.loops = want.Cfg.loops);
+    Util.checkb (name "shapes") (got.Cfg.shapes = want.Cfg.shapes);
+    Util.checkb (name "truncated") (got.Cfg.truncated = want.Cfg.truncated);
+    Alcotest.(check int) (name "derived_c") want.Cfg.derived_c got.Cfg.derived_c
+  in
+  List.iter
+    (fun budget ->
+      List.iter (fun spec -> same ~what:"registry" spec ?budget ()) (Registry.all ());
+      List.iter
+        (fun (c : Hwf_lint_corpus.Corpus.case) -> same ~what:"corpus" c.spec ?budget ())
+        (Hwf_lint_corpus.Corpus.all ()))
+    [ None; Some 2 ]
+
 (* ---- satellite 1: the peek/poke guard without a tap installed ---- *)
 
 let test_peek_guard_raises () =
@@ -214,6 +335,8 @@ let () =
           Alcotest.test_case "fig9 helping loop" `Quick test_fig9_helping_loop;
           Alcotest.test_case "corpus rejected" `Quick test_corpus_rejected;
           Alcotest.test_case "report deterministic" `Quick test_report_deterministic;
+          Alcotest.test_case "cfg matches naive reference" `Quick
+            test_cfg_matches_reference;
         ] );
       ( "guard",
         [

@@ -335,8 +335,9 @@ let test_explore_checkpoint_resume () =
   (* Plain, freshly checkpointed and resumed searches are one subtree-cell
      loop: they agree on the outcome and, where cells run, on the search
      counters. The 2-cpu Fig. 7 search is cut by [max_runs], which is
-     deterministic only at jobs = 1, and is not resumed partially: the
-     journal does not record the budget spent on blocked prefixes. *)
+     deterministic only at jobs = 1; its partial resume re-seeds the
+     budget with the journaled claims, blocked prefixes included, so the
+     re-run subtrees stop exactly where the uninterrupted search did. *)
   let open Hwf_adversary in
   let fig7 =
     (Scenarios.consensus ~name:"resil.f7" ~impl:(Scenarios.Fig7 { consensus_number = 2 })
@@ -365,23 +366,21 @@ let test_explore_checkpoint_resume () =
           (* Truncate the journal to its header plus the first subtree —
              the state a SIGKILL early in the campaign leaves behind — and
              resume: the other subtrees re-run exactly as before. *)
-          if max_runs = None then begin
-            keep_first_cell path;
-            let kept =
-              match Checkpoint.load ~path with
-              | Ok (_, [ e ]) -> e.Checkpoint.idx
-              | _ -> Alcotest.fail "expected one journaled subtree"
-            in
-            let resumed, s = run ~checkpoint:path ~resume:true jobs in
-            check_outcomes (tag "partial resume") reference resumed;
-            Util.check
-              Alcotest.(array int)
-              (tag "partial resume re-runs")
-              (Array.mapi
-                 (fun i n -> if i = kept then 0 else n)
-                 (Explore.stats_subtree_runs rs))
-              (Explore.stats_subtree_runs s)
-          end;
+          keep_first_cell path;
+          let kept =
+            match Checkpoint.load ~path with
+            | Ok (_, [ e ]) -> e.Checkpoint.idx
+            | _ -> Alcotest.fail "expected one journaled subtree"
+          in
+          let resumed, s = run ~checkpoint:path ~resume:true jobs in
+          check_outcomes (tag "partial resume") reference resumed;
+          Util.check
+            Alcotest.(array int)
+            (tag "partial resume re-runs")
+            (Array.mapi
+               (fun i n -> if i = kept then 0 else n)
+               (Explore.stats_subtree_runs rs))
+            (Explore.stats_subtree_runs s);
           Sys.remove path)
         jobs_list;
       if name <> "fig3" then
