@@ -38,7 +38,12 @@ type view = {
       (** Indexed by pid. The engine reuses this array as a scratch
           buffer across decisions: read it freely during [choose], but
           do not retain the array itself. The [pview] records are
-          immutable and safe to keep. *)
+          immutable and safe to keep, and the engine stores a new record
+          only when that process's view changes: a physically unchanged
+          [procs.(pid)] is an unchanged view. [Hwf_adversary.Explore]
+          caches footprints on that identity; a future engine that
+          refreshed views in place would have to key such caches on a
+          version stamp instead. *)
 }
 
 type t = { name : string; burst_safe : bool; make : unit -> view -> Proc.pid option }
@@ -138,7 +143,9 @@ type footprint = {
 }
 
 val footprint : view -> Proc.pid -> footprint
-(** Footprint of one candidate at the current decision point. *)
+(** Footprint of one candidate at the current decision point.
+    [footprint view pid] reads only [view.procs.(pid)], so it is a
+    function of that one immutable record. *)
 
 type relation = footprint -> footprint -> bool
 (** An independence judgement: [r a b = true] claims executing [a] and
