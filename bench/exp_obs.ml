@@ -1,16 +1,15 @@
 (* E18 — observability overhead.
 
-   The engine's observer hook must be free when no sink is configured:
-   the only cost is one match on an option per recorded event. This
-   experiment measures that claim the same way E17 measures the
-   parallel contract — on every bench run, not just once. Three
-   configurations execute the identical workload (same config, policy
-   seed and programs, so the schedules are statement-for-statement
-   equal):
+   The engine's trace sink must be free when none is configured: the
+   trace's appends then call no-op sinks. This experiment measures that
+   claim the same way E17 measures the parallel contract — on every
+   bench run, not just once. Three configurations execute the identical
+   workload (same config, policy seed and programs, so the schedules
+   are statement-for-statement equal):
 
-     off       engine run with no observer installed (the default)
-     count     a minimal observer (one int incr per event)
-     metrics   the full Hwf_obs.Metrics collector
+     off       engine run with no sink installed (the default)
+     count     a minimal sink (one int incr per event)
+     metrics   the full Hwf_obs.Metrics collector (Metrics.sink)
 
    Reported per configuration: mean wall-clock per run and the
    overhead relative to `off`. The `count` row isolates the hook
@@ -31,48 +30,54 @@ let wall f =
   Unix.gettimeofday () -. t0
 
 (* One workload execution; identical schedule in all configurations
-   (the observer cannot influence scheduling). *)
-let one_run ?observer () =
+   (the sink cannot influence scheduling). *)
+let one_run ?sink () =
   let layout = [ (0, 1); (0, 1); (0, 2) ] in
   let config = Layout.to_config ~quantum:6 layout in
   let script = Scenarios.random_script ~seed:11 ~n:3 ~ops_per:4 in
   let b = Scenarios.hybrid_cas ~name:"e18" ~quantum:6 ~layout ~script in
   let inst = b.Hwf_adversary.Explore.make () in
   ignore
-    (Engine.run ~step_limit:4_000_000 ?observer ~config ~policy:(Policy.random ~seed:5)
+    (Engine.run ~step_limit:4_000_000 ?sink ~config ~policy:(Policy.random ~seed:5)
        inst.Hwf_adversary.Explore.programs)
 
 let run ~quick =
-  Tbl.section "E18: observability overhead (observer hook on vs off)";
+  Tbl.section "E18: observability overhead (trace sink on vs off)";
   let reps = if quick then 30 else 200 in
   let timed mk =
-    one_run ?observer:(mk ()) ();
+    one_run ?sink:(mk ()) ();
     (* warm-up *)
-    let t = wall (fun () -> for _ = 1 to reps do one_run ?observer:(mk ()) () done) in
+    let t = wall (fun () -> for _ = 1 to reps do one_run ?sink:(mk ()) () done) in
     t /. float_of_int reps
   in
   let off = timed (fun () -> None) in
   let counter = ref 0 in
-  let count = timed (fun () -> Some (fun _ -> incr counter)) in
+  let count_sink =
+    {
+      Trace.on_stmt = (fun ~idx:_ ~pid:_ ~op:_ ~inv:_ ~cost:_ -> incr counter);
+      on_event = (fun _ -> incr counter);
+    }
+  in
+  let count = timed (fun () -> Some count_sink) in
   let config = Layout.to_config ~quantum:6 [ (0, 1); (0, 1); (0, 2) ] in
   let metrics =
-    timed (fun () -> Some (Hwf_obs.Metrics.feed (Hwf_obs.Metrics.collector config)))
+    timed (fun () -> Some (Hwf_obs.Metrics.sink (Hwf_obs.Metrics.collector config)))
   in
   let pct base x = if base > 0. then (x /. base -. 1.) *. 100. else 0. in
   Tbl.print
     ~title:(Printf.sprintf "mean wall-clock per run, %d runs each" reps)
-    ~header:[ "observer"; "us/run"; "overhead" ]
+    ~header:[ "sink"; "us/run"; "overhead" ]
     [
       [ "off (no sink)"; Printf.sprintf "%.1f" (off *. 1e6); "baseline" ];
-      [ "count only"; Printf.sprintf "%.1f" (count *. 1e6);
+      [ "count-only sink"; Printf.sprintf "%.1f" (count *. 1e6);
         Printf.sprintf "%+.1f%%" (pct off count) ];
-      [ "full metrics"; Printf.sprintf "%.1f" (metrics *. 1e6);
+      [ "metrics sink"; Printf.sprintf "%.1f" (metrics *. 1e6);
         Printf.sprintf "%+.1f%%" (pct off metrics) ];
     ];
   Tbl.note
-    "identical workload and schedule in all rows; 'off' pays one option\n\
-     match per event and nothing else (the acceptance bar: no measurable\n\
-     overhead when no sink is configured)."
+    "identical workload and schedule in all rows; with no sink the trace's\n\
+     appends call no-op sinks (the acceptance bar: no measurable overhead\n\
+     when no sink is configured)."
 
 (* The canonical demo export: small, deterministic (fixed policy, no
    seeds involved), so repeated invocations produce identical bytes. *)
@@ -87,7 +92,7 @@ let export ~trace_out ~metrics_out =
     let collector = Hwf_obs.Metrics.collector config in
     let r =
       Engine.run ~step_limit:1_000_000
-        ~observer:(Hwf_obs.Metrics.feed collector)
+        ~sink:(Hwf_obs.Metrics.sink collector)
         ~config ~policy:Policy.first inst.Hwf_adversary.Explore.programs
     in
     Option.iter

@@ -209,9 +209,9 @@ let run_cmd =
     let b = scenario_of impl cnum quantum layout in
     let config = b.Scenarios.scenario.Explore.config in
     let instance = b.Scenarios.scenario.Explore.make () in
-    (* Metrics are collected live through the engine's observer hook;
-       when no sink is requested, no collector exists and the engine
-       pays a single match per event. *)
+    (* Metrics are collected live through the engine's trace sink; when
+       no metrics output is requested, no collector exists and the
+       trace's appends call no-op sinks. *)
     let collector =
       match metrics_out with
       | None -> None
@@ -219,7 +219,7 @@ let run_cmd =
     in
     let r =
       Engine.run ~step_limit:20_000_000
-        ?observer:(Option.map Hwf_obs.Metrics.feed collector)
+        ?sink:(Option.map Hwf_obs.Metrics.sink collector)
         ~config ~policy:(make_policy policy seed) instance.Explore.programs
     in
     let wf = Wellformed.check r.trace in
@@ -653,7 +653,7 @@ let cas_cmd =
          in
          let sum =
            Scenarios.run_cas ~step_limit:2_000_000
-             ~observer:(Hwf_obs.Metrics.feed collector)
+             ~sink:(Hwf_obs.Metrics.sink collector)
              ~quantum ~layout ~script ~policy:(Policy.random ~seed) ()
          in
          Option.iter (fun path -> export_trace path sum.Scenarios.cas_trace) trace_out;
@@ -825,7 +825,7 @@ let faults_cmd =
   in
   (* A cell that never terminates on its own: the step limit is set far
      beyond any wall budget, so only the per-cell deadline (enforced by
-     the engine-observer guard) can stop it. *)
+     the engine-sink guard) can stop it. *)
   let livelock_subject () =
     Certify.
       {
@@ -1026,18 +1026,18 @@ let stats_cmd =
       trace_out metrics_out =
     let config = Layout.to_config ~quantum layout in
     let mpp = Config.max_per_processor config in
-    (* One measured run, metrics collected live through the observer
-       hook, with the algorithm's access-failure tap reported against
+    (* One measured run, metrics collected live through the trace sink,
+       with the algorithm's access-failure tap reported against
        the paper's envelopes (docs/OBSERVABILITY.md maps the symbols). *)
     let collector = Hwf_obs.Metrics.collector config in
-    let observer = Hwf_obs.Metrics.feed collector in
+    let sink = Hwf_obs.Metrics.sink collector in
     let metrics, trace, scenario =
       match impl with
       | `Fig5 ->
         let n = List.length layout in
         let script = Scenarios.random_script ~seed ~n ~ops_per:ops in
         let sum =
-          Scenarios.run_cas ~step_limit:8_000_000 ~observer ~quantum ~layout ~script
+          Scenarios.run_cas ~step_limit:8_000_000 ~sink ~quantum ~layout ~script
             ~policy:(make_policy policy seed) ()
         in
         let st = sum.Scenarios.cas_stats in
@@ -1075,7 +1075,7 @@ let stats_cmd =
           Scenarios.hybrid_cas ~name:"stats" ~quantum ~layout ~script )
       | `Fig7 ->
         let sum =
-          Scenarios.run_multi ~step_limit:8_000_000 ~observer ~quantum
+          Scenarios.run_multi ~step_limit:8_000_000 ~sink ~quantum
             ~consensus_number:cnum ~layout ~policy:(make_policy policy seed) ()
         in
         let p = config.Config.processors in

@@ -104,25 +104,25 @@ let judge subject (inst : instance) (r : Engine.result) =
           | Error m -> Fail m))
     end
 
-let replay_judge ?observer ?trace_buf subject plan schedule =
+let replay_judge ?sink ?trace_buf subject plan schedule =
   let inst = subject.make () in
   let r =
-    Inject.replay ~step_limit:subject.step_limit ?observer ?trace_buf ~plan
+    Inject.replay ~step_limit:subject.step_limit ?sink ?trace_buf ~plan
       ~config:subject.config ~schedule inst.programs
   in
   judge subject inst r
 
 (* One judged run under [plan], with its decisions in a buffer. *)
-let judged_run ?observer ?trace_buf subject plan =
+let judged_run ?sink ?trace_buf subject plan =
   let inst = subject.make () in
   let result, decisions =
-    Inject.run_recorded ~step_limit:subject.step_limit ?observer ?trace_buf ~plan
+    Inject.run_recorded ~step_limit:subject.step_limit ?sink ?trace_buf ~plan
       ~config:subject.config ~policy:(subject.policy ()) inst.programs
   in
   (judge subject inst result, result, decisions)
 
-let run_plan ?observer ?trace_buf subject plan =
-  let verdict, result, decisions = judged_run ?observer ?trace_buf subject plan in
+let run_plan ?sink ?trace_buf subject plan =
+  let verdict, result, decisions = judged_run ?sink ?trace_buf subject plan in
   (verdict, result, Vec.to_list decisions)
 
 (* One certification cell: everything [certify] needs from one plan's
@@ -142,9 +142,16 @@ let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) ~trace_b
     subject plan =
   (* One guard for the whole cell: the event count and fuel accumulate
      across the initial run and every shrink replay, so the deadline
-     bounds the cell, not each engine run separately. *)
-  let observer = Resil.guard_observer deadline in
-  let verdict, result, decisions = judged_run ~observer ~trace_buf subject plan in
+     bounds the cell, not each engine run separately. The guard ticks
+     once per event, statements included. *)
+  let guard = Resil.guard_observer deadline in
+  let sink =
+    {
+      Trace.on_stmt = (fun ~idx:_ ~pid:_ ~op:_ ~inv:_ ~cost:_ -> guard ());
+      on_event = (fun _ -> guard ());
+    }
+  in
+  let verdict, result, decisions = judged_run ~sink ~trace_buf subject plan in
   let worst = Array.fold_left max 0 result.Engine.own_steps in
   match verdict with
   | Pass { blocked } -> Cell_pass { blocked; worst }
@@ -152,7 +159,7 @@ let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) ~trace_b
     let decisions = Vec.to_list decisions in
     let fails sched =
       Resil.check_deadline deadline;
-      match replay_judge ~observer ~trace_buf subject plan sched with
+      match replay_judge ~sink ~trace_buf subject plan sched with
       | Fail _ -> true
       | Pass _ -> false
     in
@@ -164,7 +171,7 @@ let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) ~trace_b
        plan; report the message the shrunk schedule actually
        produces. *)
     let message =
-      match replay_judge ~observer ~trace_buf subject plan schedule with
+      match replay_judge ~sink ~trace_buf subject plan schedule with
       | Fail m -> m
       | Pass _ -> message
     in

@@ -78,7 +78,7 @@ val judge : subject -> instance -> Engine.result -> verdict
 (** The three-verdict judgement described above, applied to one run. *)
 
 val run_plan :
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   subject ->
   Plan.t ->
@@ -91,7 +91,7 @@ val run_plan :
     the buffer's next run — how {!certify} runs every plan. *)
 
 val replay_judge :
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   subject ->
   Plan.t ->
@@ -141,7 +141,7 @@ val certify :
 
     Resilience (see [docs/ROBUSTNESS.md]): every plan is one fault-
     contained cell. [cell_wall_s] gives each cell a wall-clock budget,
-    enforced inside its engine runs via the observer hook and between
+    enforced inside its engine runs via the trace sink and between
     shrink replays — a livelocked cell becomes a structured timeout in
     [coverage], not a hang. [retry] (default
     {!Hwf_resil.Resil.no_retry}) re-runs timed-out/transiently-failed

@@ -38,14 +38,14 @@ let gate_fn (plan : Plan.t) =
       invalid_arg "Inject: Windows requires 0 <= off <= period, period > 0";
     Some (fun ~step -> (step + phase) mod period >= off)
 
-let run ?step_limit ?observer ?trace_buf ?self_check ~plan ~config ~policy programs =
-  Engine.run ?step_limit ?observer ?trace_buf ?self_check
+let run ?step_limit ?sink ?trace_buf ?self_check ~plan ~config ~policy programs =
+  Engine.run ?step_limit ?sink ?trace_buf ?self_check
     ?cost:(cost_fn plan ~config)
     ?halted:(halted_pred plan)
     ?axiom2_active:(gate_fn plan)
     ~config ~policy programs
 
-let run_recorded ?step_limit ?observer ?trace_buf ~plan ~config ~policy programs =
+let run_recorded ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs =
   let decisions = Vec.create () in
   let recording =
     Policy.of_factory
@@ -60,10 +60,10 @@ let run_recorded ?step_limit ?observer ?trace_buf ~plan ~config ~policy programs
           | None -> None)
   in
   let result =
-    run ?step_limit ?observer ?trace_buf ~plan ~config ~policy:recording programs
+    run ?step_limit ?sink ?trace_buf ~plan ~config ~policy:recording programs
   in
   (result, decisions)
 
-let replay ?step_limit ?observer ?trace_buf ~plan ~config ~schedule programs =
+let replay ?step_limit ?sink ?trace_buf ~plan ~config ~schedule programs =
   let policy = Policy.scripted ~fallback:Policy.first schedule in
-  run ?step_limit ?observer ?trace_buf ~plan ~config ~policy programs
+  run ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs

@@ -12,7 +12,7 @@ open Hwf_sim
 
 val run :
   ?step_limit:int ->
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   ?self_check:bool ->
   plan:Plan.t ->
@@ -20,13 +20,14 @@ val run :
   policy:Policy.t ->
   (unit -> unit) array ->
   Engine.result
-(** One run of [programs] under [plan]. [observer] is passed through to
+(** One run of [programs] under [plan]. [sink] is passed through to
     [Engine.run] — this is also the hook the resilience layer uses to
     enforce wall-clock deadlines inside a run
-    ({!Hwf_resil.Resil.guard_observer}). [self_check] (passed through
-    likewise) runs the engine's self-checking reference mode; the
-    burst/caching differential suite uses it to pin faulted runs to the
-    naive scheduler byte-for-byte. [trace_buf] (passed through likewise)
+    ({!Hwf_resil.Resil.guard_observer}, wrapped as a sink by
+    {!Certify}). [self_check] (passed through likewise) runs the
+    engine's self-checking reference mode; the burst/caching
+    differential suite uses it to pin faulted runs to the naive
+    scheduler byte-for-byte. [trace_buf] (passed through likewise)
     records the run into a reused scratch trace instead of a fresh one;
     the returned [result.trace] is then that buffer and is valid only
     until the buffer's next run (see {!Hwf_sim.Engine.run}). Without it
@@ -34,7 +35,7 @@ val run :
 
 val run_recorded :
   ?step_limit:int ->
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   plan:Plan.t ->
   config:Config.t ->
@@ -49,7 +50,7 @@ val run_recorded :
 
 val replay :
   ?step_limit:int ->
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   plan:Plan.t ->
   config:Config.t ->

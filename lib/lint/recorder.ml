@@ -16,7 +16,7 @@ type run = {
 }
 
 (* Attribution relies on the engine being synchronous on one domain: a
-   Stmt event is appended (observer fires) immediately before the
+   Stmt event is appended (the sink fires) immediately before the
    process's continuation resumes, and every store access the process
    performs before its next effect happens before any further event. So
    "accesses after event E, before the next event" is exactly "accesses
@@ -38,7 +38,7 @@ let record ?(step_limit = 200_000) ~policy_name ~config ~policy programs =
     current := Some { w_pid = pid; w_op = op; w_inv = inv; w_label = label; w_accesses = [] }
   in
   let label = Array.make (Config.n config) "" in
-  let observer ev =
+  let on_event ev =
     events := ev :: !events;
     match ev with
     | Trace.Stmt { pid; op; inv; _ } -> open_window pid (Some op) inv label.(pid)
@@ -49,6 +49,14 @@ let record ?(step_limit = 200_000) ~policy_name ~config ~policy programs =
       label.(pid) <- "";
       open_window pid None (-1) ""
     | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ()
+  in
+  let sink =
+    {
+      Trace.on_stmt =
+        (fun ~idx ~pid ~op ~inv ~cost ->
+          on_event (Trace.Stmt { idx; pid; op; inv; cost }));
+      on_event;
+    }
   in
   let tap access =
     (match !current with
@@ -64,7 +72,7 @@ let record ?(step_limit = 200_000) ~policy_name ~config ~policy programs =
     try
       Ok
         (Runtime.with_tap tap (fun () ->
-             Engine.run ~step_limit ~observer ~config ~policy programs))
+             Engine.run ~step_limit ~sink ~config ~policy programs))
     with e -> Error e
   in
   close ();

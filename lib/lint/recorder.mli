@@ -32,7 +32,7 @@ type run = {
           mid-invocation {!Hwf_sim.Eff.set_priority}. The events and
           windows gathered up to that point are still available. *)
   events : Trace.event list;
-      (** The full event history, collected through the observer hook
+      (** The full event history, collected through the trace sink
           (so it survives an engine exception, unlike the trace). *)
   windows : window list;  (** Chronological access windows. *)
 }
@@ -45,7 +45,7 @@ val record :
   (unit -> unit) array ->
   run
 (** One instrumented replay: installs an access tap
-    ({!Hwf_sim.Runtime.with_tap}) and a trace observer around
+    ({!Hwf_sim.Runtime.with_tap}) and a trace sink around
     {!Hwf_sim.Engine.run} and correlates every store access with the
     statement (or boundary segment) that was executing. [step_limit]
     defaults to 200_000; a run cut short by it is how the linter detects

@@ -180,9 +180,9 @@ let close_inv c pid completed =
     a.guarantee <- 0
   end
 
-(* Statement path, shared by {!feed} and the allocation-free {!sink}:
-   takes the fields directly so the engine's hot path never has to
-   build a [Trace.Stmt] record just to have it destructured here. *)
+(* Statement path, shared by {!feed} and {!sink}: takes the fields
+   directly so the engine's hot path never has to build a [Trace.Stmt]
+   record just to have it destructured here. *)
 let feed_stmt c ~idx:_ ~pid ~op:_ ~inv:_ ~cost =
   let config = c.config in
   let pr = config.Config.procs.(pid).Proc.processor in

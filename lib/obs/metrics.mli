@@ -8,13 +8,12 @@
     utilization (protected statements actually used per granted
     guarantee), and priority-change churn (Sec. 5 dynamic priorities).
 
-    Collection is {e incremental}: a {!collector}'s {!feed} is designed
-    to sit behind the nullable trace observer hook
-    ({!Hwf_sim.Engine.run}'s [observer] / {!Hwf_sim.Trace.set_observer}),
-    so metrics accrue while the engine runs and cost nothing when no
-    sink is configured. {!of_trace} replays a recorded trace through the
-    same collector, and is guaranteed to produce the same result as
-    feeding events live.
+    Collection is {e incremental}: a {!collector}'s {!sink} is designed
+    to sit behind the trace's observation hook ({!Hwf_sim.Engine.run}'s
+    [sink] / {!Hwf_sim.Trace.set_sink}), so metrics accrue while the
+    engine runs and cost nothing when no sink is configured.
+    {!of_trace} replays a recorded trace through the same collector, and
+    is guaranteed to produce the same result as collecting live.
 
     Preemption classification follows {!Hwf_sim.Analysis} exactly; the
     quantum accounting mirrors the engine's Axiom 2 bookkeeping
@@ -81,16 +80,11 @@ type collector
 
 val collector : Config.t -> collector
 
-val feed : collector -> Trace.event -> unit
-(** Advance the collector by one event; pass this (partially applied) as
-    the engine's [observer]. *)
-
 val sink : collector -> Trace.sink
-(** Allocation-free observer: a {!Hwf_sim.Trace.sink} whose statement
-    callback takes the event fields directly, so the engine's hot path
-    feeds this collector without materializing a [Trace.Stmt] record
-    per statement. Pass as {!Hwf_sim.Engine.run}'s [sink]; equivalent
-    to [feed] observed through [observer], just cheaper. *)
+(** The collector as a {!Hwf_sim.Trace.sink}: its statement callback
+    takes the event fields directly, so the engine's hot path feeds this
+    collector without materializing a [Trace.Stmt] record per statement.
+    Pass as {!Hwf_sim.Engine.run}'s [sink]. *)
 
 val finish : collector -> t
 (** Close any still-open invocations (as incomplete) and freeze. *)

@@ -7,7 +7,8 @@
 
     - {b per-cell deadlines}: a wall-clock/fuel budget a cell's work is
       checked against, cooperatively (between engine runs and shrink
-      replays) and inside the engine (via {!guard_observer});
+      replays) and inside the engine (via {!guard_observer} behind a
+      trace sink);
     - {b a documented error taxonomy} distinguishing transient failures
       (worth retrying) from harness bugs (fail the cell, keep the
       campaign) — genuine counterexamples are {e values} returned by
@@ -61,11 +62,15 @@ val wall_left_s : deadline -> float option
 (** Seconds until wall-clock expiry ([None] if no wall budget). *)
 
 val guard_observer : ?every:int -> deadline -> ('a -> unit)
-(** An engine-observer-shaped guard: counts calls and polls the wall
-    clock every [every] events (default 2048), raising
-    {!Deadline_exceeded} from inside [Engine.run] — this is what turns
-    a livelocked engine run into a structured timeout instead of a
-    hang. Compose it with a real observer if one is installed. *)
+(** A per-event guard: counts calls and polls the wall clock every
+    [every] calls (default 2048), spending that much fuel each time,
+    raising {!Deadline_exceeded} from inside [Engine.run] — this is what
+    turns a livelocked engine run into a structured timeout instead of a
+    hang. Call it once per trace event, statements included, from both
+    callbacks of the run's [Trace.sink] (this library does not depend on
+    the simulator, so the caller builds the sink; see
+    [Hwf_faults.Certify]). Compose it with a real sink if one is
+    installed. *)
 
 (** {1 Error taxonomy} *)
 

@@ -46,9 +46,8 @@ type cell = {
   mutable dirty : bool;  (* scratch policy view needs rebuilding *)
 }
 
-let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
-    ?trace_buf ?(self_check = false) ~(config : Config.t) ~(policy : Policy.t)
-    programs =
+let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
+    ?(self_check = false) ~(config : Config.t) ~(policy : Policy.t) programs =
   let n = Config.n config in
   if Array.length programs <> n then
     invalid_arg "Engine.run: program count <> process count";
@@ -65,11 +64,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
       Trace.reset t;
       t
   in
-  (match (observer, sink) with
-  | Some _, Some _ -> invalid_arg "Engine.run: ?observer and ?sink are mutually exclusive"
-  | Some f, None -> Trace.set_observer trace f
-  | None, Some s -> Trace.set_sink trace s
-  | None, None -> ());
+  Option.iter (Trace.set_sink trace) sink;
   let cost_of =
     match cost with
     | None -> fun _view _pid _op -> config.tmin
@@ -110,7 +105,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
        [live_total]: unfinished cells per (processor, level), the cached
        per-processor maximum level, per-processor totals and the global
        total. These answer the burst-batching question — "is this
-       process's selection forced?" — in O(1) (see the burst loop). *)
+       process's selection forced?" — in O(1) (see [forced]). *)
   let processors = config.processors in
   let proc_stmts = Array.make processors 0 in
   (* Last executor per processor: the only cell (other than the one
@@ -298,13 +293,73 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
       raise Exit
     end
   in
-  (* [chain > 0] arms the in-handler burst fast path: the scheduler has
-     established that the running cell's decisions are forced, so the
-     [Eff.Step] handler may execute statements inline and [continue] the
-     body directly instead of unwinding to the decision loop. The value
-     bounds the nested-[continue] depth (each inline statement leaves a
-     parent-stack frame until the burst unwinds); the scheduler's burst
-     loop re-arms it, so the cap only costs one unwind per [chain_max]
+  (* Quantum-burst batching (the Axiom-2 fast path). A decision is
+     {e forced} when the schedulable set is the singleton [{c}]; under a
+     burst-safe policy ({!Policy.t}) consulting it is then observable
+     nowhere, so the decision loop takes [c] without building views or
+     the schedulable list and without calling the policy, and the
+     [Eff.Step] handler runs [c]'s statements inline while they stay
+     forced. Forcedness is detected in O(1) from the live counters, in
+     three modes (the last two share the [live_on = live_total] premise:
+     any OTHER processor with a live process always contributes at least
+     one candidate — its top live level has either an unguarded process
+     or the guarantee holder itself):
+
+     - {e solo}: [c] is the only unfinished process anywhere. Trivially
+       the only candidate, through any number of invocations.
+     - {e singleton level}: [c] is Ready and the only live process at
+       its level on its processor, with nothing live above
+       ([live_count = 1] and [max_live = c.priority]). [c] Ready puts
+       [max_ready] at [c]'s level, so Axiom 1 silences everything
+       below; nothing shares the level, so no quantum guarantee is
+       needed. Not through a Boundary wake: while [c] thinks, lower
+       levels are runnable. (Inside a burst [c.state] still reads Ready,
+       so the handler's test holds across [c]'s own invocation ends.)
+     - {e guarantee}: Axiom 2 is enforced and [c] is Ready mid-quantum
+       ([guarantee > 0], so every equal-priority process on its
+       processor is guarded), with no live process on its processor
+       above [c]'s level ([max_live = c.priority]; Axiom 1 silences
+       everyone below).
+
+     Nothing else can change engine state while the burst runs — all
+     other processes are suspended — and the handlers that could end
+     forcedness (Inv_end clearing the guarantee, Set_priority moving
+     levels, a finishing body unlinking) update the counters [forced]
+     reads before the next statement reaches it. The hooks that could
+     observe or perturb individual decisions disable batching wholesale:
+     [self_check] (the eager shadow must track every decision), [halted]
+     (consulted per decision), [axiom2_active] (can revoke the guarantee
+     mid-burst), [cost] (sees per-decision views), and non-burst-safe
+     policies (would miss decisions). A burst decision still runs the
+     limits check, one [decisions] tick, the wake and {!exec_stmt}, so
+     traces, counters and stop reasons are byte-identical to the
+     unbatched engine (the differential suite in test/test_burst.ml
+     holds it to that). *)
+  let batching =
+    (not self_check)
+    && Option.is_none halted
+    && Option.is_none axiom2_active
+    && Option.is_none cost
+    && policy.Policy.burst_safe
+  in
+  let forced c =
+    linked.(c.info.pid)
+    && (!live_total = 1
+       ||
+       let p = c.info.processor in
+       live_on.(p) = !live_total
+       && max_live.(p) = c.priority
+       && (match c.state with Ready _ -> true | Boundary _ | Finished -> false)
+       && (live_count.(p).(c.priority) = 1
+          || (config.axiom2 && c.guarantee > 0)))
+  in
+  (* [chain > 0] arms the in-handler burst: the decision loop took a
+     forced decision under [batching], so the [Eff.Step] handler may
+     execute statements inline and [continue] the body directly instead
+     of unwinding to the decision loop. The value bounds the
+     nested-[continue] depth (each inline statement leaves a
+     parent-stack frame until the burst unwinds); the decision loop
+     re-arms it, so the cap only costs one unwind per [chain_max]
      statements. *)
   let chain = ref 0 in
   let chain_max = 512 in
@@ -332,6 +387,37 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
     if self_check then eager_pending.(c.info.pid) <- false;
     Trace.add_inv_end trace ~pid:c.info.pid ~inv:(c.inv - 1) ~label
   in
+  (* The statement transition: [c] executes [op], taking [cost] time
+     units. The one copy behind both the decision loop and the
+     in-handler burst. *)
+  let exec_stmt c op ~cost =
+    let pid = c.info.pid in
+    if not c.mid_inv then begin_inv c;
+    if self_check then assert (eager_pending.(pid) = is_pending c);
+    if is_pending c then
+      (* Axiom 2: resuming after a preemption grants Q protected
+         statements (this one included). *)
+      set_guarantee c config.quantum;
+    if self_check then eager_pending.(pid) <- false;
+    Trace.add_stmt trace ~pid ~op ~inv:(c.inv - 1) ~cost;
+    c.own_steps <- c.own_steps + 1;
+    c.inv_steps <- c.inv_steps + 1;
+    mark_dirty c;
+    set_guarantee c (max 0 (c.guarantee - cost));
+    (* Everyone else mid-invocation on this processor is now
+       preempted-before-its-next-statement: advancing the processor
+       counter past their stamps says exactly that. *)
+    let proc = c.info.processor in
+    note_exec c proc;
+    proc_stmts.(proc) <- proc_stmts.(proc) + 1;
+    c.stamp <- proc_stmts.(proc);
+    if self_check then
+      Array.iter
+        (fun q ->
+          if q != c && q.info.processor = proc && q.mid_inv then
+            eager_pending.(q.info.pid) <- true)
+        cells
+  in
   (* The effect-handler functions are allocated once per run and
      re-returned from [effc] through pre-built [Some] cells; the effect's
      payload travels through a stash ref written by [effc] immediately
@@ -352,44 +438,13 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
     Runtime.exit_process ();
     let op = !stash_op in
     let c = !cur in
-    (* Burst fast path: while this cell's next decision is still forced
-       — it is the last unfinished process, the sole live process at its
-       level with nothing live above it, or its quantum guarantee plus
-       Axiom 1 silence every other candidate (see the burst loop's
-       soundness argument) — execute the statement here and resume the
-       body without unwinding to the scheduler. Every mutation below is
-       the decision loop's per-statement path verbatim, so the
-       observable run is identical; the handlers that could invalidate
-       forcedness (Inv_end clearing the guarantee, Set_priority moving
-       levels, a finishing body unlinking) all update the counters this
-       test reads before the next statement can reach it. *)
-    if
-      !chain > 0
-      && within_limits ()
-      && (!live_total = 1
-         ||
-         let p = c.info.processor in
-         live_on.(p) = !live_total
-         && max_live.(p) = c.priority
-         && (live_count.(p).(c.priority) = 1
-            || (config.axiom2 && c.guarantee > 0)))
-    then begin
+    (* In-handler burst: while this cell's next decision is still
+       forced, execute the statement here and resume the body without
+       unwinding to the decision loop. *)
+    if !chain > 0 && within_limits () && forced c then begin
       decr chain;
       incr decisions;
-      (try
-         if not c.mid_inv then begin_inv c;
-         if is_pending c then set_guarantee c config.quantum;
-         let cost = config.tmin in
-         Trace.add_stmt trace ~pid:c.info.pid ~op ~inv:(c.inv - 1) ~cost;
-         c.own_steps <- c.own_steps + 1;
-         c.inv_steps <- c.inv_steps + 1;
-         mark_dirty c;
-         set_guarantee c (max 0 (c.guarantee - cost))
-       with e -> park c k e);
-      let proc = c.info.processor in
-      note_exec c proc;
-      proc_stmts.(proc) <- proc_stmts.(proc) + 1;
-      c.stamp <- proc_stmts.(proc);
+      (try exec_stmt c op ~cost:config.tmin with e -> park c k e);
       resume k ()
     end
     else set_state c (Ready (k, op))
@@ -525,14 +580,14 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
           | _ -> None);
     }
   in
-  (* From here on the observer can fire (launch already appends events)
-     and process bodies can raise: guarantee the observer/sink is
-     detached on every exit path — normal return, body exception, policy
-     misbehaviour — so a [trace_buf] reused across runs can never leak a
-     stale observer into the next run, and a returned [result.trace]
-     never escapes with a live hook attached. *)
+  (* From here on the sink can fire (launch already appends events) and
+     process bodies can raise: guarantee the sink is detached on every
+     exit path — normal return, body exception, policy misbehaviour — so
+     a [trace_buf] reused across runs can never leak a stale sink into
+     the next run, and a returned [result.trace] never escapes with a
+     live hook attached. *)
   Fun.protect ~finally:(fun () ->
-      Trace.clear_observer trace;
+      Trace.clear_sink trace;
       Array.iter abandon cells)
   @@ fun () ->
   (* Launch every process up to its first suspension point. *)
@@ -685,203 +740,94 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
      every decision (it is also how the dirty tracking above is audited —
      a missed [mark_dirty] fails the views assertion). *)
   let caching = (not self_check) && Option.is_none halted in
-  (* Quantum-burst batching (the Axiom-2 fast path). A decision is
-     {e forced} when the schedulable set is the singleton [{c}]; under a
-     burst-safe policy ({!Policy.t}) consulting it is then observable
-     nowhere, so the engine may run such decisions in a tight loop
-     without rebuilding views, runnable sets, or calling the policy.
-     Forcedness is detected in O(1) from the live counters, in three
-     modes (the last two share the [live_on = live_total] premise: any
-     OTHER processor with a live process always contributes at least one
-     candidate — its top live level has either an unguarded process or
-     the guarantee holder itself):
-
-     - {e solo}: [c] is the only unfinished process anywhere. Trivially
-       the only candidate, through any number of invocations.
-     - {e singleton level}: [c] is Ready and the only live process at
-       its level on its processor, with nothing live above
-       ([live_count = 1] and [max_live = c.priority]). [c] Ready puts
-       [max_ready] at [c]'s level, so Axiom 1 silences everything
-       below; nothing shares the level, so no quantum guarantee is
-       needed. Holds across invocation boundaries of [c] itself (the
-       in-handler fast path), but not through a Boundary wake in the
-       burst loop below — while [c] thinks, lower levels are runnable.
-     - {e guarantee}: Axiom 2 is enforced and [c] is Ready mid-quantum
-       ([guarantee > 0], so every equal-priority process on its
-       processor is guarded), with no live process on its processor
-       above [c]'s level ([max_live = c.priority]; Axiom 1 silences
-       everyone below).
-
-     Nothing else can change engine state while the burst runs — all
-     other processes are suspended — so the conditions only need
-     re-checking against [c]'s own transitions, once per statement. The
-     hooks that could observe or perturb individual decisions disable
-     batching wholesale: [self_check] (the eager shadow must track every
-     decision), [halted] (consulted per decision), [axiom2_active] (can
-     revoke the guarantee mid-burst), [cost] (sees per-decision views),
-     and non-burst-safe policies (would miss decisions). Each burst
-     iteration replays the per-decision path below exactly — wake, lazy
-     [begin_inv], guarantee grant/drain, limits, one [decisions] tick —
-     so traces, counters and stop reasons are byte-identical to the
-     unbatched engine (the differential suite in test/test_burst.ml
-     holds it to that). *)
-  let batching =
-    (not self_check)
-    && Option.is_none halted
-    && Option.is_none axiom2_active
-    && Option.is_none cost
-    && policy.Policy.burst_safe
-  in
-  let forced c =
-    linked.(c.info.pid)
-    && (!live_total = 1
-       ||
-       let p = c.info.processor in
-       live_on.(p) = !live_total
-       && max_live.(p) = c.priority
-       && (match c.state with Ready _ -> true | Boundary _ | Finished -> false)
-       && (live_count.(p).(c.priority) = 1
-          || (config.axiom2 && c.guarantee > 0)))
-  in
+  (* The view of the last policy call, handed to the [cost] hook. A
+     decision taken without the policy (a burst) leaves it stale, which
+     nothing reads: [batching] implies there is no [cost] hook. *)
+  let view = ref { Policy.step = 0; runnable = []; procs = views } in
   (try
      while link_next.(n) >= 0 do
        check_limits ();
        incr decisions;
        sync_gate ();
-       let schedulable =
-         if caching && !rs_built = !rs_version then begin
-           (* Membership unchanged since the last scan: reuse the built
-              list, refreshing only the views the dirty queue names. *)
-           drain_dirty ();
-           !cached_sched
-         end
+       let c =
+         if batching && forced !cur then !cur
          else begin
-           drain_dirty ();
-           incr build_id;
-           (* One pass over live cells in ascending pid order: refresh
-              the scratch views and collect the runnable/schedulable
-              sets. *)
-           let nr = ref 0 and ns = ref 0 in
-           let i = ref link_next.(n) in
-           while !i >= 0 do
-             let c = cells.(!i) in
-             refresh !i;
-             if c.priority >= max_ready.(c.info.processor) && not (guarded_by_other c)
-             then begin
-               runnable_buf.(!nr) <- !i;
-               incr nr;
-               if not (is_halted_view views.(!i)) then begin
-                 sched_buf.(!ns) <- !i;
-                 incr ns;
-                 sched_mark.(!i) <- !build_id
-               end
-             end;
-             i := link_next.(!i)
-           done;
-           if self_check then check_invariants !nr runnable_buf;
-           assert (!nr > 0);
-           if !ns = 0 then begin
-             stop := All_halted;
-             raise Exit
-           end;
-           let rec build j acc =
-             if j < 0 then acc else build (j - 1) (sched_buf.(j) :: acc)
+           let schedulable =
+             if caching && !rs_built = !rs_version then begin
+               (* Membership unchanged since the last scan: reuse the
+                  built list, refreshing only the views the dirty queue
+                  names. *)
+               drain_dirty ();
+               !cached_sched
+             end
+             else begin
+               drain_dirty ();
+               incr build_id;
+               (* One pass over live cells in ascending pid order:
+                  refresh the scratch views and collect the
+                  runnable/schedulable sets. *)
+               let nr = ref 0 and ns = ref 0 in
+               let i = ref link_next.(n) in
+               while !i >= 0 do
+                 let c = cells.(!i) in
+                 refresh !i;
+                 if c.priority >= max_ready.(c.info.processor) && not (guarded_by_other c)
+                 then begin
+                   runnable_buf.(!nr) <- !i;
+                   incr nr;
+                   if not (is_halted_view views.(!i)) then begin
+                     sched_buf.(!ns) <- !i;
+                     incr ns;
+                     sched_mark.(!i) <- !build_id
+                   end
+                 end;
+                 i := link_next.(!i)
+               done;
+               if self_check then check_invariants !nr runnable_buf;
+               assert (!nr > 0);
+               if !ns = 0 then begin
+                 stop := All_halted;
+                 raise Exit
+               end;
+               let rec build j acc =
+                 if j < 0 then acc else build (j - 1) (sched_buf.(j) :: acc)
+               in
+               let l = build (!ns - 1) [] in
+               cached_sched := l;
+               rs_built := !rs_version;
+               l
+             end
            in
-           let l = build (!ns - 1) [] in
-           cached_sched := l;
-           rs_built := !rs_version;
-           l
+           view :=
+             { step = Trace.statements trace; runnable = schedulable; procs = views };
+           match choose !view with
+           | None ->
+             stop := Policy_stopped;
+             raise Exit
+           | Some pid ->
+             if pid < 0 || pid >= n || sched_mark.(pid) <> !build_id then
+               Fmt.invalid_arg "Engine.run: policy %s chose non-runnable %a" policy.name
+                 Proc.pp_pid pid;
+             cells.(pid)
          end
        in
-       let view : Policy.view =
-         { step = Trace.statements trace; runnable = schedulable; procs = views }
-       in
-       (match choose view with
-       | None ->
-         stop := Policy_stopped;
-         raise Exit
-       | Some pid ->
-         if pid < 0 || pid >= n || sched_mark.(pid) <> !build_id then
-           Fmt.invalid_arg "Engine.run: policy %s chose non-runnable %a" policy.name
-             Proc.pp_pid pid;
-         let c = cells.(pid) in
-         (* Wake: advance through the invocation boundary if thinking. *)
-         (match c.state with
-         | Boundary k ->
-           cur := c;
-           resume k ()
-         | Ready _ | Finished -> ());
-         (match c.state with
-         | Ready (k, op) ->
-           if not c.mid_inv then begin_inv c;
-           if self_check then assert (eager_pending.(pid) = is_pending c);
-           if is_pending c then
-             (* Axiom 2: resuming after a preemption grants Q protected
-                statements (this one included). *)
-             set_guarantee c config.quantum;
-           if self_check then eager_pending.(pid) <- false;
-           let cost = cost_of view pid op in
-           Trace.add_stmt trace ~pid ~op ~inv:(c.inv - 1) ~cost;
-           c.own_steps <- c.own_steps + 1;
-           c.inv_steps <- c.inv_steps + 1;
-           mark_dirty c;
-           set_guarantee c (max 0 (c.guarantee - cost));
-           (* Everyone else mid-invocation on this processor is now
-              preempted-before-its-next-statement: advancing the
-              processor counter past their stamps says exactly that. *)
-           let proc = c.info.processor in
-           note_exec c proc;
-           proc_stmts.(proc) <- proc_stmts.(proc) + 1;
-           c.stamp <- proc_stmts.(proc);
-           if self_check then
-             Array.iter
-               (fun q ->
-                 if q != c && q.info.processor = proc && q.mid_inv then
-                   eager_pending.(q.info.pid) <- true)
-               cells;
-           cur := c;
-           if batching then chain := chain_max;
-           resume k ();
-           chain := 0
-         | Boundary _ | Finished ->
-           (* The wake consumed an empty invocation, or the body finished
-              without executing a statement: the decision was a no-op. *)
-           ());
-         (* Burst: as long as [c]'s selection stays forced, keep
-            executing its decisions without re-entering the machinery
-            above. With [batching] true the hooks are all absent, so
-            [cost_of] is the constant [tmin] and [sync_gate] is a no-op
-            — each iteration below is the per-decision path verbatim. *)
-         if batching then begin
-           while forced c do
-             check_limits ();
-             incr decisions;
-             (match c.state with
-             | Boundary k ->
-               cur := c;
-               resume k ()
-             | Ready _ | Finished -> ());
-             match c.state with
-             | Ready (k, op) ->
-               if not c.mid_inv then begin_inv c;
-               if is_pending c then set_guarantee c config.quantum;
-               let cost = config.tmin in
-               Trace.add_stmt trace ~pid ~op ~inv:(c.inv - 1) ~cost;
-               c.own_steps <- c.own_steps + 1;
-               c.inv_steps <- c.inv_steps + 1;
-               mark_dirty c;
-               set_guarantee c (max 0 (c.guarantee - cost));
-               let proc = c.info.processor in
-               note_exec c proc;
-               proc_stmts.(proc) <- proc_stmts.(proc) + 1;
-               c.stamp <- proc_stmts.(proc);
-               cur := c;
-               chain := chain_max;
-               resume k ();
-               chain := 0
-             | Boundary _ | Finished -> ()
-           done
-         end)
+       (* Wake: advance through the invocation boundary if thinking. *)
+       (match c.state with
+       | Boundary k ->
+         cur := c;
+         resume k ()
+       | Ready _ | Finished -> ());
+       match c.state with
+       | Ready (k, op) ->
+         exec_stmt c op ~cost:(cost_of !view c.info.pid op);
+         cur := c;
+         if batching then chain := chain_max;
+         resume k ();
+         chain := 0
+       | Boundary _ | Finished ->
+         (* The wake consumed an empty invocation, or the body finished
+            without executing a statement: the decision was a no-op. *)
+         ()
      done
    with Exit -> ());
   {

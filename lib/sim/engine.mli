@@ -64,7 +64,6 @@ val run :
   ?cost:(Policy.view -> Proc.pid -> Op.t -> int) ->
   ?halted:(Policy.pview -> bool) ->
   ?axiom2_active:(step:int -> bool) ->
-  ?observer:(Trace.event -> unit) ->
   ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   ?self_check:bool ->
@@ -90,17 +89,18 @@ val run :
     immutable and safe to keep).
 
     On top of that, {e forced} decisions are batched into quantum
-    bursts: when the schedulable set is provably the singleton [{p}] —
-    [p] is the last unfinished process ({e solo}), or the only live
-    process at the top live level of its processor ({e singleton
-    level}), or holds an active Axiom-2 quantum guarantee that together
-    with Axiom 1 silences every other candidate ({e guarantee}) — and
-    the policy declares the forced-choice contract
-    ([Policy.burst_safe]), the engine executes [p]'s next decisions in
-    a tight loop without rebuilding views or consulting the policy,
-    falling back to the per-decision path the moment forcedness can
-    lapse (guarantee drained, invocation ended, priority changed,
-    limits near). Unforced decisions are cheap too: the schedulable
+    bursts. There is one decision loop and one statement transition;
+    when the schedulable set is provably the singleton [{p}] — [p] is
+    the last unfinished process ({e solo}), or the only live process at
+    the top live level of its processor ({e singleton level}), or holds
+    an active Axiom-2 quantum guarantee that together with Axiom 1
+    silences every other candidate ({e guarantee}) — and the policy
+    declares the forced-choice contract ([Policy.burst_safe]), the loop
+    takes [p] without rebuilding views or consulting the policy (the
+    run's first decision included), and the statement handler keeps
+    executing [p]'s statements inline until forcedness can lapse
+    (guarantee drained, invocation ended, priority changed, limits
+    near). Unforced decisions are cheap too: the schedulable
     list is cached and reused across decisions, invalidated by a
     version counter that every membership-changing transition bumps
     (and a matched guarantee grant/drain restores), with a dirty queue
@@ -142,18 +142,15 @@ val run :
     Axiom 2 — the paper's Sec. 2 degradation, used as a fault plan and
     as the negative control of the wait-freedom certifier.
 
-    [observer] is installed on the run's trace ({!Trace.set_observer})
-    before any process is launched, so it sees every event in append
-    order, and removed again on {e every} exit path — normal return,
+    [sink] is installed on the run's trace ({!Trace.set_sink}) before
+    any process is launched, so it sees every event in append order,
+    and removed again on {e every} exit path — normal return,
     process-body exception, policy misbehaviour — so a reused
-    [trace_buf] can never leak one run's observer into the next. It is
-    the engine-level entry point of the observability layer
-    ({!Hwf_obs.Metrics} collectors); when absent there is no per-event
-    cost (the trace's sinks are no-ops). [sink] is the allocation-free
-    variant ({!Trace.set_sink}): statement events arrive as plain
-    arguments instead of allocated {!Trace.event} records — prefer it on
-    hot paths ({!Hwf_obs.Metrics.sink} adapts a collector). At most one
-    of [observer]/[sink] may be supplied.
+    [trace_buf] can never leak one run's sink into the next. It is the
+    engine's one observation hook, the entry point of the observability
+    layer ({!Hwf_obs.Metrics.sink} adapts a collector). Statement
+    events arrive as plain arguments, so observing one allocates
+    nothing; when no sink is supplied the trace's sinks are no-ops.
 
     [trace_buf] makes the run record into a caller-supplied trace
     ({!Trace.reset} is applied first) instead of allocating a fresh one
@@ -173,6 +170,7 @@ val run :
     tests; it restores the old quadratic cost.
 
     @raise Invalid_argument if the program count differs from the process
-    count, or if both [observer] and [sink] are supplied.
+    count, if [trace_buf] is configured for a different process count,
+    or if the policy chooses a process outside the schedulable set.
     @raise Stdlib.Exit never; exceptions raised by process bodies
     propagate. *)

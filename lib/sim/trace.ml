@@ -45,8 +45,8 @@ type t = {
   own : int array;  (* per-pid statement counts, maintained incrementally *)
   mutable now_reads : int;
   mutable stamp_reads : int;
-  (* Observer sink, split per event class so the statement hot path
-     passes fields instead of allocating an event record. Always
+  (* The installed sink, split per event class so the statement hot
+     path passes fields instead of allocating an event record. Always
      callable: when nothing is installed both are no-ops, so the append
      path carries no option match. [observed] gates the (rare) non-Stmt
      appends that would otherwise allocate an event just to discard it. *)
@@ -77,7 +77,7 @@ let create config =
     observed = false;
   }
 
-let clear_observer t =
+let clear_sink t =
   t.on_stmt <- no_stmt;
   t.on_event <- no_event;
   t.observed <- false
@@ -93,7 +93,7 @@ let reset t =
   Array.fill t.own 0 (Array.length t.own) 0;
   t.now_reads <- 0;
   t.stamp_reads <- 0;
-  clear_observer t
+  clear_sink t
 
 let count_now t = t.now_reads <- t.now_reads + 1
 
@@ -104,11 +104,6 @@ let count_stamp t = t.stamp_reads <- t.stamp_reads + 1
 let stamp_reads t = t.stamp_reads
 
 let config t = t.config
-
-let set_observer t f =
-  t.on_event <- f;
-  t.on_stmt <- (fun ~idx ~pid ~op ~inv ~cost -> f (Stmt { idx; pid; op; inv; cost }));
-  t.observed <- true
 
 let set_sink t (s : sink) =
   t.on_stmt <- s.on_stmt;
@@ -150,11 +145,10 @@ let str_id t s =
     Hashtbl.add t.str_ids s id;
     id
 
-(* The engine's hot path: append a statement without building the event
-   record. [idx] is implicit — always the running statement count. *)
-let add_stmt t ~pid ~op ~inv ~cost =
-  let idx = t.stmts in
-  t.stmts <- idx + 1;
+(* Append a statement without building the event record. [idx] is
+   stored as given; the derived counters advance by one statement. *)
+let push_stmt t ~idx ~pid ~op ~inv ~cost =
+  t.stmts <- t.stmts + 1;
   t.time <- t.time + cost;
   t.own.(pid) <- t.own.(pid) + 1;
   ensure t 5;
@@ -167,6 +161,9 @@ let add_stmt t ~pid ~op ~inv ~cost =
   t.pos <- p + 5;
   t.len <- t.len + 1;
   t.on_stmt ~idx ~pid ~op ~inv ~cost
+
+(* The engine's hot path: [idx] is the running statement count. *)
+let add_stmt t ~pid ~op ~inv ~cost = push_stmt t ~idx:t.stmts ~pid ~op ~inv ~cost
 
 let add_inv_begin t ~pid ~inv ~label =
   ensure t 3;
@@ -191,21 +188,8 @@ let add_inv_end t ~pid ~inv ~label =
 let add t e =
   match e with
   | Stmt { idx; pid; op; inv; cost } ->
-    (* Honor the caller's [idx] (synthetic traces index freely); the
-       derived counters advance exactly as before. *)
-    t.stmts <- t.stmts + 1;
-    t.time <- t.time + cost;
-    t.own.(pid) <- t.own.(pid) + 1;
-    ensure t 5;
-    let b = t.buf and p = t.pos in
-    b.(p) <- tag_stmt lor (pid lsl 3);
-    b.(p + 1) <- idx;
-    b.(p + 2) <- op_id t op;
-    b.(p + 3) <- inv;
-    b.(p + 4) <- cost;
-    t.pos <- p + 5;
-    t.len <- t.len + 1;
-    t.on_stmt ~idx ~pid ~op ~inv ~cost
+    (* Honor the caller's [idx] (synthetic traces index freely). *)
+    push_stmt t ~idx ~pid ~op ~inv ~cost
   | Inv_begin { pid; inv; label } -> add_inv_begin t ~pid ~inv ~label
   | Inv_end { pid; inv; label } -> add_inv_end t ~pid ~inv ~label
   | Note { pid; text } ->

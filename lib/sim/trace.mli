@@ -34,17 +34,18 @@ type event =
           checks while the gate is off. Absent in unfaulted runs. *)
 
 type stmt_sink = idx:int -> pid:Proc.pid -> op:Op.t -> inv:int -> cost:int -> unit
-(** Allocation-free observer entry point for statement events: the
-    fields arrive as arguments (all immediates plus the interned op
-    pointer), so observing a statement allocates nothing. *)
+(** Allocation-free entry point for statement events: the fields arrive
+    as arguments (all immediates plus the interned op pointer), so
+    observing a statement allocates nothing. *)
 
 type sink = {
   on_stmt : stmt_sink;  (** Every statement, in append order. *)
   on_event : event -> unit;  (** Every {e non-statement} event. *)
 }
-(** A split observer: the hot event class (statements) bypasses event
-    allocation entirely; the rare classes arrive as ordinary events.
-    See {!Hwf_obs.Metrics.sink} for the canonical implementation. *)
+(** The trace's one observation hook, split per event class: the hot
+    class (statements) bypasses event allocation entirely; the rare
+    classes arrive as ordinary events. See {!Hwf_obs.Metrics.sink} for
+    the canonical implementation. *)
 
 type t
 
@@ -52,7 +53,7 @@ val create : Config.t -> t
 
 val reset : t -> unit
 (** Return the trace to its just-created state — no events, zero
-    counters, no observer — while keeping the underlying packed buffer
+    counters, no sink — while keeping the underlying packed buffer
     and intern tables, so one trace can serve as a reusable per-worker
     scratch across many engine runs (see {!Engine.run}'s [trace_buf]).
     The configuration is retained: a reset trace is only valid for runs
@@ -60,25 +61,18 @@ val reset : t -> unit
 
 val config : t -> Config.t
 
-val set_observer : t -> (event -> unit) -> unit
-(** Install a sink that sees every event as it is appended (after the
-    trace's own bookkeeping). At most one observer is active; installing
-    replaces the previous one (including one installed via {!set_sink}).
-    A generic observer receives statement events as allocated {!event}
-    records; observers on the hot path should prefer {!set_sink}. When
-    nothing is installed, the append path runs against no-op sinks — no
-    option match, no event allocation for statements. *)
-
 val set_sink : t -> sink -> unit
-(** Like {!set_observer}, but split per event class so statements are
-    observed allocation-free (see {!sink}). Replaces any installed
-    observer. *)
+(** Install a sink that sees every event as it is appended (after the
+    trace's own bookkeeping), statements allocation-free (see {!sink}).
+    At most one sink is active; installing replaces the previous one.
+    When nothing is installed, the append path runs against no-op sinks
+    — no option match, no event allocation. *)
 
-val clear_observer : t -> unit
-(** Remove the installed observer or sink (a no-op when none is
-    installed). {!Engine.run} installs and removes its observer
-    symmetrically on every exit path, so a trace never escapes a run
-    with a stale observer attached. *)
+val clear_sink : t -> unit
+(** Remove the installed sink (a no-op when none is installed).
+    {!Engine.run} installs and removes its sink symmetrically on every
+    exit path, so a trace never escapes a run with a stale sink
+    attached. *)
 
 val add : t -> event -> unit
 
@@ -86,8 +80,8 @@ val add_stmt : t -> pid:Proc.pid -> op:Op.t -> inv:int -> cost:int -> unit
 (** Append a statement event whose [idx] is the running statement count
     — the engine's hot path. Equivalent to
     [add t (Stmt { idx = statements t; pid; op; inv; cost })] but
-    allocation-free (no event record is built unless a generic
-    {!set_observer} observer is installed). *)
+    allocation-free: no event record is built, and an installed sink
+    receives the fields as arguments. *)
 
 val add_inv_begin : t -> pid:Proc.pid -> inv:int -> label:string -> unit
 

@@ -87,7 +87,7 @@ type mc_summary = {
   trace : Trace.t;
 }
 
-let run_multi ?(step_limit = 3_000_000) ?observer ~quantum ~consensus_number ~layout
+let run_multi ?(step_limit = 3_000_000) ?sink ~quantum ~consensus_number ~layout
     ~policy () =
   let n = List.length layout in
   let config = Layout.to_config ~quantum layout in
@@ -98,7 +98,7 @@ let run_multi ?(step_limit = 3_000_000) ?observer ~quantum ~consensus_number ~la
         Eff.invocation "decide" (fun () ->
             outputs.(pid) <- Some (Multi_consensus.decide obj ~pid (100 + pid))))
   in
-  let r = Engine.run ~step_limit ?observer ~config ~policy programs in
+  let r = Engine.run ~step_limit ?sink ~config ~policy programs in
   let outs = Array.to_list outputs |> List.filter_map Fun.id in
   let distinct = List.sort_uniq compare outs in
   let af_same_events, af_diff_events = Multi_consensus.access_failure_events obj in
@@ -208,7 +208,7 @@ type cas_summary = {
   cas_trace : Trace.t;
 }
 
-let run_cas ?(step_limit = 3_000_000) ?observer ~quantum ~layout ~script ~policy () =
+let run_cas ?(step_limit = 3_000_000) ?sink ~quantum ~layout ~script ~policy () =
   if Layout.processors layout <> 1 then
     invalid_arg "Scenarios.run_cas: uniprocessor layout required";
   let n = List.length layout in
@@ -230,7 +230,7 @@ let run_cas ?(step_limit = 3_000_000) ?observer ~quantum ~layout ~script ~policy
                   ignore (Hist.wrap hist ~pid op (fun () -> `Val (Hybrid_cas.read obj ~pid)))))
           (List.nth script pid))
   in
-  let r = Engine.run ~step_limit ?observer ~config ~policy programs in
+  let r = Engine.run ~step_limit ?sink ~config ~policy programs in
   {
     cas_finished = all_finished r;
     linearizable = Lincheck.check_hist cas_spec hist = Ok ();

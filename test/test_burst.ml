@@ -9,7 +9,7 @@ open Hwf_sim
    misuse, spins, priority churn) with fault plans and every policy
    family, including the randomized samplers whose RNG streams the
    burst contract must not perturb. Plus direct unit tests for the
-   packed trace encoding and the observer lifecycle. *)
+   packed trace encoding and the sink lifecycle. *)
 
 (* ---- differential: batched/cached engine vs self-checking reference ---- *)
 
@@ -154,6 +154,44 @@ let test_two_band_stress () =
         policies)
     [ (16, 1); (16, 4); (48, 2) ]
 
+(* A solo process's every decision is forced, its first included, so a
+   burst-safe policy is never consulted; one that is not burst-safe is
+   consulted on every decision. The forced-choice contract makes the
+   two runs indistinguishable in the trace. *)
+let test_forced_first_decision () =
+  let config =
+    Config.make ~quantum:4 ~processors:1 ~levels:1
+      [ Proc.make ~pid:0 ~processor:0 ~priority:1 () ]
+  in
+  let body () =
+    [|
+      (fun () ->
+        for _ = 1 to 5 do
+          Eff.invocation "w" (fun () ->
+              for _ = 1 to 3 do
+                Eff.local "s"
+              done)
+        done);
+    |]
+  in
+  let counted ~burst_safe =
+    let calls = ref 0 in
+    let policy =
+      Policy.of_factory ~burst_safe "counting-first" (fun () ->
+          let choose = Policy.prepare Policy.first in
+          fun view ->
+            incr calls;
+            choose view)
+    in
+    let r = Engine.run ~config ~policy (body ()) in
+    (Hwf_obs.Jsonl.trace_to_string r.Engine.trace, !calls)
+  in
+  let safe_trace, safe_calls = counted ~burst_safe:true in
+  let unsafe_trace, unsafe_calls = counted ~burst_safe:false in
+  Util.checki "burst-safe policy never consulted" 0 safe_calls;
+  Util.checkb "non-burst-safe policy consulted" (unsafe_calls > 0);
+  Util.check Alcotest.string "identical traces" unsafe_trace safe_trace
+
 (* ---- packed trace encoding ---- *)
 
 let mk_config n =
@@ -219,7 +257,7 @@ let test_packed_observer_dispatch () =
   Util.checkb "on_event never sees Stmt"
     (List.for_all (function Trace.Stmt _ -> false | _ -> true) !others)
 
-(* ---- observer lifecycle ---- *)
+(* ---- sink lifecycle ---- *)
 
 let two_procs () = mk_config 2
 
@@ -229,21 +267,28 @@ let bodies k =
         Eff.invocation "w" (fun () -> Eff.local "s")
       done)
 
-let test_observer_detached_after_run () =
+(* A sink counting every event it receives. *)
+let counting_sink calls =
+  {
+    Trace.on_stmt = (fun ~idx:_ ~pid:_ ~op:_ ~inv:_ ~cost:_ -> incr calls);
+    on_event = (fun _ -> incr calls);
+  }
+
+let test_sink_detached_after_run () =
   let trace_buf = Trace.create (two_procs ()) in
   let calls = ref 0 in
   let r =
-    Engine.run ~trace_buf
-      ~observer:(fun _ -> incr calls)
-      ~config:(two_procs ()) ~policy:Policy.first (bodies 3)
+    Engine.run ~trace_buf ~sink:(counting_sink calls) ~config:(two_procs ())
+      ~policy:Policy.first (bodies 3)
   in
   Util.checkb "run finished" (r.Engine.stop = Engine.All_finished);
-  Util.checkb "observer saw events" (!calls > 0);
+  Util.checkb "sink saw events" (!calls > 0);
   let seen = !calls in
   Trace.add r.Engine.trace (Trace.Note { pid = 0; text = "post-run" });
-  Util.checki "observer detached after normal return" seen !calls
+  Trace.add_stmt r.Engine.trace ~pid:0 ~op:(Op.local "s") ~inv:0 ~cost:1;
+  Util.checki "sink detached after normal return" seen !calls
 
-let test_observer_detached_after_raise () =
+let test_sink_detached_after_raise () =
   let trace_buf = Trace.create (two_procs ()) in
   let calls = ref 0 in
   let boom =
@@ -253,15 +298,15 @@ let test_observer_detached_after_raise () =
     |]
   in
   (match
-     Engine.run ~trace_buf
-       ~observer:(fun _ -> incr calls)
-       ~config:(two_procs ()) ~policy:Policy.first boom
+     Engine.run ~trace_buf ~sink:(counting_sink calls) ~config:(two_procs ())
+       ~policy:Policy.first boom
    with
   | _ -> Alcotest.fail "expected the body exception to propagate"
   | exception Failure msg -> Util.check Alcotest.string "exn" "boom" msg);
   let seen = !calls in
   Trace.add trace_buf (Trace.Note { pid = 0; text = "post-raise" });
-  Util.checki "observer detached after exception" seen !calls
+  Trace.add_stmt trace_buf ~pid:0 ~op:(Op.local "s") ~inv:0 ~cost:1;
+  Util.checki "sink detached after exception" seen !calls
 
 let test_trace_buf_reuse () =
   (* The same trace buffer serves consecutive runs (the Explore arena
@@ -277,19 +322,7 @@ let test_trace_buf_reuse () =
   Util.checkb "same buffer" (r1.Engine.trace == r2.Engine.trace);
   Util.checki "second run's statements only" (5 * s1 / 2) (Trace.statements r2.Engine.trace)
 
-let test_observer_sink_exclusive () =
-  let sink =
-    { Trace.on_stmt = (fun ~idx:_ ~pid:_ ~op:_ ~inv:_ ~cost:_ -> ()); on_event = ignore }
-  in
-  match
-    Engine.run
-      ~observer:(fun _ -> ())
-      ~sink ~config:(two_procs ()) ~policy:Policy.first (bodies 1)
-  with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-(* sink-based metrics equal observer-based metrics equal of_trace *)
+(* live sink-collected metrics equal of_trace *)
 let test_metrics_sink_equivalence () =
   let config = mk_config 4 in
   let make () =
@@ -301,25 +334,15 @@ let test_metrics_sink_equivalence () =
               done)
         done)
   in
-  let via_sink =
+  let via_sink, trace =
     let c = Hwf_obs.Metrics.collector config in
     let r =
       Engine.run ~sink:(Hwf_obs.Metrics.sink c) ~config
         ~policy:(Policy.random ~seed:5) (make ())
     in
-    ignore r;
-    Hwf_obs.Metrics.finish c
-  in
-  let via_observer, trace =
-    let c = Hwf_obs.Metrics.collector config in
-    let r =
-      Engine.run ~observer:(Hwf_obs.Metrics.feed c) ~config
-        ~policy:(Policy.random ~seed:5) (make ())
-    in
     (Hwf_obs.Metrics.finish c, r.Engine.trace)
   in
   let via_trace = Hwf_obs.Metrics.of_trace trace in
-  Util.checkb "sink = observer" (via_sink = via_observer);
   Util.checkb "sink = of_trace" (via_sink = via_trace)
 
 let () =
@@ -330,6 +353,8 @@ let () =
           Alcotest.test_case "corpus x policies" `Quick test_corpus_policies;
           Alcotest.test_case "corpus x fault plans" `Quick test_corpus_faults;
           Alcotest.test_case "two-band stress layouts" `Quick test_two_band_stress;
+          Alcotest.test_case "forced first decision skips burst-safe policy" `Quick
+            test_forced_first_decision;
         ] );
       ( "packed trace",
         [
@@ -338,12 +363,9 @@ let () =
         ] );
       ( "observer lifecycle",
         [
-          Alcotest.test_case "detached after run" `Quick test_observer_detached_after_run;
-          Alcotest.test_case "detached after raise" `Quick
-            test_observer_detached_after_raise;
+          Alcotest.test_case "detached after run" `Quick test_sink_detached_after_run;
+          Alcotest.test_case "detached after raise" `Quick test_sink_detached_after_raise;
           Alcotest.test_case "trace_buf reuse" `Quick test_trace_buf_reuse;
-          Alcotest.test_case "observer/sink exclusive" `Quick
-            test_observer_sink_exclusive;
           Alcotest.test_case "metrics sink equivalence" `Quick
             test_metrics_sink_equivalence;
         ] );

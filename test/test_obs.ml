@@ -1,7 +1,7 @@
 (* The observability layer: JSONL schema stability (golden files),
    byte-determinism of exports across --jobs settings (the S4
-   acceptance criterion), and agreement between live observer-fed
-   metrics and post-hoc reconstruction from a trace.
+   acceptance criterion), and agreement between live sink-fed metrics
+   and post-hoc reconstruction from a trace.
 
    Promoting new goldens after an intentional schema change:
      HWF_GOLDEN_PROMOTE=1 dune exec test/test_obs.exe
@@ -22,7 +22,7 @@ let demo_run () =
   let collector = Hwf_obs.Metrics.collector config in
   let r =
     Engine.run ~step_limit:1_000_000
-      ~observer:(Hwf_obs.Metrics.feed collector)
+      ~sink:(Hwf_obs.Metrics.sink collector)
       ~config ~policy:Policy.first inst.Explore.programs
   in
   (r, collector)
@@ -82,12 +82,12 @@ let test_jobs_determinism () =
   Alcotest.(check string) "trace bytes identical for --jobs 1 vs --jobs 4" t1 t4;
   Alcotest.(check string) "metrics bytes identical for --jobs 1 vs --jobs 4" m1 m4
 
-(* Live collection through the observer hook and post-hoc reconstruction
+(* Live collection through the trace sink and post-hoc reconstruction
    from the recorded trace must agree exactly. *)
 let test_feed_vs_of_trace () =
   let r, collector = demo_run () in
   Alcotest.(check string)
-    "observer-fed metrics equal Metrics.of_trace"
+    "sink-fed metrics equal Metrics.of_trace"
     (Hwf_obs.Jsonl.metrics_to_string (Hwf_obs.Metrics.of_trace r.Engine.trace))
     (Hwf_obs.Jsonl.metrics_to_string (Hwf_obs.Metrics.finish collector))
 

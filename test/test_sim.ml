@@ -149,21 +149,29 @@ let test_trace_contents () =
   | evs -> Alcotest.failf "unexpected events:@.%a" Fmt.(list ~sep:(any "@.") Trace.pp_event) evs
 
 (* S1 regression: own_statements is maintained incrementally; it must
-   agree with a fold over the event vector, and the observer hook must
-   see every event in append order. *)
+   agree with a fold over the event vector, and the trace sink must see
+   every event in append order. *)
 let test_own_statements_incremental () =
   let config = Util.uni_config ~quantum:2 [ 1; 1; 2 ] in
   let n = Config.n config in
-  let seen = ref 0 in
+  let seen = ref [] in
+  let sink =
+    {
+      Trace.on_stmt =
+        (fun ~idx ~pid ~op ~inv ~cost ->
+          seen := Trace.Stmt { idx; pid; op; inv; cost } :: !seen);
+      on_event = (fun e -> seen := e :: !seen);
+    }
+  in
   let log = ref [] in
   let bodies = Array.init n (fun pid -> logger_body log pid (3 + pid)) in
   let r =
     Engine.run ~config
       ~policy:(Hwf_adversary.Stagger.max_interleave ())
-      ~observer:(fun _ -> incr seen)
-      bodies
+      ~sink bodies
   in
-  Util.checki "observer saw every event" (Trace.length r.trace) !seen;
+  Util.checkb "sink saw every event in append order"
+    (List.rev !seen = Trace.events r.trace);
   let folded = Array.make n 0 in
   List.iter
     (function
