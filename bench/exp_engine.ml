@@ -87,30 +87,29 @@ let measure ~reps ~observer ~n ~processors ~target =
   let statements, seconds = Option.get !best in
   { n; processors; observer; statements; seconds }
 
-(* --self-check: run the same layout through the batched/cached engine
-   and through the self-checking reference (quantum-burst batching and
-   schedulable-list caching disabled, incremental structures audited)
-   and require byte-identical traces and identical results. This is the
-   differential gate behind the hot-path rewrite: any divergence is an
-   engine bug, not a tolerable perf artifact. *)
+(* --self-check: run the same layout through the engine and through
+   the naive reference interpreter (test/reference) and require equal
+   results — trace bytes, stop reason, and the finished, own_steps and
+   halted vectors. This is the differential gate behind the hot path:
+   any divergence is an engine bug, not a tolerable perf artifact. *)
 let differential ~n ~processors ~target =
   let config, bodies = workload ~n ~processors ~target in
-  let go ~self_check =
-    Engine.run ~step_limit:100_000_000 ~self_check ~config
-      ~policy:(Policy.random ~seed:7) (bodies ())
+  let policy = Policy.random ~seed:7 in
+  let fast =
+    Hwf_reference.Reference.outcome (fun () ->
+        Engine.run ~step_limit:100_000_000 ~config ~policy (bodies ()))
   in
-  let fast = go ~self_check:false in
-  let slow = go ~self_check:true in
-  if
-    Hwf_obs.Jsonl.trace_to_string fast.Engine.trace
-    <> Hwf_obs.Jsonl.trace_to_string slow.Engine.trace
-    || fast.Engine.stop <> slow.Engine.stop
-    || fast.Engine.finished <> slow.Engine.finished
-  then
+  let slow =
+    Hwf_reference.Reference.outcome (fun () ->
+        Hwf_reference.Reference.run ~step_limit:100_000_000 ~config ~policy (bodies ()))
+  in
+  match Hwf_reference.Reference.diff fast slow with
+  | None -> ()
+  | Some d ->
     failwith
       (Printf.sprintf
-         "E19 --self-check: batched engine diverges from the reference at N=%d P=%d" n
-         processors)
+         "E19 --self-check: engine diverges from the reference at N=%d P=%d: %s" n
+         processors d)
 
 let json_of_cells ~target ~truncated cells =
   let b = Buffer.create 1024 in
@@ -192,7 +191,7 @@ let run ~quick =
           [ 1; 4 ])
       [ 2; 8; 32; 128; 1024 ];
     Tbl.note
-      "self-check: batched engine byte-identical to the reference on every layout"
+      "self-check: engine byte-identical to the reference interpreter on every layout"
   end;
   (* Throughput regression gate (CI): the headline cell is the one the
      tentpole targets — N=128, single processor, observer off. *)

@@ -14,10 +14,9 @@ let grain : int option ref = ref None
 let self_check = ref false
 let min_speedup : float option ref = ref None
 
-(* E19 knobs: --self-check (shared flag) re-runs every E19 layout with
-   the engine's self-checking reference mode (burst batching and
-   schedulable-list caching disabled) and requires byte-identical
-   traces; --min-stmts-per-sec F fails the harness when the headline
+(* E19 knobs: --self-check (shared flag) re-runs every E19 layout
+   through the naive reference interpreter (test/reference) and
+   requires byte-identical traces and equal results; --min-stmts-per-sec F fails the harness when the headline
    E19 cell (N=128, P=1, observer off) lands below F — CI's throughput
    regression gate for the engine hot path. *)
 let min_stmts_per_sec : float option ref = ref None

@@ -15,7 +15,7 @@
                   [--min-speedup S]           -- E17 with the determinism
                                                  re-check + speedup gate
      dune exec bench/main.exe -- engine --self-check
-                  [--min-stmts-per-sec F]     -- E19 with the batched-vs-
+                  [--min-stmts-per-sec F]     -- E19 with the engine-vs-
                                                  reference differential and
                                                  the throughput floor *)
 

@@ -193,6 +193,20 @@ let export_metrics path m =
   Hwf_obs.Jsonl.write_metrics ~path m;
   Fmt.pr "metrics: %s@." path
 
+(* Harness rows shared by the metrics exports: the Fig. 5 access-failure
+   tap ([cas], [stats]) and an exploration's size ([explore], [stats]). *)
+let cas_rows (st : Hwf_core.Hybrid_cas.stats) =
+  [
+    ("cas.ops", st.ops);
+    ("cas.appends", st.appends);
+    ("cas.af_diff_total", st.af_diff);
+    ("cas.af_same_total", st.af_same);
+    ("cas.scan_failures", st.scan_failures);
+  ]
+
+let explore_rows (o : Explore.outcome) =
+  [ ("explore.runs", o.runs); ("explore.exhaustive", if o.exhaustive then 1 else 0) ]
+
 let scenario_of impl cnum quantum layout =
   let impl =
     match impl with
@@ -429,14 +443,7 @@ let explore_cmd =
       Option.iter
         (fun path ->
           let m = Hwf_obs.Metrics.of_trace result.Engine.trace in
-          let m =
-            Hwf_obs.Metrics.with_harness m
-              [
-                ("explore.runs", o.Explore.runs);
-                ("explore.exhaustive", if o.Explore.exhaustive then 1 else 0);
-              ]
-          in
-          export_metrics path m)
+          export_metrics path (Hwf_obs.Metrics.with_harness m (explore_rows o)))
         metrics_out
     in
     match o.counterexample with
@@ -682,15 +689,7 @@ let cas_cmd =
                  ]
              in
              let m =
-               Hwf_obs.Metrics.with_harness m
-                 [
-                   ("cas.runs", o.Explore.runs);
-                   ("cas.ops", st.Hwf_core.Hybrid_cas.ops);
-                   ("cas.appends", st.Hwf_core.Hybrid_cas.appends);
-                   ("cas.af_diff_total", st.Hwf_core.Hybrid_cas.af_diff);
-                   ("cas.af_same_total", st.Hwf_core.Hybrid_cas.af_same);
-                   ("cas.scan_failures", st.Hwf_core.Hybrid_cas.scan_failures);
-                 ]
+               Hwf_obs.Metrics.with_harness m (("cas.runs", o.Explore.runs) :: cas_rows st)
              in
              export_metrics path m)
            metrics_out);
@@ -870,6 +869,17 @@ let faults_cmd =
     let total_plans = ref 0 and total_passed = ref 0 in
     let total_blocked = ref 0 and worst_steps = ref 0 in
     let total_cov = ref (Resil.full_coverage 0) in
+    let row (report : Certify.report) verdict =
+      [
+        report.subject;
+        string_of_int report.plans;
+        string_of_int report.passed;
+        string_of_int report.blocked;
+        string_of_int report.worst_own_steps;
+        report.bound_desc;
+        verdict;
+      ]
+    in
     List.iter
       (fun (name, make_subject) ->
         let subject = make_subject ?seed:(Some seed) () in
@@ -888,18 +898,11 @@ let faults_cmd =
           failures := report :: !failures
         end;
         rows :=
-          [
-            report.Certify.subject;
-            string_of_int report.Certify.plans;
-            string_of_int report.Certify.passed;
-            string_of_int report.Certify.blocked;
-            string_of_int report.Certify.worst_own_steps;
-            report.Certify.bound_desc;
+          row report
             (if not (Resil.complete report.Certify.coverage) then
                Fmt.str "INCOMPLETE (%a)" Resil.pp_coverage report.Certify.coverage
              else if Certify.certified report then "CERTIFIED"
-             else Printf.sprintf "FAILED (%d)" (List.length report.Certify.failures));
-          ]
+             else Printf.sprintf "FAILED (%d)" (List.length report.Certify.failures))
           :: !rows)
       chosen;
     if inject_livelock then begin
@@ -909,17 +912,10 @@ let faults_cmd =
       in
       total_cov := Resil.coverage_union !total_cov report.Certify.coverage;
       rows :=
-        [
-          report.Certify.subject;
-          "1";
-          string_of_int report.Certify.passed;
-          string_of_int report.Certify.blocked;
-          string_of_int report.Certify.worst_own_steps;
-          report.Certify.bound_desc;
+        row report
           (if Resil.complete report.Certify.coverage then
              "COMPLETED (watchdog control bug!)"
-           else Fmt.str "TIMED OUT (expected; %a)" Resil.pp_coverage report.Certify.coverage);
-        ]
+           else Fmt.str "TIMED OUT (expected; %a)" Resil.pp_coverage report.Certify.coverage)
         :: !rows
     end;
     if negative then begin
@@ -929,15 +925,8 @@ let faults_cmd =
       let rejected = not (Certify.certified report) in
       if not rejected then all_ok := false;
       rows :=
-        [
-          report.Certify.subject;
-          "1";
-          string_of_int report.Certify.passed;
-          string_of_int report.Certify.blocked;
-          string_of_int report.Certify.worst_own_steps;
-          report.Certify.bound_desc;
-          (if rejected then "REJECTED (expected)" else "NOT REJECTED (certifier bug!)");
-        ]
+        row report
+          (if rejected then "REJECTED (expected)" else "NOT REJECTED (certifier bug!)")
         :: !rows
     end;
     let header = [ "subject"; "plans"; "passed"; "blocked"; "worst"; "bound"; "verdict" ] in
@@ -1060,17 +1049,7 @@ let stats_cmd =
               };
             ]
         in
-        let m =
-          Hwf_obs.Metrics.with_harness m
-            [
-              ("cas.ops", st.Hybrid_cas.ops);
-              ("cas.appends", st.Hybrid_cas.appends);
-              ("cas.af_diff_total", st.Hybrid_cas.af_diff);
-              ("cas.af_same_total", st.Hybrid_cas.af_same);
-              ("cas.scan_failures", st.Hybrid_cas.scan_failures);
-            ]
-        in
-        ( m,
+        ( Hwf_obs.Metrics.with_harness m (cas_rows st),
           sum.Scenarios.cas_trace,
           Scenarios.hybrid_cas ~name:"stats" ~quantum ~layout ~script )
       | `Fig7 ->
@@ -1154,15 +1133,7 @@ let stats_cmd =
       (Hwf_par.Pool.stats_per_worker pool);
     Option.iter (fun path -> export_trace path trace) trace_out;
     Option.iter
-      (fun path ->
-        let m =
-          Hwf_obs.Metrics.with_harness metrics
-            [
-              ("explore.runs", o.Explore.runs);
-              ("explore.exhaustive", if o.Explore.exhaustive then 1 else 0);
-            ]
-        in
-        export_metrics path m)
+      (fun path -> export_metrics path (Hwf_obs.Metrics.with_harness metrics (explore_rows o)))
       metrics_out
   in
   let term =

@@ -38,8 +38,8 @@ let gate_fn (plan : Plan.t) =
       invalid_arg "Inject: Windows requires 0 <= off <= period, period > 0";
     Some (fun ~step -> (step + phase) mod period >= off)
 
-let run ?step_limit ?sink ?trace_buf ?self_check ~plan ~config ~policy programs =
-  Engine.run ?step_limit ?sink ?trace_buf ?self_check
+let run ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs =
+  Engine.run ?step_limit ?sink ?trace_buf
     ?cost:(cost_fn plan ~config)
     ?halted:(halted_pred plan)
     ?axiom2_active:(gate_fn plan)

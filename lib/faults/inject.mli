@@ -14,7 +14,6 @@ val run :
   ?step_limit:int ->
   ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
-  ?self_check:bool ->
   plan:Plan.t ->
   config:Config.t ->
   policy:Policy.t ->
@@ -24,10 +23,7 @@ val run :
     [Engine.run] — this is also the hook the resilience layer uses to
     enforce wall-clock deadlines inside a run
     ({!Hwf_resil.Resil.guard_observer}, wrapped as a sink by
-    {!Certify}). [self_check] (passed through likewise) runs the
-    engine's self-checking reference mode; the burst/caching
-    differential suite uses it to pin faulted runs to the naive
-    scheduler byte-for-byte. [trace_buf] (passed through likewise)
+    {!Certify}). [trace_buf] (passed through likewise)
     records the run into a reused scratch trace instead of a fresh one;
     the returned [result.trace] is then that buffer and is valid only
     until the buffer's next run (see {!Hwf_sim.Engine.run}). Without it
@@ -65,6 +61,15 @@ val replay :
 val halted_pred : Plan.t -> (Policy.pview -> bool) option
 (** The crash predicate the plan induces ([None] when it has no
     crashes). Exposed for tests. *)
+
+val cost_fn : Plan.t -> config:Config.t -> (Policy.view -> Proc.pid -> Op.t -> int) option
+(** The [cost] hook the plan induces ([None] for [Uniform]). Exposed for
+    tests, like {!halted_pred} and {!gate_fn}: the differential suite
+    hands the three hooks to the reference interpreter. *)
+
+val gate_fn : Plan.t -> (step:int -> bool) option
+(** The [axiom2_active] gate the plan induces ([None] for [Enforced]).
+    @raise Invalid_argument on a malformed [Windows] spec. *)
 
 val jitter_hash : seed:int -> step:int -> pid:int -> int
 (** The deterministic hash behind [Jitter] costs. Exposed for tests. *)

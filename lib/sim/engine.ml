@@ -25,6 +25,10 @@ type pstate =
 (* Discontinues the processes a run leaves suspended (see [abandon]). *)
 exception Abandoned
 
+(* Ends the decision loop. Private, so a process body or a policy that
+   raises [Exit] propagates like any other exception. *)
+exception Stop of stop_reason
+
 type cell = {
   info : Proc.t;
   mutable priority : int;  (* current priority; Sec. 5 dynamic priorities *)
@@ -47,7 +51,7 @@ type cell = {
 }
 
 let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
-    ?(self_check = false) ~(config : Config.t) ~(policy : Policy.t) programs =
+    ~(config : Config.t) ~(policy : Policy.t) programs =
   let n = Config.n config in
   if Array.length programs <> n then
     invalid_arg "Engine.run: program count <> process count";
@@ -281,17 +285,15 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   let decision_limit =
     if step_limit >= max_int / 4 then max_int else 4 * step_limit
   in
-  let stop = ref All_finished in
   (* The in-handler burst runs only within budget: at a limit it parks
      the process, and the decision loop's check stops the run. *)
   let within_limits () =
     Trace.statements trace < step_limit && !decisions < decision_limit
   in
   let check_limits () =
-    if not (within_limits ()) then begin
-      stop := if Trace.statements trace >= step_limit then Step_limit else Decision_limit;
-      raise Exit
-    end
+    if not (within_limits ()) then
+      raise
+        (Stop (if Trace.statements trace >= step_limit then Step_limit else Decision_limit))
   in
   (* Quantum-burst batching (the Axiom-2 fast path). A decision is
      {e forced} when the schedulable set is the singleton [{c}]; under a
@@ -327,17 +329,16 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
      levels, a finishing body unlinking) update the counters [forced]
      reads before the next statement reaches it. The hooks that could
      observe or perturb individual decisions disable batching wholesale:
-     [self_check] (the eager shadow must track every decision), [halted]
-     (consulted per decision), [axiom2_active] (can revoke the guarantee
-     mid-burst), [cost] (sees per-decision views), and non-burst-safe
-     policies (would miss decisions). A burst decision still runs the
-     limits check, one [decisions] tick, the wake and {!exec_stmt}, so
-     traces, counters and stop reasons are byte-identical to the
-     unbatched engine (the differential suite in test/test_burst.ml
-     holds it to that). *)
+     [halted] (consulted per decision), [axiom2_active] (can revoke the
+     guarantee mid-burst), [cost] (sees per-decision views), and
+     non-burst-safe policies (would miss decisions). A burst decision
+     still runs the limits check, one [decisions] tick, the wake and
+     {!exec_stmt}, so traces, counters and stop reasons are
+     byte-identical to the unbatched engine (the differential suite in
+     test/test_burst.ml holds it, and the cached path, to the reference
+     interpreter in test/reference). *)
   let batching =
-    (not self_check)
-    && Option.is_none halted
+    Option.is_none halted
     && Option.is_none axiom2_active
     && Option.is_none cost
     && policy.Policy.burst_safe
@@ -363,10 +364,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
      statements. *)
   let chain = ref 0 in
   let chain_max = 512 in
-  (* Eager shadow of the lazy pending derivation, maintained under
-     [self_check] exactly as the pre-incremental engine maintained its
-     per-cell flag. *)
-  let eager_pending = Array.make n false in
   let cur = ref cells.(0) in
   (* Record that [c]'s next invocation begins now. *)
   let begin_inv c =
@@ -384,7 +381,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
     set_guarantee c 0;
     c.inv_steps <- 0;
     mark_dirty c;
-    if self_check then eager_pending.(c.info.pid) <- false;
     Trace.add_inv_end trace ~pid:c.info.pid ~inv:(c.inv - 1) ~label
   in
   (* The statement transition: [c] executes [op], taking [cost] time
@@ -393,12 +389,10 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   let exec_stmt c op ~cost =
     let pid = c.info.pid in
     if not c.mid_inv then begin_inv c;
-    if self_check then assert (eager_pending.(pid) = is_pending c);
     if is_pending c then
       (* Axiom 2: resuming after a preemption grants Q protected
          statements (this one included). *)
       set_guarantee c config.quantum;
-    if self_check then eager_pending.(pid) <- false;
     Trace.add_stmt trace ~pid ~op ~inv:(c.inv - 1) ~cost;
     c.own_steps <- c.own_steps + 1;
     c.inv_steps <- c.inv_steps + 1;
@@ -410,13 +404,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
     let proc = c.info.processor in
     note_exec c proc;
     proc_stmts.(proc) <- proc_stmts.(proc) + 1;
-    c.stamp <- proc_stmts.(proc);
-    if self_check then
-      Array.iter
-        (fun q ->
-          if q != c && q.info.processor = proc && q.mid_inv then
-            eager_pending.(q.info.pid) <- true)
-        cells
+    c.stamp <- proc_stmts.(proc)
   in
   (* The effect-handler functions are allocated once per run and
      re-returned from [effc] through pre-built [Some] cells; the effect's
@@ -549,7 +537,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
              process forever and the runnable set could empty out. *)
           c.mid_inv <- false;
           set_guarantee c 0;
-          if self_check then eager_pending.(c.info.pid) <- false;
           set_state c Finished);
       exnc =
         (fun e ->
@@ -671,79 +658,19 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
     | None -> false
     | Some pred -> pv.Policy.phase <> Policy.Finished && pred pv
   in
-  (* Naive reference semantics, retained for [self_check]: recompute each
-     scheduling quantity by full scan, exactly as the pre-incremental
-     engine did, and require agreement. *)
-  let naive_max_ready processor =
-    Array.fold_left
-      (fun acc c ->
-        match c.state with
-        | Ready _ when c.info.processor = processor -> max acc c.priority
-        | Ready _ | Boundary _ | Finished -> acc)
-      0 cells
-  in
-  let naive_guarded c =
-    config.axiom2 && !gate_active
-    && Array.exists
-         (fun q ->
-           q != c
-           && q.info.processor = c.info.processor
-           && q.priority = c.priority
-           && q.guarantee > 0
-           && not (is_finished q))
-         cells
-  in
-  let naive_runnable c =
-    match c.state with
-    | Finished -> false
-    | Ready _ | Boundary _ ->
-      c.priority >= naive_max_ready c.info.processor && not (naive_guarded c)
-  in
-  let naive_live processor =
-    Array.fold_left
-      (fun acc c ->
-        if (not (is_finished c)) && c.info.processor = processor then acc + 1 else acc)
-      0 cells
-  in
-  let naive_max_live processor =
-    Array.fold_left
-      (fun acc c ->
-        if (not (is_finished c)) && c.info.processor = processor then max acc c.priority
-        else acc)
-      0 cells
-  in
-  let check_invariants nr runnable_buf =
-    for p = 0 to processors - 1 do
-      assert (max_ready.(p) = naive_max_ready p);
-      assert (live_on.(p) = naive_live p);
-      assert (max_live.(p) = naive_max_live p)
-    done;
-    assert (!live_total = Array.fold_left (fun a c -> a + if is_finished c then 0 else 1) 0 cells);
-    Array.iteri
-      (fun i c ->
-        assert (views.(i) = pview c);
-        assert (eager_pending.(i) = is_pending c);
-        if is_finished c then assert (not linked.(i)))
-      cells;
-    let naive = ref [] in
-    Array.iter (fun c -> if naive_runnable c then naive := c.info.pid :: !naive) cells;
-    assert (List.rev !naive = List.init nr (fun j -> runnable_buf.(j)))
-  in
-  let runnable_buf = Array.make (max n 1) 0 in
   let sched_buf = Array.make (max n 1) 0 in
   let sched_mark = Array.make (max n 1) 0 in
   let build_id = ref 0 in
   let cached_sched = ref [] in
   (* Schedulable-list reuse is valid only when membership is judged by
      the incremental counters alone: [halted] re-judges membership with a
-     per-decision predicate, and [self_check] must run the naive scan
-     every decision (it is also how the dirty tracking above is audited —
-     a missed [mark_dirty] fails the views assertion). *)
-  let caching = (not self_check) && Option.is_none halted in
+     per-decision predicate. *)
+  let caching = Option.is_none halted in
   (* The view of the last policy call, handed to the [cost] hook. A
      decision taken without the policy (a burst) leaves it stale, which
      nothing reads: [batching] implies there is no [cost] hook. *)
   let view = ref { Policy.step = 0; runnable = []; procs = views } in
+  let stop = ref All_finished in
   (try
      while link_next.(n) >= 0 do
        check_limits ();
@@ -773,7 +700,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
                  refresh !i;
                  if c.priority >= max_ready.(c.info.processor) && not (guarded_by_other c)
                  then begin
-                   runnable_buf.(!nr) <- !i;
                    incr nr;
                    if not (is_halted_view views.(!i)) then begin
                      sched_buf.(!ns) <- !i;
@@ -783,12 +709,8 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
                  end;
                  i := link_next.(!i)
                done;
-               if self_check then check_invariants !nr runnable_buf;
                assert (!nr > 0);
-               if !ns = 0 then begin
-                 stop := All_halted;
-                 raise Exit
-               end;
+               if !ns = 0 then raise (Stop All_halted);
                let rec build j acc =
                  if j < 0 then acc else build (j - 1) (sched_buf.(j) :: acc)
                in
@@ -801,9 +723,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
            view :=
              { step = Trace.statements trace; runnable = schedulable; procs = views };
            match choose !view with
-           | None ->
-             stop := Policy_stopped;
-             raise Exit
+           | None -> raise (Stop Policy_stopped)
            | Some pid ->
              if pid < 0 || pid >= n || sched_mark.(pid) <> !build_id then
                Fmt.invalid_arg "Engine.run: policy %s chose non-runnable %a" policy.name
@@ -829,7 +749,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
             without executing a statement: the decision was a no-op. *)
          ()
      done
-   with Exit -> ());
+   with Stop reason -> stop := reason);
   {
     trace;
     finished = Array.map is_finished cells;

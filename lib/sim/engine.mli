@@ -66,7 +66,6 @@ val run :
   ?axiom2_active:(step:int -> bool) ->
   ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
-  ?self_check:bool ->
   config:Config.t ->
   policy:Policy.t ->
   (unit -> unit) array ->
@@ -106,11 +105,11 @@ val run :
     (and a matched guarantee grant/drain restores), with a dirty queue
     refreshing only the policy views that a statement could have
     changed. Batching is disabled wholesale when any per-decision hook
-    is supplied ([cost], [halted], [axiom2_active]) or under
-    [self_check], and list caching under [halted] or [self_check];
-    both are pure optimizations — traces, counters and stop reasons
-    are byte-identical either way (see docs/ARCHITECTURE.md and the
-    differential suite in test/test_burst.ml).
+    is supplied ([cost], [halted], [axiom2_active]), and list caching
+    under [halted]; both are pure optimizations — traces, counters and
+    stop reasons are byte-identical to the naive reference interpreter
+    in test/reference, which the differential suite in
+    test/test_burst.ml checks (see docs/ARCHITECTURE.md).
 
     [cost] chooses each statement's duration in time units, clamped to
     the configuration's [tmin..tmax] (default: every statement costs
@@ -161,16 +160,9 @@ val run :
     inside a counterexample. The buffer must be configured for the same
     process count.
 
-    [self_check] (default [false]) runs the engine's retained naive
-    reference semantics alongside the incremental structures: each
-    decision recomputes the maximum ready level, Axiom-2 guarding, the
-    preemption flags and the runnable set by full scan — exactly as the
-    pre-incremental engine did — and asserts agreement, including that
-    the scratch policy views equal freshly built ones. Intended for
-    tests; it restores the old quadratic cost.
-
     @raise Invalid_argument if the program count differs from the process
     count, if [trace_buf] is configured for a different process count,
     or if the policy chooses a process outside the schedulable set.
-    @raise Stdlib.Exit never; exceptions raised by process bodies
-    propagate. *)
+    Exceptions raised by process bodies or by the policy propagate
+    ([Stdlib.Exit] included), after the suspended processes are
+    discontinued. *)

@@ -2,61 +2,35 @@ open Hwf_sim
 
 (* The differential suite behind the engine's hot-path machinery
    (quantum-burst batching, schedulable-list caching, dirty-queue view
-   refresh): every run must be byte-identical to the self-checking
-   reference engine, which disables all of it and audits the
-   incremental structures against a naive rescan. The matrix crosses
-   the lint corpus's workloads (the repo's nastiest subjects — harness
-   misuse, spins, priority churn) with fault plans and every policy
-   family, including the randomized samplers whose RNG streams the
-   burst contract must not perturb. Plus direct unit tests for the
-   packed trace encoding and the sink lifecycle. *)
+   refresh): every run must agree with the naive reference interpreter
+   (test/reference), which shares no code with the engine. Each case
+   runs the engine as given (batching on where the policy allows it)
+   and under a non-burst-safe recording policy (caching on, every view
+   audited against the reference's). The matrix crosses the lint
+   corpus's workloads (the repo's nastiest subjects — harness misuse,
+   spins, priority churn) with fault plans and every policy family,
+   including the randomized samplers whose RNG streams the burst
+   contract must not perturb. Plus direct unit tests for the packed
+   trace encoding and the sink lifecycle. *)
 
-(* ---- differential: batched/cached engine vs self-checking reference ---- *)
-
-type capture = {
-  trace_bytes : string;
-  stop : Engine.stop_reason;
-  finished : bool array;
-  own_steps : int array;
-  halted : bool array;
-}
+(* ---- differential: engine vs reference interpreter ---- *)
 
 (* Some corpus subjects raise out of the run (harness misuse the engine
-   rejects): the two engines must then raise identically, so capture
-   the exception as an outcome rather than failing the harness. *)
-let capture ~self_check ~step_limit ~plan ~config ~policy make =
-  match
-    Hwf_faults.Inject.run ~step_limit ~self_check ~plan ~config ~policy (make ())
-  with
-  | r ->
-    Ok
-      {
-        trace_bytes = Hwf_obs.Jsonl.trace_to_string r.Engine.trace;
-        stop = r.Engine.stop;
-        finished = r.Engine.finished;
-        own_steps = r.Engine.own_steps;
-        halted = r.Engine.halted;
-      }
-  | exception e -> Error (Printexc.to_string e)
-
-let same_capture label a b =
-  match (a, b) with
-  | Error ea, Error eb -> Util.check Alcotest.string (label ^ ": exception") ea eb
-  | Ok a, Ok b ->
-    Util.check Alcotest.string (label ^ ": trace bytes") a.trace_bytes b.trace_bytes;
-    Util.checkb (label ^ ": stop") (a.stop = b.stop);
-    Util.checkb (label ^ ": finished") (a.finished = b.finished);
-    Util.checkb (label ^ ": own_steps") (a.own_steps = b.own_steps);
-    Util.checkb (label ^ ": halted") (a.halted = b.halted)
-  | Ok _, Error e ->
-    Alcotest.failf "%s: batched run succeeded, reference raised %s" label e
-  | Error e, Ok _ ->
-    Alcotest.failf "%s: batched run raised %s, reference succeeded" label e
-
-let differential label ~step_limit ~plan ~config ~policy make =
-  let fast = capture ~self_check:false ~step_limit ~plan ~config ~policy make in
-  let slow = capture ~self_check:true ~step_limit ~plan ~config ~policy make in
-  same_capture label fast slow
+   rejects): the two sides must then raise identically. *)
+let differential label ~step_limit ~(plan : Hwf_faults.Plan.t) ~config ~policy make =
+  let engine policy =
+    Hwf_faults.Inject.run ~step_limit ~plan ~config ~policy (make ())
+  in
+  let reference policy =
+    Hwf_reference.Reference.run ~step_limit
+      ?cost:(Hwf_faults.Inject.cost_fn plan ~config)
+      ?halted:(Hwf_faults.Inject.halted_pred plan)
+      ?axiom2_active:(Hwf_faults.Inject.gate_fn plan)
+      ~config ~policy (make ())
+  in
+  match Hwf_reference.Reference.differential ~engine ~reference policy with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" label d
 
 let policies =
   [
@@ -100,7 +74,7 @@ let test_corpus_policies () =
 
 (* Every corpus workload under every fault plan: the hooks that disable
    batching (and, for crashes, list caching) still go through the
-   incremental view machinery, which must agree with the naive scan. *)
+   incremental view machinery, which must agree with the reference. *)
 let test_corpus_faults () =
   List.iter
     (fun (case : Hwf_lint_corpus.Corpus.case) ->
@@ -153,6 +127,45 @@ let test_two_band_stress () =
             ~step_limit:1_000_000 ~plan:Hwf_faults.Plan.none ~config ~policy make)
         policies)
     [ (16, 1); (16, 4); (48, 2) ]
+
+(* Every stop reason the corpus does not reach, on two-process
+   programs: a statement-free spin, a statement spin, an exhausted
+   script, and a crashed higher-priority victim blocking the survivor.
+   The reference must reach the named reason, and the engine agree. *)
+let test_stop_reasons () =
+  let spin_empty () =
+    Array.init 2 (fun _ () ->
+        while true do
+          Eff.invocation "e" (fun () -> ())
+        done)
+  in
+  let spin () =
+    Array.init 2 (fun _ () ->
+        Eff.invocation "s" (fun () ->
+            while true do
+              Eff.local "s"
+            done))
+  in
+  List.iter
+    (fun (label, plan, pris, policy, make, expected) ->
+      let config = Util.uni_config ~quantum:2 pris in
+      differential label ~step_limit:40 ~plan ~config ~policy make;
+      let r =
+        Hwf_reference.Reference.run ~step_limit:40
+          ?halted:(Hwf_faults.Inject.halted_pred plan)
+          ~config ~policy (make ())
+      in
+      Util.checkb (label ^ ": reference stop") (r.Engine.stop = expected))
+    [
+      ("decision limit", Hwf_faults.Plan.none, [ 1; 1 ], Policy.first, spin_empty,
+        Engine.Decision_limit);
+      ("step limit", Hwf_faults.Plan.none, [ 1; 1 ], Policy.random ~seed:3, spin,
+        Engine.Step_limit);
+      ("policy stop", Hwf_faults.Plan.none, [ 1; 1 ], Policy.scripted [ 0; 1; 0 ], spin,
+        Engine.Policy_stopped);
+      ("all halted", Hwf_faults.Plan.crash_at ~victim:0 ~after:2, [ 2; 1 ], Policy.first,
+        spin, Engine.All_halted);
+    ]
 
 (* A solo process's every decision is forced, its first included, so a
    burst-safe policy is never consulted; one that is not burst-safe is
@@ -353,6 +366,7 @@ let () =
           Alcotest.test_case "corpus x policies" `Quick test_corpus_policies;
           Alcotest.test_case "corpus x fault plans" `Quick test_corpus_faults;
           Alcotest.test_case "two-band stress layouts" `Quick test_two_band_stress;
+          Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
           Alcotest.test_case "forced first decision skips burst-safe policy" `Quick
             test_forced_first_decision;
         ] );

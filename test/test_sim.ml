@@ -255,13 +255,22 @@ let test_exceptions_propagate () =
     |]
   in
   Alcotest.check_raises "propagates" (Failure "kaboom") (fun () ->
-      ignore (Engine.run ~config ~policy:Policy.first bodies))
+      ignore (Engine.run ~config ~policy:Policy.first bodies));
+  (* [Exit] is no exception to that: the decision loop's own stop must
+     not swallow it, from a body or from the policy. *)
+  let exits () = Eff.invocation "exit" (fun () -> Eff.local "s"; raise Exit) in
+  Alcotest.check_raises "body Exit propagates" Exit (fun () ->
+      ignore (Engine.run ~config ~policy:Policy.first [| exits |]));
+  let quits = Policy.of_fun "quits" (fun _ -> raise Exit) in
+  Alcotest.check_raises "policy Exit propagates" Exit (fun () ->
+      ignore (Engine.run ~config ~policy:quits bodies))
 
 (* Regression: a run that ends with processes still suspended (policy
    stop, step limit, All_halted, a sibling's exception) must unwind them
    — a dropped continuation's fiber stack is never reclaimed. Every
    finalizer must run, in process context, and a statement attempted
-   while unwinding must not reach the trace. *)
+   while unwinding must not reach the trace. The reference interpreter
+   owes the same teardown. *)
 let test_abandoned_processes_released () =
   let released = ref 0 and in_process = ref true in
   let body ~fail () =
@@ -278,14 +287,15 @@ let test_abandoned_processes_released () =
               Eff.local "s"
             done))
   in
-  let case name ?step_limit ?halted ?(fail = false) ~policy pris stop =
+  let case (who, run) name ?step_limit ?halted ?(fail = false) ~policy pris stop =
+    let name = who ^ ": " ^ name in
     released := 0;
     in_process := true;
     let config = Util.uni_config ~quantum:4 pris in
     let bodies = Array.of_list (List.mapi (fun i _ -> body ~fail:(fail && i = 0)) pris) in
-    (match Engine.run ?step_limit ?halted ~config ~policy bodies with
+    (match run step_limit halted config policy bodies with
     | r ->
-      Util.checkb (name ^ ": stop reason") (Some r.stop = stop);
+      Util.checkb (name ^ ": stop reason") (Some r.Engine.stop = stop);
       Option.iter
         (Util.checki (name ^ ": statements") (Trace.statements r.trace))
         step_limit
@@ -294,16 +304,27 @@ let test_abandoned_processes_released () =
     Util.checkb (name ^ ": finalizers in process context") !in_process;
     Util.checkb (name ^ ": harness context after") (not (Runtime.in_process ()))
   in
-  case "policy stop" ~policy:(Policy.scripted [ 0; 1; 2; 0 ]) [ 1; 1; 1 ]
-    (Some Engine.Policy_stopped);
-  case "step limit (bursts)" ~step_limit:50 ~policy:(Policy.round_robin ()) [ 1; 1; 1 ]
-    (Some Engine.Step_limit);
-  case "step limit (solo)" ~step_limit:50 ~policy:Policy.first [ 1 ]
-    (Some Engine.Step_limit);
-  case "all halted"
-    ~halted:(fun (pv : Policy.pview) -> pv.own_steps >= 2)
-    ~policy:(Policy.round_robin ()) [ 1; 1 ] (Some Engine.All_halted);
-  case "sibling exception" ~fail:true ~policy:(Policy.round_robin ()) [ 1; 1; 1 ] None
+  List.iter
+    (fun runner ->
+      let case = case runner in
+      case "policy stop" ~policy:(Policy.scripted [ 0; 1; 2; 0 ]) [ 1; 1; 1 ]
+        (Some Engine.Policy_stopped);
+      case "step limit (bursts)" ~step_limit:50 ~policy:(Policy.round_robin ()) [ 1; 1; 1 ]
+        (Some Engine.Step_limit);
+      case "step limit (solo)" ~step_limit:50 ~policy:Policy.first [ 1 ]
+        (Some Engine.Step_limit);
+      case "all halted"
+        ~halted:(fun (pv : Policy.pview) -> pv.own_steps >= 2)
+        ~policy:(Policy.round_robin ()) [ 1; 1 ] (Some Engine.All_halted);
+      case "sibling exception" ~fail:true ~policy:(Policy.round_robin ()) [ 1; 1; 1 ] None)
+    [
+      ( "engine",
+        fun step_limit halted config policy bodies ->
+          Engine.run ?step_limit ?halted ~config ~policy bodies );
+      ( "reference",
+        fun step_limit halted config policy bodies ->
+          Hwf_reference.Reference.run ?step_limit ?halted ~config ~policy bodies );
+    ]
 
 let test_empty_invocation () =
   (* An invocation with zero statements is recorded and doesn't wedge the
@@ -528,24 +549,30 @@ let prop_engine_always_well_formed =
       let r = Engine.run ~config ~policy:(Policy.random ~seed:(seed + 1)) bodies in
       Array.for_all Fun.id r.finished && Wellformed.is_well_formed r.trace)
 
-(* Property: the incremental scheduler agrees with the retained naive
-   reference. [self_check] recomputes every scheduling quantity by full
-   scan each decision and asserts agreement in-run; on top, a checked
-   run must be observationally identical to a plain one — same trace
-   bytes, stop reason and per-pid result vectors. Exercises random
-   multiprocessor layouts, dynamic priorities, empty invocations, the
-   Axiom-2 gate and halting faults. *)
+(* Property: the engine agrees with the reference interpreter
+   (test/reference) — same trace bytes, stop reason and per-pid result
+   vectors, and the same view at every policy call — and its trace is
+   well-formed. Exercises random multiprocessor layouts, dynamic
+   priorities, empty invocations, the Axiom-2 gate, halting faults,
+   clamped per-seed statement costs and four policy families. *)
 let prop_incremental_matches_naive =
   let gen =
     QCheck2.Gen.(
-      tup4 (int_range 0 10_000) (int_range 1 3) (int_range 1 3) (int_range 0 12))
+      pair
+        (tup4 (int_range 0 10_000) (int_range 1 3) (int_range 1 3) (int_range 0 12))
+        (int_range 0 3))
   in
   Util.qtest ~count:40 "incremental scheduler = naive reference" gen
-    (fun (seed, processors, levels, quantum) ->
+    (fun ((seed, processors, levels, quantum), family) ->
       let layout =
         Hwf_workload.Layout.random ~seed ~processors ~levels ~n:(3 + (seed mod 4))
       in
-      let config = Hwf_workload.Layout.to_config ~quantum layout in
+      let shape = Hwf_workload.Layout.to_config ~quantum layout in
+      let config =
+        Config.make ~quantum ~processors:shape.processors ~levels:shape.levels
+          ~tmax:(1 + (seed mod 3))
+          (Array.to_list shape.procs)
+      in
       let n = Config.n config in
       let axiom2_active =
         if seed mod 2 = 0 then None else Some (fun ~step -> step / 5 mod 2 = 0)
@@ -555,29 +582,45 @@ let prop_incremental_matches_naive =
           Some (fun (pv : Policy.pview) -> pv.pid = 0 && pv.own_steps >= 4)
         else None
       in
-      let run ~self_check =
-        let x = Shared.make "x" 0 in
-        let bodies =
-          Array.init n (fun pid () ->
-              for _ = 1 to 2 do
-                Eff.invocation "op" (fun () ->
-                    let v = Shared.read x in
-                    Eff.local "l";
-                    Shared.write x (v + pid + 1))
-              done;
-              if config.Config.levels > 1 then
-                Eff.set_priority (1 + ((pid + seed) mod config.Config.levels));
-              Eff.invocation "empty" (fun () -> ()))
-        in
-        Engine.run ?halted ?axiom2_active ~self_check ~step_limit:2_000 ~config
-          ~policy:(Policy.random ~seed:(seed + 1)) bodies
+      (* Ranges over 0..4 so the engine's clamp to [tmin, tmax] bites on
+         both sides; absent on every fifth seed so batching stays covered. *)
+      let cost =
+        if seed mod 5 = 0 then None
+        else Some (fun (v : Policy.view) pid _op -> (seed + (3 * v.step) + pid) mod 5)
       in
-      let a = run ~self_check:false in
-      let b = run ~self_check:true in
-      Hwf_obs.Jsonl.trace_to_string a.trace = Hwf_obs.Jsonl.trace_to_string b.trace
-      && a.stop = b.stop && a.finished = b.finished && a.halted = b.halted
-      && a.own_steps = b.own_steps
-      && Wellformed.is_well_formed a.trace)
+      let policy =
+        match family with
+        | 0 -> Policy.random ~seed:(seed + 1)
+        | 1 -> Policy.by_priority
+        | 2 -> Policy.round_robin ()
+        | _ ->
+          Hwf_adversary.Randsched.policy
+            (Hwf_adversary.Randsched.Pct { depth = 3 })
+            ~seed:(seed + 1)
+      in
+      let make () =
+        let x = Shared.make "x" 0 in
+        Array.init n (fun pid () ->
+            for _ = 1 to 2 do
+              Eff.invocation "op" (fun () ->
+                  let v = Shared.read x in
+                  Eff.local "l";
+                  Shared.write x (v + pid + 1))
+            done;
+            if config.Config.levels > 1 then
+              Eff.set_priority (1 + ((pid + seed) mod config.Config.levels));
+            Eff.invocation "empty" (fun () -> ()))
+      in
+      let engine policy =
+        Engine.run ?cost ?halted ?axiom2_active ~step_limit:2_000 ~config ~policy (make ())
+      in
+      let reference policy =
+        Hwf_reference.Reference.run ?cost ?halted ?axiom2_active ~step_limit:2_000 ~config
+          ~policy (make ())
+      in
+      match Hwf_reference.Reference.differential ~engine ~reference policy with
+      | Some d -> QCheck2.Test.fail_report d
+      | None -> Wellformed.is_well_formed (engine policy).trace)
 
 let () =
   Alcotest.run "sim"
