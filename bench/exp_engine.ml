@@ -20,6 +20,7 @@
    numbers of the incremental-scheduler rewrite. *)
 
 open Hwf_sim
+module Json = Hwf_obs.Json
 open Hwf_workload
 
 type cell = {
@@ -112,22 +113,27 @@ let differential ~n ~processors ~target =
          processors d)
 
 let json_of_cells ~target ~truncated cells =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hwf-bench-engine/1\",\n";
-  Printf.bprintf b "  \"target_statements\": %d,\n" target;
-  Printf.bprintf b "  \"truncated\": %b,\n" truncated;
-  Buffer.add_string b "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      Printf.bprintf b
-        "    {\"n\": %d, \"processors\": %d, \"observer\": %b, \"statements\": %d, \
-         \"seconds\": %.6f, \"stmts_per_sec\": %.1f}%s\n"
-        c.n c.processors c.observer c.statements c.seconds (stmts_per_sec c)
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  Json.pretty
+    (Json.Obj
+       [
+         ("schema", Json.Str Json.Schema.bench_engine.tag);
+         ("target_statements", Json.Int target);
+         ("truncated", Json.Bool truncated);
+         ( "cells",
+           Json.List
+             (List.map
+                (fun c ->
+                  Json.Obj
+                    [
+                      ("n", Json.Int c.n);
+                      ("processors", Json.Int c.processors);
+                      ("observer", Json.Bool c.observer);
+                      ("statements", Json.Int c.statements);
+                      ("seconds", Json.fixed 6 c.seconds);
+                      ("stmts_per_sec", Json.fixed 1 (stmts_per_sec c));
+                    ])
+                cells) );
+       ])
 
 let run ~quick =
   Tbl.section "E19: engine scheduling throughput";

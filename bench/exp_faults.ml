@@ -26,6 +26,7 @@
    clean one. *)
 
 open Hwf_faults
+module Json = Hwf_obs.Json
 module Resil = Hwf_resil.Resil
 
 let seed = 41
@@ -84,37 +85,42 @@ let negative_row () =
    exactly this file). A truncated run flips "truncated" and carries the
    partial coverage instead. *)
 let json_of ~quick ~truncated reports neg_report =
-  let b = Buffer.create 1024 in
   let coverage_fields c =
-    Printf.sprintf
-      "\"cells_total\": %d, \"cells_done\": %d, \"timeouts\": %d, \
-       \"errors\": %d, \"skipped\": %d, \"retries\": %d, \"degraded\": %d"
-      c.Resil.cells_total c.Resil.cells_done c.Resil.timeouts c.Resil.errors
-      c.Resil.skipped c.Resil.retries c.Resil.degraded
+    [
+      ("cells_total", Json.Int c.Resil.cells_total);
+      ("cells_done", Json.Int c.Resil.cells_done);
+      ("timeouts", Json.Int c.Resil.timeouts);
+      ("errors", Json.Int c.Resil.errors);
+      ("skipped", Json.Int c.Resil.skipped);
+      ("retries", Json.Int c.Resil.retries);
+      ("degraded", Json.Int c.Resil.degraded);
+    ]
   in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hwf-bench-faults/1\",\n";
-  Printf.bprintf b "  \"seed\": %d,\n" seed;
-  Printf.bprintf b "  \"quick\": %b,\n" quick;
-  Printf.bprintf b "  \"truncated\": %b,\n" truncated;
-  Buffer.add_string b "  \"subjects\": [\n";
-  List.iteri
-    (fun i (r, _) ->
-      Printf.bprintf b
-        "    {\"name\": %S, \"plans\": %d, \"passed\": %d, \"blocked\": %d, \
-         \"worst_own_steps\": %d, \"certified\": %b, %s}%s\n"
-        r.Certify.subject r.Certify.plans r.Certify.passed r.Certify.blocked
-        r.Certify.worst_own_steps (Certify.certified r)
-        (coverage_fields r.Certify.coverage)
-        (if i = List.length reports - 1 then "" else ","))
-    reports;
-  Buffer.add_string b "  ],\n";
-  Printf.bprintf b "  \"negative_rejected\": %b,\n"
-    (not (Certify.certified neg_report));
-  Printf.bprintf b "  \"negative_coverage\": {%s}\n"
-    (coverage_fields neg_report.Certify.coverage);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  Json.pretty
+    (Json.Obj
+       [
+         ("schema", Json.Str Json.Schema.bench_faults.tag);
+         ("seed", Json.Int seed);
+         ("quick", Json.Bool quick);
+         ("truncated", Json.Bool truncated);
+         ( "subjects",
+           Json.List
+             (List.map
+                (fun (r, _) ->
+                  Json.Obj
+                    ([
+                       ("name", Json.Str r.Certify.subject);
+                       ("plans", Json.Int r.Certify.plans);
+                       ("passed", Json.Int r.Certify.passed);
+                       ("blocked", Json.Int r.Certify.blocked);
+                       ("worst_own_steps", Json.Int r.Certify.worst_own_steps);
+                       ("certified", Json.Bool (Certify.certified r));
+                     ]
+                    @ coverage_fields r.Certify.coverage))
+                reports) );
+         ("negative_rejected", Json.Bool (not (Certify.certified neg_report)));
+         ("negative_coverage", Json.Obj (coverage_fields neg_report.Certify.coverage));
+       ])
 
 let run ~quick =
   Tbl.section "E16: fault-injection campaigns / wait-freedom certifier";

@@ -25,6 +25,7 @@
    certification sweeps are expected to clear 2x. *)
 
 open Hwf_sim
+module Json = Hwf_obs.Json
 open Hwf_adversary
 open Hwf_workload
 open Hwf_faults
@@ -193,57 +194,58 @@ let dpor_cell scenario =
 (* ---- output ---- *)
 
 let json_of ~jobs ~grain ~self_check cells dpor =
-  let b = Buffer.create 1024 in
   let total_par = List.fold_left (fun a c -> a +. c.par_s) 0. cells in
-  let opt_f = function None -> "null" | Some v -> Printf.sprintf "%.6f" v in
-  let opt_b = function None -> "null" | Some v -> string_of_bool v in
-  let opt_speedup c =
-    match speedup c with None -> "null" | Some s -> Printf.sprintf "%.3f" s
+  let total_seq =
+    List.fold_left
+      (fun acc c -> match (acc, c.seq_s) with Some a, Some s -> Some (a +. s) | _ -> None)
+      (Some 0.) cells
   in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf b "  \"grain\": %s,\n"
-    (match grain with None -> "\"auto\"" | Some g -> string_of_int g);
-  Printf.bprintf b "  \"recommended_domains\": %d,\n" (Hwf_par.Pool.default_jobs ());
-  Printf.bprintf b "  \"self_check\": %b,\n" self_check;
-  Buffer.add_string b "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      Printf.bprintf b
-        "    {\"name\": %S, \"units\": %d, \"par_seconds\": %.6f, \
-         \"par_units_per_sec\": %.1f, \"steals\": %d, \"seq_seconds\": %s, \
-         \"speedup\": %s, \"identical\": %s}%s\n"
-        c.name c.units c.par_s
-        (if c.par_s > 0. then float_of_int c.units /. c.par_s else 0.)
-        c.steals (opt_f c.seq_s) (opt_speedup c) (opt_b c.identical)
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"dpor\": [\n";
-  List.iteri
-    (fun i d ->
-      Printf.bprintf b
-        "    {\"suite\": %S, \"runs_full\": %d, \"runs_pruned\": %d, \
-         \"pruned_branches\": %d, \"verdict_equal\": %b}%s\n"
-        d.dname d.runs_full d.runs_pruned d.pruned_branches d.verdict_equal
-        (if i = List.length dpor - 1 then "" else ","))
-    dpor;
-  Buffer.add_string b "  ],\n";
-  Printf.bprintf b "  \"total_par_seconds\": %.6f,\n" total_par;
-  (match
-     List.fold_left
-       (fun acc c -> match (acc, c.seq_s) with Some a, Some s -> Some (a +. s) | _ -> None)
-       (Some 0.) cells
-   with
-  | Some total_seq ->
-    Printf.bprintf b "  \"total_seq_seconds\": %.6f,\n" total_seq;
-    Printf.bprintf b "  \"overall_speedup\": %.3f\n"
-      (if total_par > 0. then total_seq /. total_par else 1.)
-  | None ->
-    Buffer.add_string b "  \"total_seq_seconds\": null,\n";
-    Buffer.add_string b "  \"overall_speedup\": null\n");
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  Json.pretty
+    (Json.Obj
+       [
+         ("schema", Json.Str Json.Schema.bench_par.tag);
+         ("jobs", Json.Int jobs);
+         ("grain", match grain with None -> Json.Str "auto" | Some g -> Json.Int g);
+         ("recommended_domains", Json.Int (Hwf_par.Pool.default_jobs ()));
+         ("self_check", Json.Bool self_check);
+         ( "cells",
+           Json.List
+             (List.map
+                (fun c ->
+                  Json.Obj
+                    [
+                      ("name", Json.Str c.name);
+                      ("units", Json.Int c.units);
+                      ("par_seconds", Json.fixed 6 c.par_s);
+                      ( "par_units_per_sec",
+                        Json.fixed 1
+                          (if c.par_s > 0. then float_of_int c.units /. c.par_s else 0.) );
+                      ("steals", Json.Int c.steals);
+                      ("seq_seconds", Json.option (Json.fixed 6) c.seq_s);
+                      ("speedup", Json.option (Json.fixed 3) (speedup c));
+                      ("identical", Json.option (fun b -> Json.Bool b) c.identical);
+                    ])
+                cells) );
+         ( "dpor",
+           Json.List
+             (List.map
+                (fun d ->
+                  Json.Obj
+                    [
+                      ("suite", Json.Str d.dname);
+                      ("runs_full", Json.Int d.runs_full);
+                      ("runs_pruned", Json.Int d.runs_pruned);
+                      ("pruned_branches", Json.Int d.pruned_branches);
+                      ("verdict_equal", Json.Bool d.verdict_equal);
+                    ])
+                dpor) );
+         ("total_par_seconds", Json.fixed 6 total_par);
+         ("total_seq_seconds", Json.option (Json.fixed 6) total_seq);
+         ( "overall_speedup",
+           Json.option
+             (fun s -> Json.fixed 3 (if total_par > 0. then s /. total_par else 1.))
+             total_seq );
+       ])
 
 let run ~quick =
   let jobs = max 1 !Jobs.n in

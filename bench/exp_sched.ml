@@ -27,6 +27,7 @@
    hwf-bench-sched/1). *)
 
 open Hwf_sim
+module Json = Hwf_obs.Json
 open Hwf_adversary
 open Hwf_faults
 module Corpus = Hwf_lint_corpus.Corpus
@@ -208,58 +209,44 @@ let gate_determinism rows =
 
 (* ---- reporting ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of ~quick ~jobs ~budget ~deterministic rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hwf-bench-sched/1\",\n";
-  Printf.bprintf b "  \"seed\": %d,\n" seed;
-  Printf.bprintf b "  \"quick\": %b,\n" quick;
-  Printf.bprintf b "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf b "  \"pct_depth\": %d,\n" pct_depth;
-  Printf.bprintf b "  \"runs_budget\": %d,\n" budget;
-  Printf.bprintf b "  \"determinism_recheck\": %b,\n" deterministic;
-  Buffer.add_string b "  \"cells\": [\n";
-  List.iteri
-    (fun i (r : row) ->
-      let lo, hi = Explore.stf_ci r.outcome in
-      let first_bug, message =
-        match r.outcome.Explore.counterexample with
-        | Some c -> (string_of_int r.outcome.Explore.runs, Some c.Explore.message)
-        | None -> ("null", None)
-      in
-      Printf.bprintf b
-        "    {\"case\": \"%s\", \"source\": \"%s\", \"expect_bug\": %b, \
-         \"strategy\": \"%s\", \"depth\": %s, \"runs\": %d, \"found\": %b, \
-         \"first_bug\": %s, \"stf_lo\": %.3f, \"stf_hi\": %s, \
-         \"wall_s\": %.3f%s}%s\n"
-        (json_escape r.cell.case) r.cell.source r.cell.expect_bug
-        (Randsched.name r.cell.strategy)
-        (match r.cell.strategy with
-        | Randsched.Pct { depth } -> string_of_int depth
-        | _ -> "null")
-        r.budget (found r) first_bug lo
-        (if Float.is_finite hi then Printf.sprintf "%.3f" hi else "null")
-        r.wall_s
-        (match message with
-        | Some m -> Printf.sprintf ", \"message\": \"%s\"" (json_escape m)
-        | None -> "")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let cell (r : row) =
+    let lo, hi = Explore.stf_ci r.outcome in
+    Json.Obj
+      ([
+         ("case", Json.Str r.cell.case);
+         ("source", Json.Str r.cell.source);
+         ("expect_bug", Json.Bool r.cell.expect_bug);
+         ("strategy", Json.Str (Randsched.name r.cell.strategy));
+         ( "depth",
+           match r.cell.strategy with Randsched.Pct { depth } -> Json.Int depth | _ -> Json.Null );
+         ("runs", Json.Int r.budget);
+         ("found", Json.Bool (found r));
+         ( "first_bug",
+           Json.option
+             (fun _ -> Json.Int r.outcome.Explore.runs)
+             r.outcome.Explore.counterexample );
+         ("stf_lo", Json.fixed 3 lo);
+         ("stf_hi", Json.fixed 3 hi);
+         ("wall_s", Json.fixed 3 r.wall_s);
+       ]
+      @
+      match r.outcome.Explore.counterexample with
+      | Some c -> [ ("message", Json.Str c.Explore.message) ]
+      | None -> [])
+  in
+  Json.pretty
+    (Json.Obj
+       [
+         ("schema", Json.Str Json.Schema.bench_sched.tag);
+         ("seed", Json.Int seed);
+         ("quick", Json.Bool quick);
+         ("jobs", Json.Int jobs);
+         ("pct_depth", Json.Int pct_depth);
+         ("runs_budget", Json.Int budget);
+         ("determinism_recheck", Json.Bool deterministic);
+         ("cells", Json.List (List.map cell rows));
+       ])
 
 let run ~quick =
   Tbl.section "E20: randomized-scheduler bug-finding power";

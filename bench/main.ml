@@ -1,13 +1,12 @@
 (* Benchmark and experiment harness: one entry per paper table/figure
    (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-   recorded results), plus a bechamel timing suite for the core
-   operations.
+   recorded results). Wall-clock costs of whole campaigns are measured
+   by perfbench/.
 
    Usage:
      dune exec bench/main.exe                 -- all experiments, quick
      dune exec bench/main.exe -- --full       -- larger trial counts
      dune exec bench/main.exe -- table1 thm3  -- selected experiments
-     dune exec bench/main.exe -- timing       -- bechamel suite only
      dune exec bench/main.exe -- --csv ...    -- tables as CSV blocks
      dune exec bench/main.exe -- faults --checkpoint B [--resume]
                                               -- E16 cell journaling
@@ -18,9 +17,6 @@
                   [--min-stmts-per-sec F]     -- E19 with the engine-vs-
                                                  reference differential and
                                                  the throughput floor *)
-
-open Hwf_sim
-open Hwf_workload
 
 let experiments : (string * string * (quick:bool -> unit)) list =
   [
@@ -45,72 +41,6 @@ let experiments : (string * string * (quick:bool -> unit)) list =
     ("engine", "E19: engine scheduling throughput (BENCH_engine.json)", Exp_engine.run);
     ("sched", "E20: randomized-scheduler bug-finding power (BENCH_sched.json)", Exp_sched.run);
   ]
-
-(* Bechamel micro-benchmarks: wall-clock cost of simulated operations. *)
-let timing () =
-  let uni_consensus () =
-    let config = Layout.to_config ~quantum:8 [ (0, 1); (0, 1) ] in
-    let obj = Hwf_core.Uni_consensus.make "c" in
-    let bodies =
-      Array.init 2 (fun pid () ->
-          Eff.invocation "d" (fun () -> ignore (Hwf_core.Uni_consensus.decide obj pid)))
-    in
-    ignore (Engine.run ~config ~policy:Policy.first bodies)
-  in
-  let q_cas () =
-    let config = Layout.to_config ~quantum:64 [ (0, 1); (0, 1) ] in
-    let obj = Hwf_core.Q_cas.make "x" 0 in
-    let bodies =
-      Array.init 2 (fun pid () ->
-          Eff.invocation "cas" (fun () ->
-              ignore (Hwf_core.Q_cas.cas obj ~who:pid ~expected:0 ~desired:pid)))
-    in
-    ignore (Engine.run ~config ~policy:(Policy.random ~seed:1) bodies)
-  in
-  let hybrid_cas v () =
-    let layout = List.init v (fun i -> (0, i + 1)) in
-    let config = Layout.to_config ~quantum:600 layout in
-    let obj = Hwf_core.Hybrid_cas.make ~config ~name:"o" ~init:0 in
-    let bodies =
-      Array.init v (fun pid () ->
-          Eff.invocation "cas" (fun () ->
-              ignore (Hwf_core.Hybrid_cas.cas obj ~pid ~expected:0 ~desired:pid)))
-    in
-    ignore (Engine.run ~config ~policy:(Policy.random ~seed:2) bodies)
-  in
-  let multi_consensus () =
-    let layout = Layout.uniform ~processors:2 ~per_processor:2 in
-    let config = Layout.to_config ~quantum:4000 layout in
-    let obj = Hwf_core.Multi_consensus.make ~config ~name:"mc" ~consensus_number:2 () in
-    let bodies =
-      Array.init 4 (fun pid () ->
-          Eff.invocation "d" (fun () ->
-              ignore (Hwf_core.Multi_consensus.decide obj ~pid pid)))
-    in
-    ignore (Engine.run ~step_limit:8_000_000 ~config ~policy:(Policy.random ~seed:3) bodies)
-  in
-  let universal_counter () =
-    let layout = [ (0, 1); (0, 1); (0, 2) ] in
-    let config = Layout.to_config ~quantum:3000 layout in
-    let c =
-      Hwf_core.Wf_objects.counter ~name:"c" ~n:3
-        ~factory:(Hwf_core.Wf_objects.uni_factory ())
-    in
-    let bodies =
-      Array.init 3 (fun pid () ->
-          Eff.invocation "i" (fun () -> ignore (Hwf_core.Wf_objects.incr c ~pid)))
-    in
-    ignore (Engine.run ~step_limit:4_000_000 ~config ~policy:(Policy.random ~seed:4) bodies)
-  in
-  Microbench.run_tests ~title:"core operations"
-    [
-      Microbench.staged "fig3-consensus-2p" uni_consensus;
-      Microbench.staged "q-cas-2p" q_cas;
-      Microbench.staged "fig5-cas-v1" (hybrid_cas 1);
-      Microbench.staged "fig5-cas-v4" (hybrid_cas 4);
-      Microbench.staged "fig7-consensus-p2c2" multi_consensus;
-      Microbench.staged "universal-counter-3p" universal_counter;
-    ]
 
 (* Pull "--jobs N" out of the argument list (the remaining args keep
    their simple flag/experiment-name shape). *)
@@ -170,12 +100,8 @@ let () =
     !Jobs.n;
   List.iter
     (fun (name, _desc, run) ->
-      if want name && name <> "timing" && not (interrupted ()) then run ~quick)
+      if want name && not (interrupted ()) then run ~quick)
     experiments;
-  if (selected = [] || List.mem "timing" selected) && not (interrupted ()) then begin
-    Tbl.section "timing (bechamel)";
-    timing ()
-  end;
   Exp_obs.export ~trace_out ~metrics_out;
   if interrupted () then begin
     Printf.printf

@@ -173,7 +173,7 @@ let trace_out_arg =
   let doc =
     "Write the run's event trace as JSON lines (schema hwf-trace/1; see \
      docs/OBSERVABILITY.md). Deterministic: identical bytes across --jobs \
-     settings."
+     settings, unless --max-runs cuts the search."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -181,7 +181,7 @@ let metrics_out_arg =
   let doc =
     "Write run metrics as JSON lines (schema hwf-metrics/1; see \
      docs/OBSERVABILITY.md). Deterministic: identical bytes across --jobs \
-     settings."
+     settings, unless --max-runs cuts the search."
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
@@ -572,15 +572,26 @@ let analyze_cmd =
         Engine.run ~step_limit:20_000_000 ~config
           ~policy:(make_policy policy seed) instance.Explore.programs
       in
-      let a = Analysis.of_trace r.trace in
-      Fmt.pr "%a@." Analysis.pp_summary a;
+      let m = Hwf_obs.Metrics.of_trace r.trace in
+      let invs = m.Hwf_obs.Metrics.invocations in
+      let fold f g =
+        List.fold_left (fun acc (i : Hwf_obs.Metrics.inv_stat) -> f acc (g i)) 0 invs
+      in
+      Fmt.pr
+        "invocations: %d@.switches: %d@.max statements/invocation: %d@.same-level \
+         preemptions: %d (max %d per invocation)@.higher-level preemptions: %d@."
+        (List.length invs) m.Hwf_obs.Metrics.switches
+        (fold max (fun i -> i.statements))
+        (fold ( + ) (fun i -> i.same_preemptions))
+        (fold max (fun i -> i.same_preemptions))
+        (fold ( + ) (fun i -> i.higher_preemptions));
       List.iter
-        (fun (i : Analysis.inv_stat) ->
+        (fun (i : Hwf_obs.Metrics.inv_stat) ->
           Fmt.pr "  %a.%d %-8s %3d stmts, %d same-level / %d higher-level preemptions%s@."
-            Proc.pp_pid i.pid i.inv i.label i.statements i.same_level_preemptions
-            i.higher_level_preemptions
+            Proc.pp_pid i.pid i.inv i.label i.statements i.same_preemptions
+            i.higher_preemptions
             (if i.completed then "" else " (incomplete)"))
-        a.invocations;
+        invs;
       let races = Hwf_obs.Races.of_trace r.trace in
       Fmt.pr "@.%a@." Hwf_obs.Races.pp_report races;
       Option.iter
@@ -1254,6 +1265,38 @@ let lint_cmd =
           any error finding.")
     term
 
+(* ---- check-json ---- *)
+
+let check_json_cmd =
+  let files_arg = Arg.(value & pos_all string [] & info [] ~docv:"FILE") in
+  let action files =
+    if files = [] then begin
+      Fmt.epr "usage: hybridsim check-json FILE...@.";
+      exit 2
+    end;
+    let ok =
+      List.fold_left
+        (fun ok path ->
+          match Hwf_obs.Json.Schema.validate_file path with
+          | Ok summary ->
+            Fmt.pr "%s: %s@." path summary;
+            ok
+          | Error e ->
+            Fmt.epr "%s: %s@." path e;
+            false)
+        true files
+    in
+    if not ok then exit 1
+  in
+  Cmd.v
+    (Cmd.info "check-json"
+       ~doc:
+         "Validate exported files against the schema table (hwf-trace/1, \
+          hwf-metrics/1, hwf-analyze/1, hwf-lint/1, hwf-ckpt/1 JSON lines and \
+          the BENCH_*.json files). Exit 0 when every file is valid, 1 when \
+          any is not, 2 when no file is given.")
+    Term.(const action $ files_arg)
+
 let () =
   let doc =
     "Wait-free synchronization under hybrid priority/quantum scheduling \
@@ -1265,5 +1308,5 @@ let () =
        (Cmd.group info
           [
             run_cmd; explore_cmd; replay_cmd; analyze_cmd; bivalence_cmd; cas_cmd;
-            bounds_cmd; sweep_cmd; faults_cmd; stats_cmd; trace_cmd; lint_cmd;
+            bounds_cmd; sweep_cmd; faults_cmd; stats_cmd; trace_cmd; lint_cmd; check_json_cmd;
           ]))

@@ -1,5 +1,5 @@
 open Hwf_sim
-module Jsonl = Hwf_obs.Jsonl
+module Json = Hwf_obs.Json
 
 let pp_outcome ppf (o : Lint.outcome) =
   let errors = Lint.errors o and warnings = Lint.warnings o in
@@ -28,84 +28,74 @@ let pp_outcome ppf (o : Lint.outcome) =
    order, ints/bools/strings only, rows sorted — byte-equal output for
    equal inputs. *)
 
-let header (o : Lint.outcome) =
-  let config = o.Lint.spec.Lint.config in
-  Jsonl.obj
-    [
-      ("schema", Jsonl.str Jsonl.lint_schema);
-      ("subject", Jsonl.str o.Lint.spec.Lint.name);
-      ("theorem", Jsonl.str o.Lint.spec.Lint.theorem);
-      ("n", string_of_int (Config.n config));
-      ("processors", string_of_int config.Config.processors);
-      ("quantum", string_of_int config.Config.quantum);
-      ("levels", string_of_int config.Config.levels);
-    ]
-
 let to_buffer buf (o : Lint.outcome) =
-  let line s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
-  in
-  line (header o);
+  let line fields = Json.add_line buf (Json.Obj fields) in
+  let int n = Json.Int n and str s = Json.Str s in
+  let config = o.Lint.spec.Lint.config in
   line
-    (Jsonl.obj
-       [
-         ("l", Jsonl.str "summary");
-         ("ok", Jsonl.bool (Lint.ok o));
-         ("runs", string_of_int o.Lint.runs);
-         ("derived_c", string_of_int o.Lint.cfg.Cfg.derived_c);
-         ("min_quantum", string_of_int o.Lint.spec.Lint.min_quantum);
-         ("errors", string_of_int (List.length (Lint.errors o)));
-         ("warnings", string_of_int (List.length (Lint.warnings o)));
-       ]);
+    [
+      ("schema", str Json.Schema.lint.tag);
+      ("subject", str o.Lint.spec.Lint.name);
+      ("theorem", str o.Lint.spec.Lint.theorem);
+      ("n", int (Config.n config));
+      ("processors", int config.Config.processors);
+      ("quantum", int config.Config.quantum);
+      ("levels", int config.Config.levels);
+    ];
+  line
+    [
+      ("l", str "summary");
+      ("ok", Json.Bool (Lint.ok o));
+      ("runs", int o.Lint.runs);
+      ("derived_c", int o.Lint.cfg.Cfg.derived_c);
+      ("min_quantum", int o.Lint.spec.Lint.min_quantum);
+      ("errors", int (List.length (Lint.errors o)));
+      ("warnings", int (List.length (Lint.warnings o)));
+    ];
   List.iter
     (fun (f : Checks.finding) ->
       line
-        (Jsonl.obj
-           [
-             ("l", Jsonl.str "finding");
-             ("rule", Jsonl.str f.Checks.rule);
-             ("severity", Jsonl.str (Fmt.str "%a" Checks.pp_severity f.Checks.severity));
-             ("pid", string_of_int f.Checks.pid);
-             ("detail", Jsonl.str f.Checks.detail);
-           ]))
+        [
+          ("l", str "finding");
+          ("rule", str f.Checks.rule);
+          ("severity", str (Fmt.str "%a" Checks.pp_severity f.Checks.severity));
+          ("pid", int f.Checks.pid);
+          ("detail", str f.Checks.detail);
+        ])
     o.Lint.findings;
   List.iter
     (fun (s : Cfg.shape) ->
       line
-        (Jsonl.obj
-           [
-             ("l", Jsonl.str "inv");
-             ("label", Jsonl.str s.Cfg.s_label);
-             ("max_stmts", string_of_int s.Cfg.s_max_stmts);
-             ("completed", string_of_int s.Cfg.s_completed);
-           ]))
+        [
+          ("l", str "inv");
+          ("label", str s.Cfg.s_label);
+          ("max_stmts", int s.Cfg.s_max_stmts);
+          ("completed", int s.Cfg.s_completed);
+        ])
     o.Lint.cfg.Cfg.shapes;
   List.iter
     (fun (l : Cfg.loop) ->
       line
-        (Jsonl.obj
-           [
-             ("l", Jsonl.str "loop");
-             ("pid", string_of_int l.Cfg.l_pid);
-             ("label", Jsonl.str l.Cfg.l_label);
-             ("head", Jsonl.str l.Cfg.l_head);
-             ("class", Jsonl.str (Fmt.str "%a" Cfg.pp_class l.Cfg.l_class));
-           ]))
+        [
+          ("l", str "loop");
+          ("pid", int l.Cfg.l_pid);
+          ("label", str l.Cfg.l_label);
+          ("head", str l.Cfg.l_head);
+          ("class", str (Fmt.str "%a" Cfg.pp_class l.Cfg.l_class));
+        ])
     o.Lint.cfg.Cfg.loops;
   List.iter
     (fun (v, (i : Astore.info)) ->
       line
-        (Jsonl.obj
-           [
-             ("l", Jsonl.str "var");
-             ("var", Jsonl.str v);
-             ("readers", string_of_int (List.length (Astore.readers o.Lint.store v)));
-             ("writers", string_of_int (List.length (Astore.writers o.Lint.store v)));
-             ("peeks", string_of_int i.Astore.peeks);
-             ("pokes", string_of_int i.Astore.pokes);
-             ("instrumented", string_of_int i.Astore.instrumented);
-           ]))
+        [
+          ("l", str "var");
+          ("var", str v);
+          ("readers", int (List.length (Astore.readers o.Lint.store v)));
+          ("writers", int (List.length (Astore.writers o.Lint.store v)));
+          ("peeks", int i.Astore.peeks);
+          ("pokes", int i.Astore.pokes);
+          ("instrumented", int i.Astore.instrumented);
+        ])
     (Astore.vars o.Lint.store)
 
 let to_string (outcomes : Lint.outcome list) =

@@ -1,153 +1,94 @@
 open Hwf_sim
 
-(* Minimal JSON emission — no dependency beyond the stdlib. Every
-   emitted value is an object on one line; see docs/OBSERVABILITY.md for
-   the schema. Field order is fixed, so equal inputs give byte-equal
-   output (the determinism the golden tests and the --jobs contract
-   rely on). *)
+(* The JSON-lines writers: every row is one compact {!Json} object.
+   Field order is fixed, so equal inputs give byte-equal output (the
+   determinism the golden tests and the --jobs contract rely on); the
+   schemas are declared in {!Json.Schema} and documented in
+   docs/OBSERVABILITY.md. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
-let str s = "\"" ^ escape s ^ "\""
-let bool b = if b then "true" else "false"
-
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
-
-(* ---- traces ---- *)
-
-let trace_schema = "hwf-trace/1"
-let metrics_schema = "hwf-metrics/1"
-let lint_schema = "hwf-lint/1"
-let analyze_schema = "hwf-analyze/1"
+let int n = Json.Int n
+let str s = Json.Str s
 
 let config_fields (config : Config.t) =
   [
-    ("n", string_of_int (Config.n config));
-    ("processors", string_of_int config.Config.processors);
-    ("quantum", string_of_int config.Config.quantum);
-    ("levels", string_of_int config.Config.levels);
-    ("axiom2", bool config.Config.axiom2);
-    ("tmin", string_of_int config.Config.tmin);
-    ("tmax", string_of_int config.Config.tmax);
+    ("n", int (Config.n config));
+    ("processors", int config.Config.processors);
+    ("quantum", int config.Config.quantum);
+    ("levels", int config.Config.levels);
+    ("axiom2", Json.Bool config.Config.axiom2);
+    ("tmin", int config.Config.tmin);
+    ("tmax", int config.Config.tmax);
   ]
 
-let trace_header config = obj (("schema", str trace_schema) :: config_fields config)
+let header (schema : Json.Schema.t) fields = Json.Obj (("schema", str schema.tag) :: fields)
+
+(* ---- traces ---- *)
 
 let op_json (op : Op.t) =
-  match op with
-  | Op.Read v -> obj [ ("kind", str "read"); ("var", str v) ]
-  | Op.Write v -> obj [ ("kind", str "write"); ("var", str v) ]
-  | Op.Rmw { var; kind } -> obj [ ("kind", str "rmw"); ("var", str var); ("rmw", str kind) ]
-  | Op.Local l -> obj [ ("kind", str "local"); ("label", str l) ]
+  Json.Obj
+    (match op with
+    | Op.Read v -> [ ("kind", str "read"); ("var", str v) ]
+    | Op.Write v -> [ ("kind", str "write"); ("var", str v) ]
+    | Op.Rmw { var; kind } -> [ ("kind", str "rmw"); ("var", str var); ("rmw", str kind) ]
+    | Op.Local l -> [ ("kind", str "local"); ("label", str l) ])
 
 let event (e : Trace.event) =
-  match e with
-  | Trace.Stmt { idx; pid; op; inv; cost } ->
-    obj
+  Json.Obj
+    (match e with
+    | Trace.Stmt { idx; pid; op; inv; cost } ->
       [
         ("ev", str "stmt");
-        ("idx", string_of_int idx);
-        ("pid", string_of_int pid);
-        ("inv", string_of_int inv);
-        ("cost", string_of_int cost);
+        ("idx", int idx);
+        ("pid", int pid);
+        ("inv", int inv);
+        ("cost", int cost);
         ("op", op_json op);
       ]
-  | Trace.Inv_begin { pid; inv; label } ->
-    obj
-      [
-        ("ev", str "inv_begin");
-        ("pid", string_of_int pid);
-        ("inv", string_of_int inv);
-        ("label", str label);
-      ]
-  | Trace.Inv_end { pid; inv; label } ->
-    obj
-      [
-        ("ev", str "inv_end");
-        ("pid", string_of_int pid);
-        ("inv", string_of_int inv);
-        ("label", str label);
-      ]
-  | Trace.Note { pid; text } ->
-    obj [ ("ev", str "note"); ("pid", string_of_int pid); ("text", str text) ]
-  | Trace.Set_priority { pid; priority } ->
-    obj
-      [
-        ("ev", str "set_priority");
-        ("pid", string_of_int pid);
-        ("priority", string_of_int priority);
-      ]
-  | Trace.Axiom2_gate { at; active } ->
-    obj [ ("ev", str "axiom2_gate"); ("at", string_of_int at); ("active", bool active) ]
-
-let trace_to_buffer buf trace =
-  Buffer.add_string buf (trace_header (Trace.config trace));
-  Buffer.add_char buf '\n';
-  Trace.iter
-    (fun e ->
-      Buffer.add_string buf (event e);
-      Buffer.add_char buf '\n')
-    trace
+    | Trace.Inv_begin { pid; inv; label } ->
+      [ ("ev", str "inv_begin"); ("pid", int pid); ("inv", int inv); ("label", str label) ]
+    | Trace.Inv_end { pid; inv; label } ->
+      [ ("ev", str "inv_end"); ("pid", int pid); ("inv", int inv); ("label", str label) ]
+    | Trace.Note { pid; text } -> [ ("ev", str "note"); ("pid", int pid); ("text", str text) ]
+    | Trace.Set_priority { pid; priority } ->
+      [ ("ev", str "set_priority"); ("pid", int pid); ("priority", int priority) ]
+    | Trace.Axiom2_gate { at; active } ->
+      [ ("ev", str "axiom2_gate"); ("at", int at); ("active", Json.Bool active) ])
 
 let trace_to_string trace =
   let buf = Buffer.create 4096 in
-  trace_to_buffer buf trace;
+  Json.add_line buf (header Json.Schema.trace (config_fields (Trace.config trace)));
+  Trace.iter (fun e -> Json.add_line buf (event e)) trace;
   Buffer.contents buf
 
 (* ---- metrics ---- *)
 
-let metrics_header (m : Metrics.t) =
-  obj
-    [
-      ("schema", str metrics_schema);
-      ("n", string_of_int m.Metrics.n);
-      ("quantum", string_of_int m.Metrics.quantum);
-    ]
-
-let metrics_to_buffer buf (m : Metrics.t) =
-  let line fields =
-    Buffer.add_string buf (obj fields);
-    Buffer.add_char buf '\n'
-  in
-  Buffer.add_string buf (metrics_header m);
-  Buffer.add_char buf '\n';
+let metrics_to_string (m : Metrics.t) =
+  let buf = Buffer.create 2048 in
+  let line fields = Json.add_line buf (Json.Obj fields) in
+  Json.add_line buf
+    (header Json.Schema.metrics [ ("n", int m.Metrics.n); ("quantum", int m.Metrics.quantum) ]);
   line
     [
       ("m", str "totals");
-      ("statements", string_of_int m.Metrics.statements);
-      ("time", string_of_int m.Metrics.time);
-      ("switches", string_of_int m.Metrics.switches);
+      ("statements", int m.Metrics.statements);
+      ("time", int m.Metrics.time);
+      ("switches", int m.Metrics.switches);
     ];
   Array.iteri
     (fun pid (s : Metrics.pid_stat) ->
       line
         [
           ("m", str "pid");
-          ("pid", string_of_int pid);
-          ("statements", string_of_int s.Metrics.statements);
-          ("time", string_of_int s.Metrics.time);
-          ("invocations", string_of_int s.Metrics.invocations);
-          ("completed", string_of_int s.Metrics.completed);
-          ("same_preemptions", string_of_int s.Metrics.same_preemptions);
-          ("higher_preemptions", string_of_int s.Metrics.higher_preemptions);
-          ("priority_changes", string_of_int s.Metrics.priority_changes);
-          ("guarantee_grants", string_of_int s.Metrics.guarantee_grants);
-          ("protected_statements", string_of_int s.Metrics.protected_statements);
+          ("pid", int pid);
+          ("statements", int s.Metrics.statements);
+          ("time", int s.Metrics.time);
+          ("invocations", int s.Metrics.invocations);
+          ("completed", int s.Metrics.completed);
+          ("same_preemptions", int s.Metrics.same_preemptions);
+          ("higher_preemptions", int s.Metrics.higher_preemptions);
+          ("priority_changes", int s.Metrics.priority_changes);
+          ("guarantee_grants", int s.Metrics.guarantee_grants);
+          ("protected_statements", int s.Metrics.protected_statements);
         ])
     m.Metrics.per_pid;
   List.iter
@@ -155,73 +96,61 @@ let metrics_to_buffer buf (m : Metrics.t) =
       line
         [
           ("m", str "inv");
-          ("pid", string_of_int i.Metrics.pid);
-          ("inv", string_of_int i.Metrics.inv);
+          ("pid", int i.Metrics.pid);
+          ("inv", int i.Metrics.inv);
           ("label", str i.Metrics.label);
-          ("statements", string_of_int i.Metrics.statements);
-          ("time", string_of_int i.Metrics.time);
-          ("same_preemptions", string_of_int i.Metrics.same_preemptions);
-          ("higher_preemptions", string_of_int i.Metrics.higher_preemptions);
-          ("completed", bool i.Metrics.completed);
+          ("statements", int i.Metrics.statements);
+          ("time", int i.Metrics.time);
+          ("same_preemptions", int i.Metrics.same_preemptions);
+          ("higher_preemptions", int i.Metrics.higher_preemptions);
+          ("completed", Json.Bool i.Metrics.completed);
         ])
     m.Metrics.invocations;
   List.iter
     (fun (r : Metrics.bound_row) ->
       line
-        (( "m", str "bound")
+        (("m", str "bound")
         :: ("name", str r.Metrics.name)
-        :: ("measured", string_of_int r.Metrics.measured)
+        :: ("measured", int r.Metrics.measured)
         ::
         (match r.Metrics.bound with
         | None -> []
-        | Some b ->
-          [ ("bound", string_of_int b); ("margin", string_of_int (b - r.Metrics.measured)) ])))
+        | Some b -> [ ("bound", int b); ("margin", int (b - r.Metrics.measured)) ])))
     m.Metrics.bounds;
   List.iter
-    (fun (k, v) -> line [ ("m", str "harness"); ("key", str k); ("value", string_of_int v) ])
-    m.Metrics.harness
-
-let metrics_to_string m =
-  let buf = Buffer.create 2048 in
-  metrics_to_buffer buf m;
+    (fun (k, v) -> line [ ("m", str "harness"); ("key", str k); ("value", int v) ])
+    m.Metrics.harness;
   Buffer.contents buf
 
 (* ---- analyze (race certification) ---- *)
 
-let races_to_buffer buf ~config (r : Races.report) =
-  let line fields =
-    Buffer.add_string buf (obj fields);
-    Buffer.add_char buf '\n'
-  in
-  line (("schema", str analyze_schema) :: config_fields config);
+let races_to_string ~config (r : Races.report) =
+  let buf = Buffer.create 1024 in
+  let line fields = Json.add_line buf (Json.Obj fields) in
+  Json.add_line buf (header Json.Schema.analyze (config_fields config));
   List.iter
     (fun (race : Races.race) ->
       line
         [
           ("a", str "race");
           ("var", str race.Races.var);
-          ("pid", string_of_int race.Races.pid);
-          ("idx", string_of_int race.Races.idx);
+          ("pid", int race.Races.pid);
+          ("idx", int race.Races.idx);
           ("op", op_json race.Races.op);
-          ("prior_pid", string_of_int race.Races.prior_pid);
+          ("prior_pid", int race.Races.prior_pid);
           ("prior_access", str (Races.access_tag race.Races.prior_access));
-          ("prior_idx", string_of_int race.Races.prior_idx);
+          ("prior_idx", int race.Races.prior_idx);
         ])
     r.Races.races;
   line
     [
       ("a", str "summary");
-      ("statements", string_of_int r.Races.statements);
-      ("accesses", string_of_int r.Races.accesses);
-      ("vars", string_of_int r.Races.vars);
-      ("races", string_of_int (Races.count r));
-      ( "racy_vars",
-        "[" ^ String.concat "," (List.map str r.Races.racy_vars) ^ "]" );
-    ]
-
-let races_to_string ~config r =
-  let buf = Buffer.create 1024 in
-  races_to_buffer buf ~config r;
+      ("statements", int r.Races.statements);
+      ("accesses", int r.Races.accesses);
+      ("vars", int r.Races.vars);
+      ("races", int (Races.count r));
+      ("racy_vars", Json.List (List.map str r.Races.racy_vars));
+    ];
   Buffer.contents buf
 
 let write_file path contents =

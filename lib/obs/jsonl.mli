@@ -1,52 +1,21 @@
-(** Structured export: JSON-lines writers for traces and metrics.
+(** Structured export: JSON-lines writers for traces, metrics and race
+    reports.
 
-    One JSON object per line; the first line is a header object carrying
-    a ["schema"] tag ({!trace_schema} / {!metrics_schema}) plus the run
+    One compact {!Json} object per line; the first line is a header
+    object carrying a ["schema"] tag ({!Json.Schema.trace},
+    {!Json.Schema.metrics}, {!Json.Schema.analyze}) plus the run
     configuration, so a consumer can dispatch without sniffing. The
     schema — field names, order, and which quantities are included — is
     documented in [docs/OBSERVABILITY.md] and is stable: field order is
     fixed, every value is an int, bool, string, or nested object, and no
     floats or wall-clock quantities appear, so the bytes produced for a
-    given run are deterministic and identical across [--jobs] settings
-    (the same contract as the simulator itself). *)
+    given run are deterministic (the same contract as the simulator
+    itself). *)
 
 open Hwf_sim
 
-val trace_schema : string
-(** ["hwf-trace/1"]. *)
-
-val metrics_schema : string
-(** ["hwf-metrics/1"]. *)
-
-val lint_schema : string
-(** ["hwf-lint/1"] — emitted by the conformance linter
-    ([Hwf_lint.Report]); the schema constant lives here so every JSONL
-    schema tag has one home. *)
-
-val analyze_schema : string
-(** ["hwf-analyze/1"] — race-certification reports ({!Races}, the
-    [hybridsim analyze] subcommand). *)
-
-(** {1 Emission helpers}
-
-    Shared by the writers in this module and by other JSONL producers
-    (the lint reporter). Same determinism contract: callers fix field
-    order, values are ints/bools/strings/nested objects only. *)
-
-val str : string -> string
-(** A JSON string literal (quoted, escaped). *)
-
-val bool : bool -> string
-(** ["true"]/["false"]. *)
-
-val obj : (string * string) list -> string
-(** One-line JSON object from already-rendered values, in list order. *)
-
-val event : Trace.event -> string
-(** One event as a single-line JSON object (no trailing newline). *)
-
 val trace_to_string : Trace.t -> string
-(** Header line + one {!event} line per event, each ['\n']-terminated. *)
+(** Header line + one line per event, each ['\n']-terminated. *)
 
 val metrics_to_string : Metrics.t -> string
 (** Header line, then ["totals"], per-pid, per-invocation, bound and

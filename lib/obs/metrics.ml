@@ -46,10 +46,10 @@ let with_harness t kvs = { t with harness = t.harness @ kvs }
 (* ---- incremental collection ---- *)
 
 (* Per-pid shadow of the engine's scheduling state, advanced one event
-   at a time. The preemption-classification rules are exactly those of
-   {!Hwf_sim.Analysis} (a preemption is a maximal gap between two
-   statements of an open invocation, classified by the strongest foreign
-   priority that ran in the gap); the quantum accounting mirrors the
+   at a time. A preemption is a maximal gap between two statements of
+   an open invocation, classified by the strongest foreign priority
+   that ran in the gap (the naive broadcast in test/test_obs.ml is its
+   differential oracle); the quantum accounting mirrors the
    engine (a pending process is granted [Q] protected statements when it
    resumes; [Inv_end] and an Axiom-2 re-activation reset guarantees). *)
 type acc = {

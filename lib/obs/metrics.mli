@@ -15,7 +15,12 @@
     {!of_trace} replays a recorded trace through the same collector, and
     is guaranteed to produce the same result as collecting live.
 
-    Preemption classification follows {!Hwf_sim.Analysis} exactly; the
+    A {e preemption} of an invocation is a maximal gap between two of
+    its statements in which other processes on the same processor
+    executed; it is classified by the highest priority that ran during
+    the gap relative to the preempted process's (dynamic) priority.
+    With [Q] at least an invocation's length, the most same-level
+    preemptions of any invocation is at most 1 (Theorem 1/2). The
     quantum accounting mirrors the engine's Axiom 2 bookkeeping
     (guarantee granted on resume after a preemption, reset on invocation
     end and on Axiom-2 re-activation).
@@ -65,7 +70,7 @@ type t = {
   time : int;
   switches : int;
   per_pid : pid_stat array;
-  invocations : inv_stat list;  (** In close order, as in {!Analysis}. *)
+  invocations : inv_stat list;  (** In close order; still-open ones last, by pid. *)
   bounds : bound_row list;
   harness : (string * int) list;
 }

@@ -1,189 +1,67 @@
 (* hwf-ckpt/1 journals: append-only JSONL, one flushed line per
-   completed campaign cell. The JSON emitted here is flat (string/int
-   values only), and the parser below handles exactly that shape — no
-   external JSON dependency. *)
+   completed campaign cell, written and read through Hwf_obs.Json. *)
 
-let schema = "hwf-ckpt/1"
+module Json = Hwf_obs.Json
+
+let schema = Json.Schema.ckpt.tag
 
 type t = { oc : out_channel; lock : Mutex.t }
 type header = { campaign : string; cells : int }
 type entry = { idx : int; key : string; payload : string }
 
-(* ---- emission (same escaping as Hwf_obs.Jsonl) ---- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let header_line ~campaign ~cells =
-  Printf.sprintf "{\"schema\":\"%s\",\"campaign\":\"%s\",\"cells\":%d}" schema
-    (escape campaign) cells
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.Str schema); ("campaign", Json.Str campaign); ("cells", Json.Int cells) ])
 
 let record_line ~idx ~key ~payload =
-  Printf.sprintf "{\"cell\":%d,\"key\":\"%s\",\"payload\":\"%s\"}" idx (escape key)
-    (escape payload)
-
-(* ---- a scanner for the flat objects we emit ---- *)
-
-exception Bad of string
-
-(* Parse one flat JSON object into (key, value) pairs, values being
-   [`Str s] or [`Int n]. Raises [Bad] on anything else — which is how a
-   truncated trailing line is detected and dropped by [load]. *)
-let parse_flat line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Bad (Printf.sprintf "expected %C at %d" c !pos))
-  in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match line.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        if !pos >= n then raise (Bad "unterminated escape");
-        (match line.[!pos] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if !pos + 4 >= n then raise (Bad "short \\u escape");
-          let hex = String.sub line (!pos + 1) 4 in
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-          | Some _ | None -> raise (Bad "bad \\u escape"));
-          pos := !pos + 4
-        | c -> raise (Bad (Printf.sprintf "bad escape \\%C" c)));
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_int () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      advance ()
-    done;
-    match int_of_string_opt (String.sub line start (!pos - start)) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "expected int at %d" start))
-  in
-  let fields = ref [] in
-  skip_ws ();
-  expect '{';
-  skip_ws ();
-  if peek () = Some '}' then advance ()
-  else begin
-    let rec members () =
-      skip_ws ();
-      let k = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let v =
-        match peek () with
-        | Some '"' -> `Str (parse_string ())
-        | Some ('-' | '0' .. '9') -> `Int (parse_int ())
-        | _ -> raise (Bad (Printf.sprintf "unsupported value at %d" !pos))
-      in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        advance ();
-        members ()
-      | Some '}' -> advance ()
-      | _ -> raise (Bad "expected , or }")
-    in
-    members ()
-  end;
-  List.rev !fields
-
-let field_str fields k =
-  match List.assoc_opt k fields with
-  | Some (`Str s) -> s
-  | _ -> raise (Bad (Printf.sprintf "missing string field %S" k))
-
-let field_int fields k =
-  match List.assoc_opt k fields with
-  | Some (`Int v) -> v
-  | _ -> raise (Bad (Printf.sprintf "missing int field %S" k))
+  Json.to_string
+    (Json.Obj [ ("cell", Json.Int idx); ("key", Json.Str key); ("payload", Json.Str payload) ])
 
 (* ---- load ---- *)
 
-let read_all path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
+let parse_header line =
+  match Json.of_string line with
+  | Error e -> Error e
+  | Ok v -> (
+    match
+      (Json.string_member "schema" v, Json.string_member "campaign" v, Json.int_member "cells" v)
+    with
+    | Some s, _, _ when s <> schema -> Error (Printf.sprintf "schema %S, expected %S" s schema)
+    | Some _, Some campaign, Some cells -> Ok { campaign; cells }
+    | _ -> Error "expected string \"schema\" and \"campaign\" and int \"cells\"")
+
+let parse_entry line =
+  match Json.of_string line with
+  | Error _ -> None
+  | Ok v -> (
+    match
+      (Json.int_member "cell" v, Json.string_member "key" v, Json.string_member "payload" v)
+    with
+    | Some idx, Some key, Some payload -> Some { idx; key; payload }
+    | _ -> None)
 
 let load ~path =
-  match read_all path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | contents ->
+  | contents -> (
     let lines = String.split_on_char '\n' contents |> List.filter (fun l -> l <> "") in
-    (match lines with
+    match lines with
     | [] -> Error (path ^ ": empty checkpoint file")
     | head :: rest -> (
-      let parse_header () =
-        let fields = parse_flat head in
-        let s = field_str fields "schema" in
-        if s <> schema then
-          raise (Bad (Printf.sprintf "schema %S, expected %S" s schema));
-        { campaign = field_str fields "campaign"; cells = field_int fields "cells" }
-      in
-      match parse_header () with
-      | exception Bad msg -> Error (Printf.sprintf "%s: bad header: %s" path msg)
-      | hdr ->
+      match parse_header head with
+      | Error msg -> Error (Printf.sprintf "%s: bad header: %s" path msg)
+      | Ok hdr ->
         (* Records: stop at the first malformed line — writes are
            flushed per line, so only a trailing partial write can be
            malformed, and everything before it is intact. *)
-        let entries = ref [] in
-        (try
-           List.iter
-             (fun line ->
-               let fields = parse_flat line in
-               let e =
-                 {
-                   idx = field_int fields "cell";
-                   key = field_str fields "key";
-                   payload = field_str fields "payload";
-                 }
-               in
-               entries := e :: !entries)
-             rest
-         with Bad _ -> ());
+        let rec entries acc = function
+          | [] -> List.rev acc
+          | line :: more -> (
+            match parse_entry line with
+            | Some e -> entries (e :: acc) more
+            | None -> List.rev acc)
+        in
         (* Fold duplicates: last record for an idx wins, first
            occurrence keeps its position. *)
         let tbl = Hashtbl.create 64 in
@@ -192,7 +70,7 @@ let load ~path =
           (fun e ->
             if not (Hashtbl.mem tbl e.idx) then order := e.idx :: !order;
             Hashtbl.replace tbl e.idx e)
-          (List.rev !entries);
+          (entries [] rest);
         let entries = List.rev_map (fun idx -> Hashtbl.find tbl idx) !order in
         Ok (hdr, entries)))
 

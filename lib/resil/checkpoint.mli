@@ -12,8 +12,8 @@
     the campaign's total cell count (coverage denominator). [key] is a
     human-readable per-cell sanity label (a plan label, a subtree
     index); [payload] is the runner's own serialization of the cell's
-    result. Schema documented in [docs/ROBUSTNESS.md]; validated by
-    [scripts/check_jsonl.sh]. *)
+    result. Schema declared in {!Hwf_obs.Json.Schema.ckpt}, documented in
+    [docs/ROBUSTNESS.md], validated by [hybridsim check-json]. *)
 
 type t
 (** An open journal (append mode, line-buffered, flushed per record).

@@ -75,23 +75,23 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
     | Some f ->
       fun view pid op -> max config.tmin (min config.tmax (f view pid op))
   in
-  let cells =
-    Array.init n (fun pid ->
-        {
-          info = config.procs.(pid);
-          priority = config.procs.(pid).Proc.priority;
-          state = Finished (* replaced below *);
-          inv = 0;
-          inv_label = "";
-          mid_inv = false;
-          own_steps = 0;
-          inv_steps = 0;
-          stamp = 0;
-          guarantee = 0;
-          grant_ver = 0;
-          dirty = true;
-        })
+  let new_cell (info : Proc.t) =
+    {
+      info;
+      priority = info.priority;
+      state = Finished (* replaced below *);
+      inv = 0;
+      inv_label = "";
+      mid_inv = false;
+      own_steps = 0;
+      inv_steps = 0;
+      stamp = 0;
+      guarantee = 0;
+      grant_ver = 0;
+      dirty = true;
+    }
   in
+  let cells = Array.init n (fun pid -> new_cell config.procs.(pid)) in
   (* Incremental scheduler state (docs/ARCHITECTURE.md): every quantity
      the per-decision loop needs is maintained under the state
      transitions instead of recomputed by scanning all cells per
@@ -124,12 +124,15 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   let live_on = Array.make processors 0 in
   let live_total = ref n in
   (* Membership version of the runnable set: bumped by every event that
-     can change WHICH cells pass the runnable test (a [max_ready] move, a
+     can change WHICH cells pass the runnable test (a [max_ready] fall, a
      quantum-guard 0<->+ transition, a priority change, an unlink, an
-     Axiom-2 gate flip). While the version is unchanged the decision loop
-     reuses the previously built schedulable list instead of rescanning
-     the live cells. [rs_built] is the version the cached list was built
-     at. *)
+     Axiom-2 gate flip). A [max_ready] rise needs no bump of its own: only
+     the running cell can raise it, as the sole Ready cell at the new top
+     level, and it leaves Ready — emptying that level, a fall — before
+     the decision loop looks again. While the version is unchanged the
+     decision loop reuses the previously built schedulable list instead
+     of rescanning the live cells. [rs_built] is the version the cached
+     list was built at. *)
   let rs_version = ref 0 in
   let rs_built = ref (-1) in
   Array.iter
@@ -178,10 +181,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   in
   let incr_ready p l =
     ready_count.(p).(l) <- ready_count.(p).(l) + 1;
-    if l > max_ready.(p) then begin
-      max_ready.(p) <- l;
-      incr rs_version
-    end
+    if l > max_ready.(p) then max_ready.(p) <- l
   in
   let decr_ready p l =
     ready_count.(p).(l) <- ready_count.(p).(l) - 1;
@@ -223,7 +223,10 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   in
   (* [state]/[priority]/[guarantee] are stale while a continuation chain
      runs (they describe the last suspension point); the counters mirror
-     the fields, so they are exact whenever the decision loop looks. *)
+     the fields, so they are exact whenever the decision loop looks.
+     Every path from a running body back to the decision loop ends here,
+     so this one [mark_dirty] also covers the running cell's own view
+     changes in [begin_inv], [end_inv], [exec_stmt] and [Set_priority]. *)
   let set_state c st =
     (match c.state with
     | Ready _ -> decr_ready c.info.processor c.priority
@@ -364,14 +367,18 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
      statements. *)
   let chain = ref 0 in
   let chain_max = 512 in
-  let cur = ref cells.(0) in
+  (* The cell whose body runs. A run with no processes never reads it. *)
+  let cur =
+    ref
+      (if n > 0 then cells.(0)
+       else new_cell (Proc.make ~pid:0 ~processor:0 ~priority:1 ()))
+  in
   (* Record that [c]'s next invocation begins now. *)
   let begin_inv c =
     c.mid_inv <- true;
     c.inv_steps <- 0;
     (* A fresh invocation starts unpreempted. *)
     c.stamp <- proc_stmts.(c.info.processor);
-    mark_dirty c;
     Trace.add_inv_begin trace ~pid:c.info.pid ~inv:c.inv ~label:c.inv_label;
     c.inv <- c.inv + 1
   in
@@ -380,7 +387,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
     c.mid_inv <- false;
     set_guarantee c 0;
     c.inv_steps <- 0;
-    mark_dirty c;
     Trace.add_inv_end trace ~pid:c.info.pid ~inv:(c.inv - 1) ~label
   in
   (* The statement transition: [c] executes [op], taking [cost] time
@@ -396,7 +402,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
     Trace.add_stmt trace ~pid ~op ~inv:(c.inv - 1) ~cost;
     c.own_steps <- c.own_steps + 1;
     c.inv_steps <- c.inv_steps + 1;
-    mark_dirty c;
     set_guarantee c (max 0 (c.guarantee - cost));
     (* Everyone else mid-invocation on this processor is now
        preempted-before-its-next-statement: advancing the processor
@@ -497,7 +502,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
       decr_live proc c.priority;
       c.priority <- p;
       incr_live proc p;
-      mark_dirty c;
       incr rs_version;
       (match c.state with
       | Ready _ -> incr_ready proc p

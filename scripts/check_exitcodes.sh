@@ -39,5 +39,7 @@ expect 2 "faults injected livelock"       timeout 60 "$BIN" faults -s fig3 --inj
 expect 2 "replay missing schedule file"   "$BIN" replay /nonexistent.sched
 expect 0 "lint clean"                     "$BIN" lint
 expect 0 "stats clean"                    "$BIN" stats
+expect 2 "check-json without a file"      "$BIN" check-json
+expect 1 "check-json missing file"        "$BIN" check-json /nonexistent.jsonl
 
 exit "$fail"

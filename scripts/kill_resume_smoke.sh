@@ -7,15 +7,20 @@
 # its checkpoints, write a truncated partial BENCH_faults.json, and
 # exit through the harness path (timeout(1) reports 124 when the
 # command is still winding down at the deadline, 2 when it exited on
-# its own after the first signal).
+# its own after the first signal). The clean run's export must also
+# validate as hwf-bench-faults/1 (hybridsim check-json).
 set -u
 
 BIN=${BIN:-_build/default/bench/main.exe}
-if [ ! -x "$BIN" ]; then
-  echo "kill_resume_smoke: $BIN not built (dune build first)" >&2
-  exit 2
-fi
+CLI=${CLI:-_build/default/bin/hybridsim.exe}
+for exe in "$BIN" "$CLI"; do
+  if [ ! -x "$exe" ]; then
+    echo "kill_resume_smoke: $exe not built (dune build first)" >&2
+    exit 2
+  fi
+done
 BIN=$(readlink -f "$BIN")
+CLI=$(readlink -f "$CLI")
 KILL_AFTER=${KILL_AFTER:-0.4}
 
 work=$(mktemp -d)
@@ -33,6 +38,10 @@ for jobs in 1 2; do
     fail=1; continue
   fi
   mv BENCH_faults.json clean.json
+  if ! "$CLI" check-json clean.json; then
+    echo "kill_resume_smoke: FAIL clean BENCH_faults.json is not schema-valid" >&2
+    fail=1; continue
+  fi
 
   timeout -s TERM "$KILL_AFTER" \
     "$BIN" --full faults --jobs "$jobs" --checkpoint ck > kill.log 2>&1

@@ -1,4 +1,18 @@
+(* Trace analytics through Hwf_obs.Metrics: per-invocation statements,
+   same- vs higher-level preemptions and context switches. *)
+
 open Hwf_sim
+module Metrics = Hwf_obs.Metrics
+
+let of_trace = Metrics.of_trace
+let sum f (m : Metrics.t) = List.fold_left (fun acc i -> acc + f i) 0 m.invocations
+let top f (m : Metrics.t) = List.fold_left (fun acc i -> max acc (f i)) 0 m.invocations
+let same_total = sum (fun (i : Metrics.inv_stat) -> i.same_preemptions)
+let higher_total = sum (fun (i : Metrics.inv_stat) -> i.higher_preemptions)
+let max_same = top (fun (i : Metrics.inv_stat) -> i.same_preemptions)
+let max_statements = top (fun (i : Metrics.inv_stat) -> i.statements)
+let per_pid_statements (m : Metrics.t) =
+  Array.map (fun (s : Metrics.pid_stat) -> s.statements) m.per_pid
 
 let run_with ~pris ~quantum ~policy bodies =
   let config = Util.uni_config ~quantum pris in
@@ -14,11 +28,11 @@ let worker log pid k () =
 let test_solo_invocation () =
   let log = ref [] in
   let r = run_with ~pris:[ 1 ] ~quantum:4 ~policy:Policy.first [| worker log 0 5 |] in
-  let a = Analysis.of_trace r.trace in
+  let a = of_trace r.trace in
   Util.checki "one invocation" 1 (List.length a.invocations);
   Util.checki "no switches" 0 a.switches;
-  Util.checki "statements" 5 a.max_invocation_statements;
-  Util.checki "no preemptions" 0 a.same_level_preemptions;
+  Util.checki "statements" 5 (max_statements a);
+  Util.checki "no preemptions" 0 (same_total a);
   match a.invocations with
   | [ i ] ->
     Util.checkb "completed" i.completed;
@@ -32,13 +46,13 @@ let test_same_level_preemption_counted () =
       ~policy:(Hwf_adversary.Stagger.max_interleave ())
       [| worker log 0 6; worker log 1 6 |]
   in
-  let a = Analysis.of_trace r.trace in
-  Util.checkb "some same-level preemptions" (a.same_level_preemptions >= 1);
-  Util.checki "no higher-level preemptions" 0 a.higher_level_preemptions;
+  let a = of_trace r.trace in
+  Util.checkb "some same-level preemptions" (same_total a >= 1);
+  Util.checki "no higher-level preemptions" 0 (higher_total a);
   (* the quantum rations same-level preemptions: at most
      ceil(6 / 3) = 2 per invocation here *)
   Util.checkb "rationed"
-    (Analysis.max_same_level_preemptions_per_invocation a <= 2)
+    (max_same a <= 2)
 
 let test_higher_level_classified () =
   let log = ref [] in
@@ -46,9 +60,9 @@ let test_higher_level_classified () =
   let r =
     run_with ~pris:[ 1; 2 ] ~quantum:8 ~policy [| worker log 0 2; worker log 1 3 |]
   in
-  let a = Analysis.of_trace r.trace in
-  Util.checki "one higher-level preemption" 1 a.higher_level_preemptions;
-  Util.checki "no same-level" 0 a.same_level_preemptions
+  let a = of_trace r.trace in
+  Util.checki "one higher-level preemption" 1 (higher_total a);
+  Util.checki "no same-level" 0 (same_total a)
 
 let test_theorem1_quantum_implies_single_preemption () =
   (* The structural fact Theorem 1 relies on: with Q >= invocation
@@ -60,8 +74,8 @@ let test_theorem1_quantum_implies_single_preemption () =
       run_with ~pris:[ 1; 1; 1 ] ~quantum:8 ~policy:(Policy.random ~seed)
         [| worker log 0 8; worker log 1 8; worker log 2 8 |]
     in
-    let a = Analysis.of_trace r.trace in
-    if Analysis.max_same_level_preemptions_per_invocation a > 1 then ok := false
+    let a = of_trace r.trace in
+    if max_same a > 1 then ok := false
   done;
   Util.checkb "at most one same-level preemption per 8-statement invocation" !ok
 
@@ -71,9 +85,9 @@ let test_switch_count () =
   let r =
     run_with ~pris:[ 1; 1 ] ~quantum:100 ~policy [| worker log 0 2; worker log 1 2 |]
   in
-  let a = Analysis.of_trace r.trace in
+  let a = of_trace r.trace in
   Util.checki "three switches" 3 a.switches;
-  Alcotest.(check (array int)) "per-pid" [| 2; 2 |] a.per_pid_statements
+  Alcotest.(check (array int)) "per-pid" [| 2; 2 |] (per_pid_statements a)
 
 let test_multiprocessor_switches_not_inflated () =
   (* Regression: switches were counted whenever consecutive trace
@@ -88,10 +102,8 @@ let test_multiprocessor_switches_not_inflated () =
   let log = ref [] in
   let policy = Policy.scripted ~fallback:Policy.first [ 0; 1; 0; 1 ] in
   let r = Util.run ~config ~policy [| worker log 0 2; worker log 1 2 |] in
-  let a = Analysis.of_trace r.trace in
-  Util.checki "no switches across processors" 0 a.switches;
-  let m = Hwf_obs.Metrics.of_trace r.trace in
-  Util.checki "metrics agree" 0 m.Hwf_obs.Metrics.switches
+  let a = of_trace r.trace in
+  Util.checki "no switches across processors" 0 a.switches
 
 let test_dynamic_priority_classification () =
   (* After p0 raises its priority, its statements count as higher-level
@@ -121,9 +133,9 @@ let test_dynamic_priority_classification () =
      higher-level), p1 finishes. Two separate gaps, two classes. *)
   let policy = Policy.scripted ~fallback:Policy.first [ 1; 0; 1; 0; 0; 1; 1 ] in
   let r = Util.run ~config ~policy bodies in
-  let a = Analysis.of_trace r.trace in
-  Util.checkb "has higher-level preemption" (a.higher_level_preemptions >= 1);
-  Util.checkb "has same-level preemption" (a.same_level_preemptions >= 1)
+  let a = of_trace r.trace in
+  Util.checkb "has higher-level preemption" (higher_total a >= 1);
+  Util.checkb "has same-level preemption" (same_total a >= 1)
 
 let prop_analysis_consistent =
   Util.qtest ~count:60 "per-pid statements sum to trace total"
@@ -139,10 +151,10 @@ let prop_analysis_consistent =
                 Shared.write x (v + 1)))
       in
       let r = Engine.run ~config ~policy:(Policy.random ~seed) bodies in
-      let a = Analysis.of_trace r.trace in
-      Array.fold_left ( + ) 0 a.per_pid_statements = Trace.statements r.trace
+      let a = of_trace r.trace in
+      Array.fold_left ( + ) 0 (per_pid_statements a) = Trace.statements r.trace
       && List.length a.invocations = 4
-      && List.for_all (fun (i : Analysis.inv_stat) -> i.completed) a.invocations)
+      && List.for_all (fun (i : Metrics.inv_stat) -> i.completed) a.invocations)
 
 let () =
   Alcotest.run "analysis"

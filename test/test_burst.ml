@@ -130,7 +130,8 @@ let test_two_band_stress () =
 
 (* Every stop reason the corpus does not reach, on two-process
    programs: a statement-free spin, a statement spin, an exhausted
-   script, and a crashed higher-priority victim blocking the survivor.
+   script, and a crashed higher-priority victim blocking the survivor;
+   plus the configuration with no processes, which finishes at once.
    The reference must reach the named reason, and the engine agree. *)
 let test_stop_reasons () =
   let spin_empty () =
@@ -165,6 +166,8 @@ let test_stop_reasons () =
         Engine.Policy_stopped);
       ("all halted", Hwf_faults.Plan.crash_at ~victim:0 ~after:2, [ 2; 1 ], Policy.first,
         spin, Engine.All_halted);
+      ("no processes", Hwf_faults.Plan.none, [], Policy.first, (fun () -> [||]),
+        Engine.All_finished);
     ]
 
 (* A solo process's every decision is forced, its first included, so a

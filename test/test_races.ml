@@ -71,7 +71,7 @@ let test_jsonl_shape () =
   let lines = String.split_on_char '\n' (String.trim out) in
   (match lines with
   | header :: _ ->
-    let expect = Printf.sprintf "\"schema\":\"%s\"" Jsonl.analyze_schema in
+    let expect = Printf.sprintf "\"schema\":\"%s\"" Json.Schema.analyze.tag in
     if
       not
         (String.length header >= String.length expect
