@@ -112,11 +112,18 @@ let differential ~n ~processors ~target =
          "E19 --self-check: engine diverges from the reference at N=%d P=%d: %s" n
          processors d)
 
-let json_of_cells ~target ~truncated cells =
+let json_of_cells ~quick ~target ~truncated cells =
   Json.pretty
     (Json.Obj
        [
          ("schema", Json.Str Json.Schema.bench_engine.tag);
+         ( "host",
+           Json.Obj
+             [
+               ("nproc", Json.Int (Domain.recommended_domain_count ()));
+               ("ocaml", Json.Str Sys.ocaml_version);
+               ("mode", Json.Str (if quick then "quick" else "full"));
+             ] );
          ("target_statements", Json.Int target);
          ("truncated", Json.Bool truncated);
          ( "cells",
@@ -180,7 +187,7 @@ let run ~quick =
        cells);
   let path = "BENCH_engine.json" in
   let oc = open_out path in
-  output_string oc (json_of_cells ~target ~truncated cells);
+  output_string oc (json_of_cells ~quick ~target ~truncated cells);
   close_out oc;
   Tbl.note
     "wrote %s%s; the N=128 rows are the scheduling-loop stress cells the\n\

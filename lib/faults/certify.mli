@@ -131,7 +131,7 @@ val certify :
     for cells this coarse). Each worker keeps one scratch trace
     ({!Hwf_par.Pool.map_scratch}) and records every engine run of its
     cells into it — judged run, shrink replays and message replay — so
-    per-run trace growth and intern-table rebuilding are paid once per
+    per-run growth of the trace's buffer and tables is paid once per
     worker; a report references plans, schedules and messages only,
     never that trace.
 

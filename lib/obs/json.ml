@@ -270,14 +270,14 @@ let int_member k v = match member k v with Some (Int i) -> Some i | _ -> None
 module Schema = struct
   type shape =
     | Lines of { row : string; header : string list; restart : bool; partial_tail : bool }
-    | Whole of { array : string; fields : string list }
+    | Whole of { array : string; header : string list; fields : string list }
 
   type t = { tag : string; shape : shape }
 
   let lines ?(header = []) ?(restart = false) ?(partial_tail = false) tag row =
     { tag; shape = Lines { row; header; restart; partial_tail } }
 
-  let whole tag array fields = { tag; shape = Whole { array; fields } }
+  let whole ?(header = []) tag array fields = { tag; shape = Whole { array; header; fields } }
   let trace = lines "hwf-trace/1" "ev"
   let metrics = lines "hwf-metrics/1" "m"
   let analyze = lines "hwf-analyze/1" "a"
@@ -290,8 +290,10 @@ module Schema = struct
      one; the loader drops it (Hwf_resil.Checkpoint). *)
   let ckpt = lines ~header:[ "campaign"; "cells" ] ~partial_tail:true "hwf-ckpt/1" "cell"
 
+  (* [host] records where the throughput was measured, so numbers
+     compare across commits: [nproc], [ocaml], [mode]. *)
   let bench_engine =
-    whole "hwf-bench-engine/1" "cells"
+    whole ~header:[ "host" ] "hwf-bench-engine/1" "cells"
       [ "n"; "processors"; "observer"; "statements"; "seconds"; "stmts_per_sec" ]
 
   let bench_sched = whole "hwf-bench-sched/1" "cells" [ "case"; "strategy"; "runs"; "found" ]
@@ -322,9 +324,10 @@ module Schema = struct
       match schema_of doc with
       | None | Some { shape = Lines _; _ } ->
         Error ("whole-file JSON has no known schema (got " ^ got doc ^ ")")
-      | Some { tag; shape = Whole { array; fields } } -> (
-        match member array doc with
-        | Some (List (_ :: _ as rows)) -> (
+      | Some { tag; shape = Whole { array; header; fields } } -> (
+        match (lacking header doc, member array doc) with
+        | Some f, _ -> Error (Printf.sprintf "%s lacks %S" tag f)
+        | None, Some (List (_ :: _ as rows)) -> (
           let bad j = function
             | Obj _ as row ->
               Option.map (Printf.sprintf "%s[%d] lacks %S" array j) (lacking fields row)
@@ -333,7 +336,7 @@ module Schema = struct
           match List.find_mapi bad rows with
           | Some e -> Error e
           | None -> Ok (Printf.sprintf "OK (%s, %d %s)" tag (List.length rows) array))
-        | _ -> Error (Printf.sprintf "%s lacks a non-empty %S array" tag array)))
+        | None, _ -> Error (Printf.sprintf "%s lacks a non-empty %S array" tag array)))
 
   let validate_lines head rest =
     match (head, schema_of head) with

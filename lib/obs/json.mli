@@ -69,10 +69,10 @@ module Schema : sig
                 crash, and is dropped. *)
       }
         (** JSON lines: a header object carrying ["schema"], then rows. *)
-    | Whole of { array : string; fields : string list }
-        (** One pretty-printed object carrying ["schema"] and a
-            non-empty [array] member whose elements are objects with
-            every member in [fields]. *)
+    | Whole of { array : string; header : string list; fields : string list }
+        (** One pretty-printed object carrying ["schema"], every member
+            in [header], and a non-empty [array] member whose elements
+            are objects with every member in [fields]. *)
 
   type t = { tag : string; shape : shape }
 
@@ -86,7 +86,9 @@ module Schema : sig
 
   val ckpt : t  (** [hwf-ckpt/1]: campaign checkpoint journals. *)
 
-  val bench_engine : t  (** [hwf-bench-engine/1]: [BENCH_engine.json] (E19). *)
+  val bench_engine : t
+  (** [hwf-bench-engine/1]: [BENCH_engine.json] (E19); requires the
+      [host] block ([nproc], [ocaml], [mode]). *)
 
   val bench_sched : t  (** [hwf-bench-sched/1]: [BENCH_sched.json] (E20). *)
 

@@ -13,11 +13,14 @@ type sink = { on_stmt : stmt_sink; on_event : event -> unit }
 (* Packed encoding: events live in one int array as variable-stride
    records, decoded lazily by the iterators. Each record starts with a
    header int carrying the tag (low 3 bits) and the pid (the rest);
-   payloads are ints, with ops and strings interned into side tables
-   (structurally distinct ops/labels are few; the same id is reused for
-   every repetition). Appending a statement is therefore a handful of
-   int stores — no event record, no per-event pointer — which is what
-   the engine's burst loop runs against. *)
+   payloads are ints. Ops go into a run-length side table: a statement
+   whose op equals the previous statement's op reuses its id, any other
+   op is pushed as a new id (no hashing: most consecutive ops of a run
+   differ, so an intern table pays a lookup per statement for little
+   sharing). Labels and note texts, which are few and repeat, are
+   interned through a hash table. Appending a statement is therefore a
+   handful of int stores and at most one pointer push — no event
+   record — which is what the engine's burst loop runs against. *)
 
 let tag_stmt = 0
 let tag_inv_begin = 1
@@ -34,10 +37,7 @@ type t = {
   mutable buf : int array;  (* packed events *)
   mutable pos : int;  (* ints used in [buf] *)
   mutable len : int;  (* number of events *)
-  ops : Op.t Vec.t;  (* op intern table, id = index *)
-  op_ids : (Op.t, int) Hashtbl.t;
-  mutable last_op : Op.t option;  (* 1-entry memo in front of [op_ids] *)
-  mutable last_op_id : int;
+  ops : Op.t Vec.t;  (* run-length op table, id = index; per run *)
   strs : string Vec.t;  (* label/text intern table *)
   str_ids : (string, int) Hashtbl.t;
   mutable stmts : int;
@@ -62,9 +62,6 @@ let create config =
     pos = 0;
     len = 0;
     ops = Vec.create ();
-    op_ids = Hashtbl.create 16;
-    last_op = None;
-    last_op_id = -1;
     strs = Vec.create ();
     str_ids = Hashtbl.create 16;
     stmts = 0;
@@ -83,10 +80,13 @@ let clear_sink t =
   t.observed <- false
 
 let reset t =
-  (* The packed buffer and the intern tables are kept: ids are internal
-     to the encoding (never observable through the API), so letting them
-     survive across runs is pure reuse — the point of [trace_buf]. *)
+  (* The packed buffer, the op table's storage and the label table are
+     kept — the point of [trace_buf]. Op ids restart at 0: the op table
+     is per run, so it never grows past one run's statements. Label ids
+     are internal to the encoding (never observable through the API), so
+     letting them survive across runs is pure reuse. *)
   t.pos <- 0;
+  Vec.clear t.ops;
   t.len <- 0;
   t.stmts <- 0;
   t.time <- 0;
@@ -119,22 +119,16 @@ let ensure t k =
     t.buf <- buf
   end
 
+(* The id of [op] in the run-length table: the previous statement's id
+   when the op repeats (physically, as a body's hoisted op does, or
+   structurally), else a new id. *)
 let op_id t op =
-  match t.last_op with
-  | Some o when Op.equal o op -> t.last_op_id
-  | _ ->
-    let id =
-      match Hashtbl.find_opt t.op_ids op with
-      | Some id -> id
-      | None ->
-        let id = Vec.length t.ops in
-        Vec.push t.ops op;
-        Hashtbl.add t.op_ids op id;
-        id
-    in
-    t.last_op <- Some op;
-    t.last_op_id <- id;
-    id
+  let n = Vec.length t.ops in
+  if n > 0 && (let o = Vec.get t.ops (n - 1) in o == op || Op.equal o op) then n - 1
+  else begin
+    Vec.push t.ops op;
+    n
+  end
 
 let str_id t s =
   match Hashtbl.find_opt t.str_ids s with

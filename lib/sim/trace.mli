@@ -7,12 +7,16 @@
     renderer ({!Render}) and the linearizability checker.
 
     {b Representation.} Events are stored packed: one flat int array of
-    variable-stride records (tag + pid in a header word, int payloads),
-    with ops and labels interned into side tables. The {!event} records
-    handed out by {!iter}/{!fold}/{!events} are decoded lazily, on the
-    walk; appending a statement ({!add_stmt}) is a handful of int
-    stores with no allocation. The encoding is an internal detail — the
-    event-level API is unchanged and decode order is append order. *)
+    variable-stride records (tag + pid in a header word, int payloads).
+    Ops go into a run-length side table — a statement whose op equals
+    the previous statement's op reuses its id, any other op gets a new
+    one, with no hashing — and labels into an intern table. The {!event}
+    records handed out by {!iter}/{!fold}/{!events} are decoded lazily,
+    on the walk; a decoded op is structurally equal to the appended one.
+    Appending a statement ({!add_stmt}) is a handful of int stores and
+    at most one push into the op table, with no event allocation. The
+    encoding is an internal detail — the event-level API is unchanged
+    and decode order is append order. *)
 
 type event =
   | Stmt of { idx : int; pid : Proc.pid; op : Op.t; inv : int; cost : int }
@@ -35,7 +39,7 @@ type event =
 
 type stmt_sink = idx:int -> pid:Proc.pid -> op:Op.t -> inv:int -> cost:int -> unit
 (** Allocation-free entry point for statement events: the fields arrive
-    as arguments (all immediates plus the interned op pointer), so
+    as arguments (all immediates plus the appended op pointer), so
     observing a statement allocates nothing. *)
 
 type sink = {
@@ -53,8 +57,8 @@ val create : Config.t -> t
 
 val reset : t -> unit
 (** Return the trace to its just-created state — no events, zero
-    counters, no sink — while keeping the underlying packed buffer
-    and intern tables, so one trace can serve as a reusable per-worker
+    counters, no sink, an empty op table — while keeping the underlying
+    packed buffer and table storage, so one trace can serve as a reusable per-worker
     scratch across many engine runs (see {!Engine.run}'s [trace_buf]).
     The configuration is retained: a reset trace is only valid for runs
     of the same configuration. *)

@@ -10,6 +10,8 @@ let get v i =
 
 let clear v = v.len <- 0
 
+let truncate v n = if n < v.len then v.len <- max 0 n
+
 let push v x =
   let cap = Array.length v.data in
   if v.len = cap then begin

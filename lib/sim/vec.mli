@@ -20,6 +20,10 @@ val clear : 'a t -> unit
     are not overwritten (they stay reachable until pushed over) — reuse
     is for per-worker scratch buffers, not for releasing memory. *)
 
+val truncate : 'a t -> int -> unit
+(** [truncate v n] keeps the first [n] elements (all of them when
+    [n >= length v]); like {!clear}, it keeps the buffer. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -69,6 +69,25 @@ let test_whole_file () =
     (Json.pretty (doc ~schema:Json.Schema.bench_faults [ row [ "name" ] ]));
   invalid "broken JSON" "{\n  \"schema\": \"hwf-bench-sched/1\",\n  \"cells\": [\n "
 
+let test_bench_engine_host () =
+  let row =
+    Json.Obj
+      (List.map
+         (fun k -> (k, Json.Int 1))
+         [ "n"; "processors"; "observer"; "statements"; "seconds"; "stmts_per_sec" ])
+  in
+  let doc extra =
+    Json.pretty
+      (Json.Obj
+         ((("schema", Json.Str Json.Schema.bench_engine.tag) :: extra)
+         @ [ ("cells", Json.List [ row ]) ]))
+  in
+  let host =
+    Json.Obj [ ("nproc", Json.Int 2); ("ocaml", Json.Str "5.1.1"); ("mode", Json.Str "full") ]
+  in
+  valid "engine with host" (doc [ ("host", host) ]);
+  invalid "engine without host" (doc [])
+
 (* ---- every export validates ---- *)
 
 let test_goldens () =
@@ -175,6 +194,7 @@ let () =
           Alcotest.test_case "lint header restarts a block" `Quick test_lint_restart;
           Alcotest.test_case "partial final line for hwf-ckpt/1 only" `Quick test_partial_tail;
           Alcotest.test_case "whole-file cells checked" `Quick test_whole_file;
+          Alcotest.test_case "engine export needs host" `Quick test_bench_engine_host;
         ] );
       ( "exports",
         [

@@ -383,6 +383,73 @@ let test_empty_invocation_loop_bounded () =
   Util.checki "no statements" 0 (Trace.statements r.Engine.trace);
   Util.checkb "trace stayed bounded" (Trace.length r.Engine.trace <= 8 * 25)
 
+(* ---- the packed trace's run-length op table ---- *)
+
+(* Append [events] to a fresh trace and require the decode to give them
+   back, ops structurally equal, in append order. *)
+let roundtrip name events =
+  let config = Util.uni_config ~quantum:4 [ 1; 1 ] in
+  let t = Trace.create config in
+  List.iter (Trace.add t) events;
+  Util.checkb (name ^ ": decode equals append") (Trace.events t = events);
+  Util.checki (name ^ ": events") (List.length events) (Trace.length t)
+
+let test_trace_op_table () =
+  let stmt ?(pid = 0) idx op = Trace.Stmt { idx; pid; op; inv = 0; cost = 1 } in
+  (* Structurally equal, physically distinct ops in a row. *)
+  let local () = Op.local (String.concat "" [ "l"; "oc" ]) in
+  roundtrip "repeated" (List.init 6 (fun i -> stmt i (local ())));
+  roundtrip "alternating"
+    (List.init 8 (fun i -> stmt ~pid:(i mod 2) i (if i mod 2 = 0 then Op.read "x" else Op.write "x")));
+  roundtrip "rmw"
+    [
+      stmt 0 (Op.rmw ~var:"x" ~kind:"cas");
+      stmt 1 (Op.rmw ~var:"x" ~kind:"cas");
+      stmt 2 (Op.rmw ~var:"x" ~kind:"faa");
+      stmt 3 (Op.rmw ~var:"y" ~kind:"faa");
+      stmt 4 (Op.read "x");
+      stmt 5 (Op.rmw ~var:"x" ~kind:"cas");
+    ];
+  (* [add] keeps a synthetic [idx]; a repeated op is separated from its
+     predecessor by other events. *)
+  roundtrip "synthetic idx"
+    [
+      Trace.Inv_begin { pid = 1; inv = 0; label = "a" };
+      stmt ~pid:1 100 (Op.write "y");
+      Trace.Note { pid = 1; text = "n" };
+      stmt ~pid:1 7 (Op.write "y");
+      Trace.Set_priority { pid = 0; priority = 1 };
+      stmt 7 (Op.local "z");
+      Trace.Inv_end { pid = 1; inv = 0; label = "a" };
+    ]
+
+let test_trace_buf_reuse () =
+  (* A reused [trace_buf] holds a long run, then a short one: the short
+     run decodes to exactly its own events, as on a fresh trace. *)
+  let config = Util.uni_config ~quantum:4 [ 1; 1 ] in
+  let long () =
+    let x = Shared.make "x" 0 in
+    Array.init 2 (fun pid () ->
+        for i = 1 to 40 do
+          Eff.invocation "op" (fun () ->
+              ignore (Shared.read x);
+              Eff.local (Printf.sprintf "l%d" i);
+              Shared.write x (pid + i))
+        done)
+  in
+  let short () =
+    let y = Shared.make "y" 0 in
+    [| (fun () -> Eff.invocation "s" (fun () -> Shared.write y 1)); (fun () -> ()) |]
+  in
+  let buf = Trace.create config in
+  let r = Engine.run ~trace_buf:buf ~config ~policy:(Policy.round_robin ()) (long ()) in
+  Util.checki "long run statements" 240 (Trace.statements r.Engine.trace);
+  let r = Engine.run ~trace_buf:buf ~config ~policy:(Policy.round_robin ()) (short ()) in
+  let fresh = Engine.run ~config ~policy:(Policy.round_robin ()) (short ()) in
+  Util.checki "short run statements" 1 (Trace.statements r.Engine.trace);
+  Util.checkb "reused buffer decodes only the short run"
+    (Trace.events r.Engine.trace = Trace.events fresh.Engine.trace)
+
 let test_wellformed_detects_priority_violation () =
   (* Hand-build a trace where a low-priority process runs while a
      higher-priority one is mid-invocation. *)
@@ -662,6 +729,11 @@ let () =
             test_halted_none_marked_without_hook;
           Alcotest.test_case "axiom2 gate off" `Quick test_axiom2_gate_hook;
           Alcotest.test_case "axiom2 gate windows" `Quick test_axiom2_gate_windows;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "run-length op table" `Quick test_trace_op_table;
+          Alcotest.test_case "trace_buf reuse" `Quick test_trace_buf_reuse;
         ] );
       ( "wellformed",
         [

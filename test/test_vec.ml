@@ -23,6 +23,15 @@ let test_get_out_of_range () =
   Alcotest.check_raises "too big" (Invalid_argument "Vec.get") (fun () ->
       ignore (Vec.get v 3))
 
+let test_truncate () =
+  let v = Vec.of_list [ 1; 2; 3; 4 ] in
+  Vec.truncate v 9;
+  Util.checki "longer is a no-op" 4 (Vec.length v);
+  Vec.truncate v 2;
+  Alcotest.check Alcotest.(list int) "kept prefix" [ 1; 2 ] (Vec.to_list v);
+  Vec.push v 7;
+  Alcotest.check Alcotest.(list int) "push after truncate" [ 1; 2; 7 ] (Vec.to_list v)
+
 let test_iter_order () =
   let v = Vec.of_list [ 3; 1; 4; 1; 5 ] in
   let acc = ref [] in
@@ -73,6 +82,7 @@ let () =
           Alcotest.test_case "iteri" `Quick test_iteri;
           Alcotest.test_case "fold" `Quick test_fold;
           Alcotest.test_case "filter" `Quick test_filter;
+          Alcotest.test_case "truncate" `Quick test_truncate;
         ] );
       ("props", [ prop_roundtrip; prop_push_grows; prop_exists_matches_list ]);
     ]
