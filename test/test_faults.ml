@@ -58,6 +58,46 @@ let test_determinism () =
   let r2 = Certify.certify subject plans in
   Util.checkb "same report" (r1 = r2)
 
+(* Behaviour pins for the suite's program bodies: a digest of the JSONL
+   trace of each subject's run under the fault-free plan and under its
+   campaign's first crash plan, plus the negative control's failure
+   message. Object names, statement order and verdict wording all feed
+   these, so a change to how a body is built shows up here. *)
+
+let digest8 s = String.sub (Digest.to_hex (Digest.string s)) 0 8
+
+let trace_digest subject plan =
+  let _, r, _ = Certify.run_plan subject plan in
+  digest8 (Hwf_obs.Jsonl.trace_to_string r.Engine.trace)
+
+let first_crash_plan subject =
+  List.find (fun p -> p.Plan.crashes <> []) (Suite.campaign ~seed:41 subject)
+
+let body_pins =
+  [
+    ("fig3", "db9528cd", "7e5c130b");
+    ("fig3-time", "a6d6b440", "0d77ac89");
+    ("fig5", "6490a70a", "01a98571");
+    ("fig7", "6b89f57d", "783efcc7");
+    ("universal", "943f7d85", "9220eb5a");
+    ("fig3-no-axiom2", "ab38ac07", "b269911d");
+  ]
+
+let negative_message_pin = "disagreement: [100; 101]"
+
+let test_body_pins () =
+  let subjects = Suite.positive_subjects ~seed:41 () @ [ Suite.negative () ] in
+  let got =
+    List.map
+      (fun s ->
+        (s.Certify.name, trace_digest s Plan.none, trace_digest s (first_crash_plan s)))
+      subjects
+  in
+  Alcotest.(check (list (triple string string string))) "trace digests" body_pins got;
+  match Certify.run_plan (Suite.negative ()) Suite.negative_plan with
+  | Certify.Fail m, _, _ -> Alcotest.(check string) "negative message" negative_message_pin m
+  | Certify.Pass _, _, _ -> Alcotest.fail "negative control passed"
+
 let test_blocked_by_victim_excuse () =
   (* A victim of strictly higher priority parked mid-invocation blocks
      its processor forever (Axiom 1); the certifier must excuse the
@@ -162,6 +202,7 @@ let () =
           Alcotest.test_case "negative control rejected" `Quick test_negative_control;
           Alcotest.test_case "deterministic" `Quick test_determinism;
           Alcotest.test_case "blocked-by-victim excuse" `Quick test_blocked_by_victim_excuse;
+          Alcotest.test_case "body pins" `Quick test_body_pins;
         ] );
       ( "machinery",
         [

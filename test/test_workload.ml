@@ -63,6 +63,51 @@ let test_run_multi_summary () =
   Util.checkb "levels positive" (s.levels >= 1);
   Util.checkb "statements counted" (s.statements > 0)
 
+(* Behaviour pins for the one-shot runs behind [hybridsim stats]/[cas]
+   and the Table 1 benches: every summary field plus a digest of the
+   JSONL trace, under round-robin. *)
+
+let digest8 s = String.sub (Digest.to_hex (Digest.string s)) 0 8
+let trace_digest t = digest8 (Hwf_obs.Jsonl.trace_to_string t)
+let pairs = Fmt.(Dump.list (Dump.pair int int))
+
+let test_run_multi_pin () =
+  let s =
+    Scenarios.run_multi ~quantum:8 ~consensus_number:2
+      ~layout:(Layout.banded ~processors:2 ~levels:2 ~per_level:1)
+      ~policy:(Hwf_sim.Policy.round_robin ())
+      ()
+  in
+  let got =
+    Fmt.str
+      "fin=%b agr=%b val=%b exh=%d af=%a same=%a diff=%a ev=%d/%d dl=%a L=%d \
+       stmts=%d own=%d wf=%b trace=%s"
+      s.finished s.agreed s.valid s.exhausted pairs s.access_failures pairs s.af_same pairs
+      s.af_diff s.af_same_events s.af_diff_events
+      Fmt.(Dump.option int) s.deciding_level s.levels s.statements s.max_own_steps
+      s.well_formed (trace_digest s.trace)
+  in
+  Alcotest.(check string) "run_multi"
+    "fin=true agr=true val=true exh=0 af=[] same=[] diff=[] ev=0/0 dl=Some 1 L=15 \
+     stmts=1576 own=783 wf=true trace=7fb9dd8f" got
+
+let test_run_cas_pin () =
+  let layout = [ (0, 1); (0, 2); (0, 3) ] in
+  let s =
+    Scenarios.run_cas ~quantum:600 ~layout
+      ~script:(Scenarios.random_script ~seed:5 ~n:3 ~ops_per:3)
+      ~policy:(Hwf_sim.Policy.round_robin ())
+      ()
+  in
+  let st = s.cas_stats in
+  let got =
+    Fmt.str "fin=%b lin=%b af=%d/%d scan=%d worst=%d/%d ops=%d app=%d wf=%b trace=%s"
+      s.cas_finished s.linearizable st.af_diff st.af_same st.scan_failures st.worst_af_diff
+      st.worst_af_same st.ops st.appends s.cas_well_formed (trace_digest s.cas_trace)
+  in
+  Alcotest.(check string) "run_cas"
+    "fin=true lin=true af=0/0 scan=0 worst=0/0 ops=9 app=1 wf=true trace=711449e9" got
+
 let test_last_outputs_and_decision () =
   let b =
     Scenarios.consensus ~name:"lo" ~impl:Scenarios.Fig3 ~quantum:8
@@ -132,6 +177,8 @@ let () =
           Alcotest.test_case "random script" `Quick test_random_script_shape;
           Alcotest.test_case "fig3 guard" `Quick test_consensus_builder_fig3_guard;
           Alcotest.test_case "run_multi summary" `Quick test_run_multi_summary;
+          Alcotest.test_case "run_multi pin" `Quick test_run_multi_pin;
+          Alcotest.test_case "run_cas pin" `Quick test_run_cas_pin;
           Alcotest.test_case "outputs accessors" `Quick test_last_outputs_and_decision;
           Alcotest.test_case "opgen shapes" `Quick test_opgen_shapes;
           Alcotest.test_case "adversary battery legal" `Slow test_adversary_battery_legal;
