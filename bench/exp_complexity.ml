@@ -16,19 +16,13 @@ let measure ?levels_override ~p ~m () =
   let obj =
     Multi_consensus.make ?levels_override ~config ~name:"mc" ~consensus_number:p ()
   in
-  let outputs = Array.make n None in
-  let programs =
-    Array.init n (fun pid () ->
-        Eff.invocation "decide" (fun () ->
-            outputs.(pid) <- Some (Multi_consensus.decide obj ~pid (100 + pid))))
+  let outputs, programs =
+    Scenarios.propose_once ~n (fun pid v -> Multi_consensus.decide obj ~pid v)
   in
   let r = Engine.run ~step_limit:60_000_000 ~config ~policy:(Policy.round_robin ()) programs in
-  let agreed =
-    match Array.to_list outputs |> List.filter_map Fun.id with
-    | v :: rest -> List.for_all (( = ) v) rest
-    | [] -> false
-  in
-  (Multi_consensus.levels obj, Array.fold_left max 0 r.own_steps, agreed)
+  ( Multi_consensus.levels obj,
+    Array.fold_left max 0 r.own_steps,
+    Scenarios.decision outputs <> None )
 
 let run ~quick =
   Tbl.section "E9: polynomial levels (Fig. 7) vs exponential baseline";

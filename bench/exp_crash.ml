@@ -22,22 +22,16 @@ let fig7_with_crashes ~seeds ~crash_per_processor =
   List.iter
     (fun seed ->
       let obj = Multi_consensus.make ~config ~name:"mc" ~consensus_number:2 () in
-      let outs = Array.make n None in
-      let bodies =
-        Array.init n (fun pid () ->
-            Eff.invocation "decide" (fun () ->
-                outs.(pid) <- Some (Multi_consensus.decide obj ~pid (100 + pid))))
+      let outs, bodies =
+        Scenarios.propose_once ~n (fun pid v -> Multi_consensus.decide obj ~pid v)
       in
       let policy = Crash.wrap ~victims (Policy.random ~seed) in
       let r = Engine.run ~step_limit:4_000_000 ~config ~policy bodies in
       incr total;
       let survivors = List.filter (fun p -> not (List.mem p victim_pids)) (List.init n Fun.id) in
-      let decisions =
-        survivors |> List.filter_map (fun pid -> outs.(pid)) |> List.sort_uniq compare
-      in
       if
         Crash.survivors_finished r ~victims:victim_pids
-        && List.length decisions = 1
+        && Scenarios.survivors_agree outs survivors = Ok ()
         && Wellformed.is_well_formed r.trace
       then incr ok)
     seeds;

@@ -11,11 +11,8 @@ let build ~quantum ~layout =
   let n = List.length layout in
   let config = Layout.to_config ~quantum layout in
   let obj = Fair_consensus.make ~config ~name:"fc" ~consensus_number:2 in
-  let outputs = Array.make n None in
-  let programs =
-    Array.init n (fun pid () ->
-        Eff.invocation "decide" (fun () ->
-            outputs.(pid) <- Some (Fair_consensus.decide obj ~pid (100 + pid))))
+  let outputs, programs =
+    Scenarios.propose_once ~n (fun pid v -> Fair_consensus.decide obj ~pid v)
   in
   (config, obj, outputs, programs)
 
@@ -30,15 +27,10 @@ let run ~quick:_ =
           Engine.run ~step_limit:10_000_000 ~config ~policy:(Policy.round_robin ())
             programs
         in
-        let agreed =
-          match Array.to_list outputs |> List.filter_map Fun.id with
-          | v :: rest -> List.for_all (( = ) v) rest
-          | [] -> false
-        in
         [
           string_of_int quantum;
           (if Array.for_all Fun.id r.finished then "yes" else "no");
-          (if agreed then "yes" else "no");
+          (if Scenarios.decision outputs <> None then "yes" else "no");
           string_of_int (Fair_consensus.elections_lost obj);
           string_of_int (Hwf_sim.Trace.statements r.trace);
         ])

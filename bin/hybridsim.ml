@@ -349,43 +349,15 @@ let explore_cmd =
     let estats = Explore.make_stats ~jobs scenario in
     let relation =
       if not indep then None
-      else begin
-        let module Lint = Hwf_lint.Lint in
-        let module Indep = Hwf_lint.Indep in
-        (* The certifier replays [make] on its own; thread each fresh
-           instance's verdict closure through so data escapes into the
-           harness check are caught, not just trace divergences. *)
-        let current_check = ref (fun (_ : Engine.result) -> Ok ()) in
-        let make () =
-          let i = scenario.Explore.make () in
-          current_check := i.Explore.check;
-          i.Explore.programs
-        in
-        let spec =
-          {
-            Lint.name = scenario.Explore.name;
-            config = scenario.Explore.config;
-            make;
-            expect = Hwf_lint.Checks.Helping;
-            min_quantum = 1;
-            theorem = "independence oracle";
-            fair_only = true;
-            step_limit = 8_000_000;
-          }
-        in
-        let outcome = Lint.run spec in
-        match
-          Indep.certified_relation ~check:(fun r -> !current_check r)
-            ~config:scenario.Explore.config ~make outcome
-        with
+      else
+        match Registry.static_relation scenario with
         | Error m ->
           Fmt.epr "independence oracle REFUTED: %s@." m;
           exit 1
-        | Ok (t, cert) ->
-          Fmt.pr "oracle: %a@." Indep.pp_summary (Indep.summary t);
-          Fmt.pr "oracle: %a@." Indep.pp_certification cert;
-          Some { Explore.rname = "static"; rel = Indep.relation t }
-      end
+        | Ok (relation, summary, cert) ->
+          Fmt.pr "oracle: %a@." Hwf_lint.Indep.pp_summary summary;
+          Fmt.pr "oracle: %a@." Hwf_lint.Indep.pp_certification cert;
+          Some relation
     in
     let o =
       match strategy with

@@ -83,17 +83,18 @@ let record_pruned stats k =
 
 let pool_of stats = Option.map (fun s -> s.pool) stats
 
-let verdict ~on_step_limit instance (result : Engine.result) =
+(* A run that hits the step or decision limit fails: the scenarios are
+   wait-free algorithms, which must terminate under every schedule. *)
+let verdict instance (result : Engine.result) =
   match Wellformed.check result.trace with
   | v :: _ ->
     Error (Fmt.str "engine produced ill-formed trace: %a" Wellformed.pp_violation v)
   | [] -> (
-    match (result.stop, on_step_limit) with
-    | Engine.Step_limit, `Fail -> Error "step limit hit (possible non-termination)"
-    | Engine.Decision_limit, `Fail ->
+    match result.stop with
+    | Engine.Step_limit -> Error "step limit hit (possible non-termination)"
+    | Engine.Decision_limit ->
       Error "decision limit hit (statement-free spin; possible non-termination)"
-    | (Engine.Step_limit | Engine.Decision_limit | Engine.All_finished
-      | Engine.Policy_stopped | Engine.All_halted), _ ->
+    | Engine.All_finished | Engine.Policy_stopped | Engine.All_halted ->
       instance.check result)
 
 (* ---- per-worker scratch arenas ----
@@ -250,6 +251,10 @@ let replayable a prefix =
   let rec go i = if i < n && prefix.(i) = Vec.get a.choice i then go (i + 1) else i in
   go 0
 
+(* Decisions past this depth are taken but not branched on (the search
+   reports itself non-exhaustive). *)
+let max_depth = 10_000
+
 (* Run one schedule: follow [prefix] (indices into the candidate lists),
    then always take the first non-slept index (index 0 when pruning is
    off). Records the decision slots taken in [arena]; with [dpor] also
@@ -270,7 +275,7 @@ let replayable a prefix =
    ends before its prefix or before slot [k] means [scenario.make] built
    a different program than the run that produced the prefix:
    [Invalid_argument]. *)
-let run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit ~arena:a scenario
+let run_one ~dpor ~relation ~preemption_bound ~step_limit ~arena:a scenario
     instance prefix =
   let k = replayable a prefix in
   let depth = ref 0 in
@@ -449,8 +454,8 @@ let pids_of a = Vec.to_list a.pid
    [aborted] retires the cell (a lower-indexed cell has failed, a stop
    was requested, or the cell's deadline expired). [judge] is the
    per-run verdict; an [Error] is a counterexample and stops the cell. *)
-let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_depth
-    ~step_limit ~judge ~root ?first ~arena scenario =
+let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~step_limit
+    ~judge ~root ?first ~arena scenario =
   let runs = ref 0 and claims = ref 0 in
   let exhaustive = ref true in
   let rec loop ?pre prefix =
@@ -464,8 +469,8 @@ let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_de
         | None ->
           let instance = scenario.make () in
           ( instance,
-            run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit ~arena
-              scenario instance prefix )
+            run_one ~dpor ~relation ~preemption_bound ~step_limit ~arena scenario
+              instance prefix )
       in
       if tainted && dpor then invalid_arg tainted_msg;
       if truncated then exhaustive := false;
@@ -621,27 +626,26 @@ let subtree_of_payload ~step_limit scenario payload =
 (* [dpor] is the {e armed} value (after the probe's taint decision): it
    changes run counts, so it is part of the campaign identity — a
    journal written with pruning cannot seed a resume without it. *)
-let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_limit
-    ~on_step_limit scenario =
+let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario =
+  (* [depth] and [osl] name the fixed depth bound and the failing step
+     limit; they stay in the id so older journals still resume. *)
   let params =
-    Printf.sprintf "%s|pb=%s|runs=%d|depth=%d|steps=%d|osl=%s|dpor=%b|rel=%s"
+    Printf.sprintf "%s|pb=%s|runs=%d|depth=%d|steps=%d|osl=fail|dpor=%b|rel=%s"
       scenario.name
       (match preemption_bound with None -> "-" | Some b -> string_of_int b)
-      max_runs max_depth step_limit
-      (match on_step_limit with `Fail -> "fail" | `Ignore -> "ignore")
-      dpor relation.rname
+      max_runs max_depth step_limit dpor relation.rname
   in
   Printf.sprintf "explore/%s/%s" scenario.name (Digest.to_hex (Digest.string params))
 
 (* The search itself. [journal], when given, is [(path, resume)]: the
    checkpoint hook, opened once the probe has fixed the width and the
    armed [dpor] that the campaign id names. *)
-let search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jobs ~grain
-    ~dpor ~relation ~stats ~cell_wall_s ~journal ~should_stop ~judge scenario =
+let search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation ~stats
+    ~cell_wall_s ~journal ~should_stop ~judge scenario =
   let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
   let probe_instance = scenario.make () in
   let probe =
-    run_one ~dpor:dpor_req ~relation ~preemption_bound ~max_depth ~step_limit
+    run_one ~dpor:dpor_req ~relation ~preemption_bound ~step_limit
       ~arena:(make_arena ()) scenario probe_instance [||]
   in
   let _, probe_arena, _, probe_tainted, _ = probe in
@@ -654,8 +658,7 @@ let search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jo
     Option.map
       (fun (path, resume) ->
         let campaign =
-          campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_limit
-            ~on_step_limit scenario
+          campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario
         in
         match Checkpoint.open_ ~path ~campaign ~cells:width ~resume with
         | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
@@ -692,8 +695,8 @@ let search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jo
     let aborted () = lower_failed () || stopping () || Resil.expired deadline in
     let first = if i = 0 && probe_claimed then Some (probe_instance, probe) else None in
     let st =
-      subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_depth
-        ~step_limit ~judge ~root:i ?first ~arena scenario
+      subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~step_limit
+        ~judge ~root:i ?first ~arena scenario
     in
     (* Journal only untainted cells: a cell cut short by an interrupt or
        stop request must re-run on resume, not restore partial. *)
@@ -726,27 +729,26 @@ let search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jo
   Option.iter Checkpoint.close journal;
   outcome
 
-let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
-    ?(step_limit = 100_000) ?(on_step_limit = `Fail) ?(jobs = 1) ?grain
-    ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
+let explore ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_000) ?(jobs = 1)
+    ?grain ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
     ?(resume = false) ?(should_stop = fun () -> false) scenario =
-  search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit ~jobs ~grain
-    ~dpor ~relation ~stats ~cell_wall_s
+  search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation ~stats
+    ~cell_wall_s
     ~journal:(Option.map (fun path -> (path, resume)) checkpoint)
     ~should_stop
-    ~judge:(fun instance result _ -> verdict ~on_step_limit instance result)
+    ~judge:(fun instance result _ -> verdict instance result)
     scenario
 
-let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
-    ?(step_limit = 100_000) scenario ~f =
+let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_000)
+    scenario ~f =
   (* Deliberately unpruned: callers (Bivalence) reason about the full
      schedule enumeration, not a reduced one. One domain, so [f] may be
      stateful; a [`Stop] ends the search like a counterexample. *)
   let judge _ result ran =
     match f ~pids:(pids_of ran) result with `Continue -> Ok () | `Stop -> Error "stopped"
   in
-  (search ~preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit:`Ignore ~jobs:1
-     ~grain:None ~dpor:false ~relation:base_relation ~stats:None ~cell_wall_s:None ~journal:None
+  (search ~preemption_bound ~max_runs ~step_limit ~jobs:1 ~grain:None ~dpor:false
+     ~relation:base_relation ~stats:None ~cell_wall_s:None ~journal:None
      ~should_stop:(fun () -> false) ~judge scenario)
     .runs
 
@@ -768,8 +770,8 @@ let record_decisions policy log =
           r
         | None -> None)
 
-let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
-    ?(jobs = 1) ?grain ?stats ?runner ~strategy ~seed scenario =
+let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(jobs = 1) ?grain ?stats ?runner
+    ~strategy ~seed scenario =
   let profile, horizon =
     (* SURW weights candidates by estimated remaining statements and PCT
        draws change points over a schedule-length horizon; both
@@ -804,7 +806,7 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
       | Some f -> f ~step_limit ~policy instance
     in
     Option.iter (fun s -> Atomic.incr s.sampled) stats;
-    match verdict ~on_step_limit instance result with
+    match verdict instance result with
     | Error message ->
       sever arena;
       Some { message; trace = result.trace; decisions = Vec.to_list arena.log }

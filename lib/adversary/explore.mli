@@ -175,9 +175,7 @@ val stats_pool : stats -> Hwf_par.Pool.stats
 val explore :
   ?preemption_bound:int ->
   ?max_runs:int ->
-  ?max_depth:int ->
   ?step_limit:int ->
-  ?on_step_limit:[ `Fail | `Ignore ] ->
   ?jobs:int ->
   ?grain:int ->
   ?dpor:bool ->
@@ -190,11 +188,11 @@ val explore :
   scenario ->
   outcome
 (** DFS over schedules. [preemption_bound] (default unlimited) caps paid
-    context switches per schedule; [max_runs] (default 200_000) and
-    [max_depth] (default 10_000 decisions) bound the search; runs hitting
-    [step_limit] (default 100_000 statements) are treated per
-    [on_step_limit] (default [`Fail] — suitable for wait-free algorithms,
-    which must terminate under every schedule).
+    context switches per schedule; [max_runs] (default 200_000) bounds
+    the search, and decisions deeper than 10_000 are not branched on
+    (the search then reports itself non-exhaustive). A run hitting
+    [step_limit] (default 100_000 statements) fails — the scenarios are
+    wait-free algorithms, which must terminate under every schedule.
 
     [dpor] (default [true]) arms sleep-set pruning with the source-set
     refinement — see the module preamble for semantics, the cases where
@@ -245,7 +243,6 @@ val explore :
 val iter_schedules :
   ?preemption_bound:int ->
   ?max_runs:int ->
-  ?max_depth:int ->
   ?step_limit:int ->
   scenario ->
   f:(pids:Hwf_sim.Proc.pid list -> Hwf_sim.Engine.result -> [ `Continue | `Stop ]) ->
@@ -266,7 +263,6 @@ val run_seed : int -> int -> int
 val sample :
   ?runs:int ->
   ?step_limit:int ->
-  ?on_step_limit:[ `Fail | `Ignore ] ->
   ?jobs:int ->
   ?grain:int ->
   ?stats:stats ->

@@ -3,31 +3,28 @@ open Hwf_core
 open Hwf_check
 open Hwf_workload
 
+(* [n] equal-priority processes proposing once to a Fig. 3 object
+   named [name], judged on the survivors' decisions. *)
+let fig3_instance ~name ~n =
+  let config =
+    Layout.to_config ~quantum:Bounds.uniprocessor_consensus_quantum
+      (Layout.uniform ~processors:1 ~per_processor:n)
+  in
+  let make () =
+    let obj = Uni_consensus.make name in
+    let outputs, programs =
+      Scenarios.propose_once ~n (fun _ v -> Uni_consensus.decide obj v)
+    in
+    let check ~survivors _r = Scenarios.survivors_agree outputs survivors in
+    Certify.{ programs; check }
+  in
+  (config, make)
+
 (* Fig. 3: uniprocessor read/write consensus, three equal-priority
    processes, Q = 8 (Theorem 1). Own work is exactly the 8 unrolled
    statements of one decide. *)
 let fig3 ?(seed = 17) () =
-  let n = 3 in
-  let layout = Layout.uniform ~processors:1 ~per_processor:n in
-  let config = Layout.to_config ~quantum:Bounds.uniprocessor_consensus_quantum layout in
-  let make () =
-    let obj = Uni_consensus.make "f3.cons" in
-    let outputs = Array.make n None in
-    let programs =
-      Array.init n (fun pid () ->
-          Eff.invocation "decide" (fun () ->
-              outputs.(pid) <- Some (Uni_consensus.decide obj (100 + pid))))
-    in
-    let check ~survivors _r =
-      let outs = List.filter_map (fun p -> outputs.(p)) survivors in
-      match List.sort_uniq compare outs with
-      | [] -> Ok ()
-      | [ v ] when v >= 100 && v < 100 + n -> Ok ()
-      | [ v ] -> Error (Fmt.str "invalid decision %d" v)
-      | vs -> Error (Fmt.str "disagreement: %a" Fmt.(Dump.list int) vs)
-    in
-    Certify.{ programs; check }
-  in
+  let config, make = fig3_instance ~name:"f3.cons" ~n:3 in
   Certify.
     {
       name = "fig3";
@@ -78,23 +75,14 @@ let fig5 ?(seed = 23) () =
   let script = Scenarios.random_script ~seed:5 ~n ~ops_per in
   let make () =
     let obj = Hybrid_cas.make ~config ~name:"f5.o" ~init:0 in
-    let hist = Hist.create () in
-    let programs =
-      Array.init n (fun pid () ->
-          List.iter
-            (fun op ->
-              Eff.invocation "op" (fun () ->
-                  match op with
-                  | Scenarios.Cas (e, d) ->
-                    ignore
-                      (Hist.wrap hist ~pid op (fun () ->
-                           `Bool (Hybrid_cas.cas obj ~pid ~expected:e ~desired:d)))
-                  | Scenarios.Rd ->
-                    ignore
-                      (Hist.wrap hist ~pid op (fun () -> `Val (Hybrid_cas.read obj ~pid)))))
-            (List.nth script pid))
+    let hist, programs =
+      Scenarios.cas_programs script
+        ~cas:(fun ~pid expected desired -> Hybrid_cas.cas obj ~pid ~expected ~desired)
+        ~read:(fun ~pid -> Hybrid_cas.read obj ~pid)
     in
-    let check ~survivors:_ _r = Lincheck.check_hist_with_pending Scenarios.cas_spec hist in
+    let check ~survivors:_ _r =
+      Lincheck.check_hist_with_pending Scenarios.cas_spec hist
+    in
     Certify.{ programs; check }
   in
   Certify.
@@ -124,22 +112,13 @@ let fig7 ?(seed = 29) () =
   in
   let make () =
     let obj = Multi_consensus.make ~config ~name:"f7.mc" ~consensus_number () in
-    let outputs = Array.make n None in
-    let programs =
-      Array.init n (fun pid () ->
-          Eff.invocation "decide" (fun () ->
-              outputs.(pid) <- Some (Multi_consensus.decide obj ~pid (100 + pid))))
+    let outputs, programs =
+      Scenarios.propose_once ~n (fun pid v -> Multi_consensus.decide obj ~pid v)
     in
     let check ~survivors _r =
       if Multi_consensus.exhausted_proposals obj > 0 then
         Error "a C-consensus object was exhausted (Theorem 4 quantum violated)"
-      else
-        let outs = List.filter_map (fun p -> outputs.(p)) survivors in
-        match List.sort_uniq compare outs with
-        | [] -> Ok ()
-        | [ v ] when v >= 100 && v < 100 + n -> Ok ()
-        | [ v ] -> Error (Fmt.str "invalid decision %d" v)
-        | vs -> Error (Fmt.str "disagreement: %a" Fmt.(Dump.list int) vs)
+      else Scenarios.survivors_agree outputs survivors
     in
     Certify.{ programs; check }
   in
@@ -166,11 +145,8 @@ let universal ?(seed = 31) () =
   let make () =
     let factory = Wf_objects.uni_factory () in
     let c = Wf_objects.counter ~name:"u.ctr" ~n ~factory in
-    let results = Array.make n None in
-    let programs =
-      Array.init n (fun pid () ->
-          Eff.invocation "incr" (fun () ->
-              results.(pid) <- Some (Wf_objects.incr c ~pid)))
+    let results, programs =
+      Scenarios.increment_once ~n (fun pid -> Wf_objects.incr c ~pid)
     in
     let check ~survivors _r =
       let outs = List.filter_map (fun p -> results.(p)) survivors in
@@ -208,36 +184,14 @@ let universal ?(seed = 31) () =
 let attack_schedule = [ 0; 0; 1; 1; 0; 1; 0; 1; 0; 1; 0; 1; 1; 1; 0; 0 ]
 
 let negative ?seed:_ () =
-  let n = 2 in
-  let layout = Layout.uniform ~processors:1 ~per_processor:n in
-  let config = Layout.to_config ~quantum:Bounds.uniprocessor_consensus_quantum layout in
-  let make () =
-    let obj = Uni_consensus.make "neg.cons" in
-    let outputs = Array.make n None in
-    let programs =
-      Array.init n (fun pid () ->
-          Eff.invocation "decide" (fun () ->
-              outputs.(pid) <- Some (Uni_consensus.decide obj (100 + pid))))
-    in
-    let check ~survivors _r =
-      let outs = List.filter_map (fun p -> outputs.(p)) survivors in
-      match List.sort_uniq compare outs with
-      | [] -> Ok ()
-      | [ v ] when v >= 100 && v < 100 + n -> Ok ()
-      | [ v ] -> Error (Fmt.str "invalid decision %d" v)
-      | vs -> Error (Fmt.str "disagreement: %a" Fmt.(Dump.list int) vs)
-    in
-    Certify.{ programs; check }
-  in
+  let config, make = fig3_instance ~name:"neg.cons" ~n:2 in
   Certify.
     {
+      (fig3 ()) with
       name = "fig3-no-axiom2";
       config;
       policy = (fun () -> Policy.scripted ~fallback:Policy.first attack_schedule);
       make;
-      step_bound = Uni_consensus.statements_per_decide;
-      bound_desc = "8 (Thm 1, O(1))";
-      step_limit = 10_000;
     }
 
 let negative_plan = Plan.(with_axiom2 Suspended none)

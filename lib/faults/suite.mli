@@ -2,6 +2,12 @@
     {!Certify.subject}s, plus the standard fault campaigns run against
     them.
 
+    Each subject builds its own object per [make] and takes its
+    programs from [Hwf_workload.Scenarios] ([propose_once],
+    [cas_programs], [increment_once]) — the bodies the scenarios, the
+    linter registry and the benches run. Consensus subjects judge their
+    survivors with [Scenarios.survivors_agree].
+
     Positive subjects (must certify clean under every plan the
     campaigns generate):
 

@@ -1,7 +1,6 @@
 (* The harness resilience layer: deadlines, error taxonomy, bounded
-   retry with backoff, coverage accounting, cooperative interrupts and
-   the resilient pool map. See docs/ROBUSTNESS.md for the policy this
-   implements. *)
+   retry with backoff, coverage accounting and cooperative interrupts.
+   See docs/ROBUSTNESS.md for the policy this implements. *)
 
 (* ---- deadlines ---- *)
 
@@ -243,25 +242,6 @@ let install_interrupt_handlers () =
         with Invalid_argument _ | Sys_error _ -> ())
       [ Sys.sigint; Sys.sigterm ]
   end
-
-(* ---- resilient map ---- *)
-
-let map ?jobs ?grain ?stats ?retry ?deadline_for ?sleep
-    ?(should_stop = fun () -> false) ?(skip = fun _ -> None) f a =
-  let cell i x =
-    match skip i with
-    | Some c -> c
-    | None ->
-      if interrupted () || should_stop () then
-        { outcome = Skipped "interrupted"; attempts = 0 }
-      else run_cell ?retry ?deadline_for ?sleep (fun d -> f d x)
-  in
-  (* [cell] never raises: run_cell folds exceptions into the outcome,
-     so the pool's min-index error path is unreachable from here and a
-     bad cell cannot poison the array. *)
-  Hwf_par.Pool.map ?jobs ?grain ?stats
-    (fun (i, x) -> cell i x)
-    (Array.mapi (fun i x -> (i, x)) a)
 
 (* ---- exit codes ---- *)
 

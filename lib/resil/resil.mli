@@ -22,13 +22,14 @@
       degradation explicitly, so partial results are never silently
       presented as complete.
 
-    {!map} composes these with {!Hwf_par.Pool.map}: because every cell
-    is wrapped in {!run_cell}, no exception ever reaches the pool, so
-    one bad cell cannot poison the output array.
+    The campaign runners ([Explore], [Certify]) compose these with
+    [Hwf_par.Pool.map_scratch]: because every cell is wrapped in
+    {!run_cell}, no exception ever reaches the pool, so one bad cell
+    cannot poison the output array.
 
     The interrupt flag ({!install_interrupt_handlers}) converts
-    SIGINT/SIGTERM into cooperative cancellation: {!map} stops claiming
-    new cells, completed work is kept (and, through the campaign
+    SIGINT/SIGTERM into cooperative cancellation: the runners stop
+    claiming new cells, completed work is kept (and, through the campaign
     runners' checkpoints, journaled), and the process can flush partial
     reports with an explicit truncation marker before exiting. *)
 
@@ -183,30 +184,6 @@ val request_interrupt : unit -> unit
 
 val reset_interrupt : unit -> unit
 (** Clear the flag (tests). *)
-
-(** {1 Resilient map} *)
-
-val map :
-  ?jobs:int ->
-  ?grain:int ->
-  ?stats:Hwf_par.Pool.stats ->
-  ?retry:retry ->
-  ?deadline_for:(attempt:int -> deadline) ->
-  ?sleep:(float -> unit) ->
-  ?should_stop:(unit -> bool) ->
-  ?skip:(int -> 'b cell option) ->
-  (deadline -> 'a -> 'b) ->
-  'a array ->
-  'b cell array
-(** {!Hwf_par.Pool.map} with per-cell fault containment: slot [i] is
-    [run_cell (fun d -> f d a.(i))] — order-preserving and
-    deterministic in the {!Hwf_par.Pool.map} sense, except that
-    timeouts and transient errors depend on the machine. [skip i]
-    (resume support) supplies a pre-recorded cell instead of
-    evaluating; [should_stop] (polled before each cell, ORed with the
-    global interrupt flag) turns the remaining cells into [Skipped].
-    No exception ever propagates into the pool, so one bad cell cannot
-    poison the others. *)
 
 (** {1 Exit codes} *)
 

@@ -96,6 +96,33 @@ let universal () =
     step_limit = 100_000;
   }
 
+let static_relation (s : Explore.scenario) =
+  (* The certifier replays [make] on its own; thread each fresh
+     instance's verdict closure through so data escapes into the
+     harness check are caught, not just trace divergences. *)
+  let current_check = ref (fun (_ : Engine.result) -> Ok ()) in
+  let make () =
+    let i = s.make () in
+    current_check := i.Explore.check;
+    i.Explore.programs
+  in
+  let spec =
+    {
+      Lint.name = s.name;
+      config = s.config;
+      make;
+      expect = Checks.Helping;
+      min_quantum = 1;
+      theorem = "independence oracle";
+      fair_only = true;
+      step_limit = 8_000_000;
+    }
+  in
+  Indep.certified_relation ~check:(fun r -> !current_check r) ~config:s.config ~make
+    (Lint.run spec)
+  |> Result.map (fun (t, cert) ->
+         ({ Explore.rname = "static"; rel = Indep.relation t }, Indep.summary t, cert))
+
 let all () = [ fig3 (); fig5 (); fig7 (); fig9 (); universal () ]
 
 let names = [ "fig3"; "fig5"; "fig7"; "fig9"; "universal" ]

@@ -1,11 +1,14 @@
 (** The lint registry: one {!Hwf_lint.Lint.spec} per paper algorithm.
 
-    Each spec pairs a workload (the same bodies the scenarios and the
-    wait-freedom certifier run) with the theorem preconditions the rest
-    of the repository asserts about it — the same constants
+    Each spec pairs a workload with the theorem preconditions the rest
+    of the repository asserts about it. The workload is a {!Scenarios}
+    scenario, whose programs come from {!Scenarios.propose_once},
+    {!Scenarios.cas_programs} and {!Scenarios.increment_once} — the
+    same helpers [Hwf_faults.Suite] builds its subjects from, so the
+    linter and the certifier run the same bodies by construction. The
+    preconditions use the same constants
     ({!Hwf_core.Bounds.fig5_stmt_const} etc.) that size the certifier's
-    own-step bounds, so the linter and [Hwf_faults.Suite] cannot drift
-    apart:
+    own-step bounds, so the two cannot drift apart:
 
     - [fig3] — Theorem 1: exactly
       {!Hwf_core.Uni_consensus.statements_per_decide} statements per
@@ -32,3 +35,15 @@ val names : string list
 (** The registered names, matching {!find}. *)
 
 val find : string -> Hwf_lint.Lint.spec option
+
+val static_relation :
+  Hwf_adversary.Explore.scenario ->
+  ( Hwf_adversary.Explore.relation * Hwf_lint.Indep.summary * Hwf_lint.Indep.certification,
+    string )
+  result
+(** The certified static independence oracle for a scenario, named
+    ["static"] — what [hybridsim explore --indep] feeds the sleep-set
+    pruning. The scenario is linted under fair schedules only (its
+    bodies may help), the oracle derived from the replays, and every
+    claim certified by swap-replay against the scenario's own verdict;
+    [Error] carries the first refutation. *)

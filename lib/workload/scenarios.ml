@@ -16,7 +16,42 @@ type consensus_built = {
 
 let all_finished (r : Engine.result) = Array.for_all Fun.id r.finished
 
-let agreement_check ~n outputs (r : Engine.result) extra =
+(* The three program bodies of the paper's workloads. Each takes the
+   caller's object (or its operations) and keeps no state of its own,
+   so [make] closures built on them stay domain-safe. *)
+
+let propose_once ~n decide =
+  let outputs = Array.make n None in
+  let programs =
+    Array.init n (fun pid () ->
+        Eff.invocation "decide" (fun () -> outputs.(pid) <- Some (decide pid (100 + pid))))
+  in
+  (outputs, programs)
+
+let increment_once ~n incr =
+  let results = Array.make n None in
+  let programs =
+    Array.init n (fun pid () ->
+        Eff.invocation "incr" (fun () -> results.(pid) <- Some (incr pid)))
+  in
+  (results, programs)
+
+let decision outputs =
+  match Array.to_list outputs |> List.filter_map Fun.id with
+  | [] -> None
+  | v :: rest -> if List.for_all (( = ) v) rest then Some v else None
+
+let survivors_agree outputs survivors =
+  let n = Array.length outputs in
+  let outs = List.filter_map (fun p -> outputs.(p)) survivors in
+  match List.sort_uniq compare outs with
+  | [] -> Ok ()
+  | [ v ] when v >= 100 && v < 100 + n -> Ok ()
+  | [ v ] -> Error (Fmt.str "invalid decision %d" v)
+  | vs -> Error (Fmt.str "disagreement: %a" Fmt.(Dump.list int) vs)
+
+let agreement_check outputs (r : Engine.result) =
+  let n = Array.length outputs in
   if not (all_finished r) then Error "not all processes finished"
   else
     let outs = Array.map (function Some v -> v | None -> -1) outputs in
@@ -25,7 +60,7 @@ let agreement_check ~n outputs (r : Engine.result) extra =
       Error (Fmt.str "disagreement: %a" Fmt.(Dump.array int) outs)
     else if first < 100 || first >= 100 + n then
       Error (Fmt.str "invalid decision %d" first)
-    else extra ()
+    else Ok ()
 
 let consensus ~name ~impl ~quantum ~layout =
   let n = List.length layout in
@@ -37,8 +72,6 @@ let consensus ~name ~impl ~quantum ~layout =
   | Fig7 _ | Fig9 _ -> ());
   let latest = ref (Array.make n None) in
   let make () =
-    let outputs = Array.make n None in
-    latest := outputs;
     let decide =
       match impl with
       | Fig3 ->
@@ -51,22 +84,14 @@ let consensus ~name ~impl ~quantum ~layout =
         let obj = Fair_consensus.make ~config ~name:(name ^ ".fc") ~consensus_number in
         fun pid v -> Fair_consensus.decide obj ~pid v
     in
-    let programs =
-      Array.init n (fun pid () ->
-          Eff.invocation "decide" (fun () -> outputs.(pid) <- Some (decide pid (100 + pid))))
-    in
-    let check r = agreement_check ~n outputs r (fun () -> Ok ()) in
-    Explore.{ programs; check }
+    let outputs, programs = propose_once ~n decide in
+    latest := outputs;
+    Explore.{ programs; check = agreement_check outputs }
   in
   {
     scenario = Explore.{ name; config; make };
     last_outputs = (fun () -> !latest);
-    last_decision =
-      (fun () ->
-        let o = !latest in
-        match Array.to_list o |> List.filter_map Fun.id with
-        | [] -> None
-        | v :: rest -> if List.for_all (( = ) v) rest then Some v else None);
+    last_decision = (fun () -> decision !latest);
   }
 
 type mc_summary = {
@@ -92,11 +117,8 @@ let run_multi ?(step_limit = 3_000_000) ?sink ~quantum ~consensus_number ~layout
   let n = List.length layout in
   let config = Layout.to_config ~quantum layout in
   let obj = Multi_consensus.make ~config ~name:"mc" ~consensus_number () in
-  let outputs = Array.make n None in
-  let programs =
-    Array.init n (fun pid () ->
-        Eff.invocation "decide" (fun () ->
-            outputs.(pid) <- Some (Multi_consensus.decide obj ~pid (100 + pid))))
+  let outputs, programs =
+    propose_once ~n (fun pid v -> Multi_consensus.decide obj ~pid v)
   in
   let r = Engine.run ~step_limit ?sink ~config ~policy programs in
   let outs = Array.to_list outputs |> List.filter_map Fun.id in
@@ -168,35 +190,49 @@ let cas_spec =
       | Cas (e, d) -> if s = e then (d, `Bool true) else (s, `Bool false)
       | Rd -> (s, `Val s))
 
-let hybrid_cas ~name ~quantum ~layout ~script =
+let cas_programs ~cas ~read script =
+  let hist = Hist.create () in
+  let programs =
+    List.mapi
+      (fun pid ops () ->
+        List.iter
+          (fun op ->
+            Eff.invocation "op" (fun () ->
+                ignore
+                  (Hist.wrap hist ~pid op (fun () ->
+                       match op with
+                       | Cas (e, d) -> `Bool (cas ~pid e d)
+                       | Rd -> `Val (read ~pid)))))
+          ops)
+      script
+  in
+  (hist, Array.of_list programs)
+
+let linearizable_check hist r =
+  if not (all_finished r) then Error "not all processes finished"
+  else Lincheck.check_hist cas_spec hist
+
+let uni_cas_config fn ~quantum ~layout ~script =
   if Layout.processors layout <> 1 then
-    invalid_arg "Scenarios.hybrid_cas: uniprocessor layout required";
-  let n = List.length layout in
-  if List.length script <> n then invalid_arg "Scenarios.hybrid_cas: script/layout mismatch";
-  let config = Layout.to_config ~quantum layout in
+    invalid_arg (fn ^ ": uniprocessor layout required");
+  if List.length script <> List.length layout then
+    invalid_arg (fn ^ ": script/layout mismatch");
+  Layout.to_config ~quantum layout
+
+let hybrid_cas_programs ~config ~name script =
+  let obj = Hybrid_cas.make ~config ~name ~init:0 in
+  let hist, programs =
+    cas_programs script
+      ~cas:(fun ~pid expected desired -> Hybrid_cas.cas obj ~pid ~expected ~desired)
+      ~read:(fun ~pid -> Hybrid_cas.read obj ~pid)
+  in
+  (obj, hist, programs)
+
+let hybrid_cas ~name ~quantum ~layout ~script =
+  let config = uni_cas_config "Scenarios.hybrid_cas" ~quantum ~layout ~script in
   let make () =
-    let obj = Hybrid_cas.make ~config ~name:(name ^ ".o") ~init:0 in
-    let hist = Hist.create () in
-    let programs =
-      Array.init n (fun pid () ->
-          List.iter
-            (fun op ->
-              Eff.invocation "op" (fun () ->
-                  match op with
-                  | Cas (e, d) ->
-                    ignore
-                      (Hist.wrap hist ~pid op (fun () ->
-                           `Bool (Hybrid_cas.cas obj ~pid ~expected:e ~desired:d)))
-                  | Rd ->
-                    ignore
-                      (Hist.wrap hist ~pid op (fun () -> `Val (Hybrid_cas.read obj ~pid)))))
-            (List.nth script pid))
-    in
-    let check r =
-      if not (all_finished r) then Error "not all processes finished"
-      else Lincheck.check_hist cas_spec hist
-    in
-    Explore.{ programs; check }
+    let _, hist, programs = hybrid_cas_programs ~config ~name:(name ^ ".o") script in
+    Explore.{ programs; check = linearizable_check hist }
   in
   Explore.{ name; config; make }
 
@@ -209,27 +245,8 @@ type cas_summary = {
 }
 
 let run_cas ?(step_limit = 3_000_000) ?sink ~quantum ~layout ~script ~policy () =
-  if Layout.processors layout <> 1 then
-    invalid_arg "Scenarios.run_cas: uniprocessor layout required";
-  let n = List.length layout in
-  if List.length script <> n then invalid_arg "Scenarios.run_cas: script/layout mismatch";
-  let config = Layout.to_config ~quantum layout in
-  let obj = Hybrid_cas.make ~config ~name:"cas.o" ~init:0 in
-  let hist = Hist.create () in
-  let programs =
-    Array.init n (fun pid () ->
-        List.iter
-          (fun op ->
-            Eff.invocation "op" (fun () ->
-                match op with
-                | Cas (e, d) ->
-                  ignore
-                    (Hist.wrap hist ~pid op (fun () ->
-                         `Bool (Hybrid_cas.cas obj ~pid ~expected:e ~desired:d)))
-                | Rd ->
-                  ignore (Hist.wrap hist ~pid op (fun () -> `Val (Hybrid_cas.read obj ~pid)))))
-          (List.nth script pid))
-  in
+  let config = uni_cas_config "Scenarios.run_cas" ~quantum ~layout ~script in
+  let obj, hist, programs = hybrid_cas_programs ~config ~name:"cas.o" script in
   let r = Engine.run ~step_limit ?sink ~config ~policy programs in
   {
     cas_finished = all_finished r;
@@ -245,26 +262,12 @@ let q_cas ~name ~quantum ~n ~script =
   let config = Layout.to_config ~quantum layout in
   let make () =
     let obj = Q_cas.make (name ^ ".o") 0 in
-    let hist = Hist.create () in
-    let programs =
-      Array.init n (fun pid () ->
-          List.iter
-            (fun op ->
-              Eff.invocation "op" (fun () ->
-                  match op with
-                  | Cas (e, d) ->
-                    ignore
-                      (Hist.wrap hist ~pid op (fun () ->
-                           `Bool (Q_cas.cas obj ~who:pid ~expected:e ~desired:d)))
-                  | Rd ->
-                    ignore (Hist.wrap hist ~pid op (fun () -> `Val (Q_cas.read obj)))))
-            (List.nth script pid))
+    let hist, programs =
+      cas_programs script
+        ~cas:(fun ~pid expected desired -> Q_cas.cas obj ~who:pid ~expected ~desired)
+        ~read:(fun ~pid:_ -> Q_cas.read obj)
     in
-    let check r =
-      if not (all_finished r) then Error "not all processes finished"
-      else Lincheck.check_hist cas_spec hist
-    in
-    Explore.{ programs; check }
+    Explore.{ programs; check = linearizable_check hist }
   in
   Explore.{ name; config; make }
 
@@ -321,14 +324,11 @@ let universal_counter_uni ~name ~quantum ~pris =
   let make () =
     let factory = Wf_objects.uni_factory () in
     let c = Wf_objects.counter ~name:(name ^ ".ctr") ~n ~factory in
-    let results = Array.make n (-1) in
-    let programs =
-      Array.init n (fun pid () ->
-          Eff.invocation "incr" (fun () -> results.(pid) <- Wf_objects.incr c ~pid))
-    in
+    let results, programs = increment_once ~n (fun pid -> Wf_objects.incr c ~pid) in
     let check r =
       if not (all_finished r) then Error "not all processes finished"
       else
+        let results = Array.map (Option.value ~default:(-1)) results in
         let sorted = Array.copy results in
         Array.sort compare sorted;
         if sorted = Array.init n (fun i -> i + 1) then Ok ()

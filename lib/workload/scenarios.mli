@@ -1,12 +1,41 @@
-(** Ready-made experiment scenarios.
+(** Ready-made experiment scenarios, and the one place the paper's
+    workloads get their program bodies.
 
     Each builder packages a machine shape, process programs and a
     correctness verdict into an {!Hwf_adversary.Explore.scenario}, so the
     same workload can be model-checked, random-tested, probed for
     bivalence or run once under a chosen policy. These are the workloads
-    behind experiments E1–E12 (DESIGN.md). *)
+    behind experiments E1–E12 (DESIGN.md).
+
+    The bodies themselves — propose once ({!propose_once}), run a C&S
+    script ({!cas_programs}), increment once ({!increment_once}) — are
+    exported so that the fault certifier ([Hwf_faults.Suite]), the
+    linter registry ({!Registry}) and the one-shot benches run exactly
+    these programs over objects they build themselves. *)
 
 open Hwf_adversary
+
+(** {1 Program bodies} *)
+
+val propose_once : n:int -> (int -> int -> int) -> int option array * (unit -> unit) array
+(** [propose_once ~n decide] is one program per pid: a single ["decide"]
+    invocation running [decide pid (100 + pid)] and storing the result
+    in the returned output array (slot [pid]; [None] until it
+    returns). Fresh outputs per call. *)
+
+val increment_once : n:int -> (int -> int) -> int option array * (unit -> unit) array
+(** [increment_once ~n incr]: every pid runs one ["incr"] invocation of
+    [incr pid] and stores the result, as {!propose_once}. *)
+
+val decision : int option array -> int option
+(** The common value of the recorded outputs if every recorded one
+    agrees; [None] if they differ or none was recorded. *)
+
+val survivors_agree : int option array -> Hwf_sim.Proc.pid list -> (unit, string) result
+(** The consensus verdict among the listed survivors of a crashed run:
+    their recorded decisions agree and are one of the proposals
+    [100 .. 100 + n - 1] ([n] the output array's length). Survivors
+    without a decision are not constrained. *)
 
 (** {1 Consensus scenarios} *)
 
@@ -27,10 +56,12 @@ type consensus_built = {
 
 val consensus :
   name:string -> impl:consensus_impl -> quantum:int -> layout:Layout.t -> consensus_built
-(** Every process proposes [100 + pid] once; the verdict demands that all
-    processes finish, agree, and decide a proposed value (and, for Fig7,
-    that no [C]-consensus object was exhausted — which the Theorem 4
-    quantum guarantees). *)
+(** Every process proposes [100 + pid] once ({!propose_once}); the
+    verdict demands that all processes finish, agree, and decide a
+    proposed value. An exhausted [C]-consensus object is not itself a
+    failure here (only its effect on agreement is); {!run_multi}
+    reports exhaustion, and the fault certifier's Fig. 7 subject
+    rejects it. *)
 
 (** {1 One-shot multiprocessor consensus run with full statistics} *)
 
@@ -92,6 +123,16 @@ val cas_spec : (cas_op, [ `Bool of bool | `Val of int ]) Hwf_check.Lincheck.spec
 
 val random_script : seed:int -> n:int -> ops_per:int -> cas_op list list
 (** A deterministic mixed CAS/read workload, one op list per pid. *)
+
+val cas_programs :
+  cas:(pid:int -> int -> int -> bool) ->
+  read:(pid:int -> int) ->
+  cas_op list list ->
+  (cas_op, [ `Bool of bool | `Val of int ]) Hwf_check.Hist.t * (unit -> unit) array
+(** [cas_programs ~cas ~read script]: pid [i] runs [script]'s [i]-th op
+    list, each op one ["op"] invocation of [cas ~pid expected desired]
+    or [read ~pid], recorded through {!Hwf_check.Hist.wrap} into the
+    returned (fresh) history. *)
 
 val hybrid_cas :
   name:string -> quantum:int -> layout:Layout.t -> script:cas_op list list ->

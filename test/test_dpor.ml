@@ -402,34 +402,10 @@ let fig7_mp () =
      ~layout:[ (0, 1); (1, 1); (0, 1) ])
     .Scenarios.scenario
 
-(* The certified static oracle, built the way [hybridsim explore
-   --indep] builds it. *)
+(* The certified static oracle [hybridsim explore --indep] uses. *)
 let indep_relation (s : Explore.scenario) =
-  let module Lint = Hwf_lint.Lint in
-  let module Indep = Hwf_lint.Indep in
-  let current_check = ref (fun (_ : Engine.result) -> Ok ()) in
-  let make () =
-    let i = s.make () in
-    current_check := i.Explore.check;
-    i.Explore.programs
-  in
-  let spec =
-    {
-      Lint.name = s.name;
-      config = s.config;
-      make;
-      expect = Hwf_lint.Checks.Helping;
-      min_quantum = 1;
-      theorem = "independence oracle";
-      fair_only = true;
-      step_limit = 8_000_000;
-    }
-  in
-  match
-    Indep.certified_relation ~check:(fun r -> !current_check r) ~config:s.config ~make
-      (Lint.run spec)
-  with
-  | Ok (t, _) -> { Explore.rname = "static"; rel = Indep.relation t }
+  match Registry.static_relation s with
+  | Ok (rel, _, _) -> rel
   | Error m -> Alcotest.failf "oracle refuted on %s: %s" s.name m
 
 let digest8 s = String.sub (Digest.to_hex (Digest.string s)) 0 8

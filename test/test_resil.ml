@@ -127,23 +127,6 @@ let test_run_cell_timeout_demotion () =
   Util.check Alcotest.(list int) "builder saw attempt numbers" [ 1; 2 ]
     (List.rev !seen)
 
-let test_map_should_stop () =
-  Resil.reset_interrupt ();
-  let stop = Atomic.make false in
-  let cells =
-    Resil.map ~jobs:1
-      ~should_stop:(fun () -> Atomic.get stop)
-      (fun _ i ->
-        if i = 1 then Atomic.set stop true;
-        i * 10)
-      (Array.init 6 Fun.id)
-  in
-  let cov = Resil.coverage_of_cells cells in
-  Util.checki "total" 6 cov.Resil.cells_total;
-  Util.checkb "some cells skipped" (cov.Resil.skipped > 0);
-  Util.checkb "stop is not silent" (not (Resil.complete cov));
-  Util.checkb "completed prefix kept" (Resil.cell_value cells.(0) = Some 0)
-
 (* ---- checkpoint journals ---- *)
 
 let test_checkpoint_roundtrip () =
@@ -473,7 +456,6 @@ let () =
             test_run_cell_harness_bug_not_retried;
           Alcotest.test_case "timeout demotion" `Quick
             test_run_cell_timeout_demotion;
-          Alcotest.test_case "map stops cooperatively" `Quick test_map_should_stop;
         ] );
       ( "checkpoint",
         [
