@@ -127,7 +127,7 @@ val run :
     run stops with [All_halted]. The predicate must be monotone in
     [own_steps] for a given pid (crashed processes stay crashed) and
     should leave processes holding an active quantum guarantee running
-    (see {!Hwf_adversary.Crash}); it is consulted afresh each scheduling
+    (see {!Hwf_faults.Plan}); it is consulted afresh each scheduling
     decision, so it must be stateless.
 
     [axiom2_active] gates enforcement of the Axiom 2 quantum guarantee
