@@ -117,13 +117,7 @@ let json_of_cells ~quick ~target ~truncated cells =
     (Json.Obj
        [
          ("schema", Json.Str Json.Schema.bench_engine.tag);
-         ( "host",
-           Json.Obj
-             [
-               ("nproc", Json.Int (Domain.recommended_domain_count ()));
-               ("ocaml", Json.Str Sys.ocaml_version);
-               ("mode", Json.Str (if quick then "quick" else "full"));
-             ] );
+         ("host", Jobs.host_json ~quick);
          ("target_statements", Json.Int target);
          ("truncated", Json.Bool truncated);
          ( "cells",

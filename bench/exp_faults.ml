@@ -7,7 +7,9 @@
    layering them — and certify three properties per run: every
    unblocked survivor finishes, nobody exceeds the theorem's own-step
    bound, and the surviving history stays correct (agreement /
-   linearizability with crashed operations pending).
+   linearizability with crashed operations pending). The campaign is
+   Suite.certify_all, the one `hybridsim faults` runs; this file keeps
+   only its output.
 
    The last row is the negative control: the same certifier pointed at a
    hand-derived Fig. 3 schedule with the Axiom 2 quantum guarantee
@@ -31,60 +33,15 @@ module Resil = Hwf_resil.Resil
 
 let seed = 41
 
-let report_row report verdict =
-  [
-    report.Certify.subject;
-    string_of_int report.Certify.plans;
-    string_of_int report.Certify.passed;
-    string_of_int report.Certify.blocked;
-    string_of_int report.Certify.worst_own_steps;
-    report.Certify.bound_desc;
-    verdict;
-  ]
-
-let ckpt_for name =
-  Option.map
-    (fun base -> Printf.sprintf "%s.%s.ckpt.jsonl" base name)
-    !Jobs.checkpoint
-
-let verdict_of report =
-  let c = report.Certify.coverage in
-  if not (Resil.complete c) then
-    Printf.sprintf "INCOMPLETE (%d/%d cells)" c.Resil.cells_done c.Resil.cells_total
-  else if Certify.certified report then "CERTIFIED"
-  else Printf.sprintf "FAILED (%d)" (List.length report.Certify.failures)
-
-let certify_row ?(quick = false) subject =
-  let plans = Suite.campaign ~quick ~seed subject in
-  let report =
-    Certify.certify ~jobs:!Jobs.n ?grain:!Jobs.grain
-      ?checkpoint:(ckpt_for subject.Certify.name)
-      ~resume:!Jobs.resume subject plans
-  in
-  (report, report_row report (verdict_of report))
-
-let negative_row () =
-  let subject = Suite.negative () in
-  let report =
-    Certify.certify
-      ?checkpoint:(ckpt_for subject.Certify.name)
-      ~resume:!Jobs.resume subject [ Suite.negative_plan ]
-  in
-  let verdict =
-    if not (Resil.complete report.Certify.coverage) then verdict_of report
-    else if Certify.certified report then "CERTIFIED (BUG: control not rejected!)"
-    else "REJECTED (expected)"
-  in
-  (report, report_row report verdict)
-
 (* BENCH_faults.json: the machine-readable record of the campaign.
-   Deterministic — every value is an int, bool or string derived from
-   the (seeded) campaign, never from the wall clock — so two completed
-   runs of the same campaign produce identical bytes, including a
+   Deterministic — past the host block, every value is an int, bool or
+   string derived from the (seeded) campaign, never from the wall clock
+   — so two completed runs of the same campaign on one host produce
+   identical bytes, including a
    kill+--resume run vs a clean one (the CI kill/resume smoke diffs
    exactly this file). A truncated run flips "truncated" and carries the
    partial coverage instead. *)
-let json_of ~quick ~truncated reports neg_report =
+let json_of ~quick ~truncated (c : Suite.certification) =
   let coverage_fields c =
     [
       ("cells_total", Json.Int c.Resil.cells_total);
@@ -96,49 +53,49 @@ let json_of ~quick ~truncated reports neg_report =
       ("degraded", Json.Int c.Resil.degraded);
     ]
   in
+  let neg = Option.get c.negative in
   Json.pretty
     (Json.Obj
        [
          ("schema", Json.Str Json.Schema.bench_faults.tag);
+         ("host", Jobs.host_json ~quick);
          ("seed", Json.Int seed);
          ("quick", Json.Bool quick);
          ("truncated", Json.Bool truncated);
          ( "subjects",
            Json.List
              (List.map
-                (fun (r, _) ->
+                (fun (r : Suite.row) ->
                   Json.Obj
                     ([
-                       ("name", Json.Str r.Certify.subject);
-                       ("plans", Json.Int r.Certify.plans);
-                       ("passed", Json.Int r.Certify.passed);
-                       ("blocked", Json.Int r.Certify.blocked);
-                       ("worst_own_steps", Json.Int r.Certify.worst_own_steps);
-                       ("certified", Json.Bool (Certify.certified r));
+                       ("name", Json.Str r.report.Certify.subject);
+                       ("plans", Json.Int r.report.Certify.plans);
+                       ("passed", Json.Int r.report.Certify.passed);
+                       ("blocked", Json.Int r.report.Certify.blocked);
+                       ("worst_own_steps", Json.Int r.report.Certify.worst_own_steps);
+                       ("certified", Json.Bool r.ok);
                      ]
-                    @ coverage_fields r.Certify.coverage))
-                reports) );
-         ("negative_rejected", Json.Bool (not (Certify.certified neg_report)));
-         ("negative_coverage", Json.Obj (coverage_fields neg_report.Certify.coverage));
+                    @ coverage_fields r.report.Certify.coverage))
+                c.positives) );
+         ("negative_rejected", Json.Bool neg.ok);
+         ("negative_coverage", Json.Obj (coverage_fields neg.report.Certify.coverage));
        ])
 
 let run ~quick =
   Tbl.section "E16: fault-injection campaigns / wait-freedom certifier";
-  let reports_rows = List.map (certify_row ~quick) (Suite.positive_subjects ~seed ()) in
-  let neg_report, neg_row = negative_row () in
-  let coverage =
-    List.fold_left
-      (fun acc (r, _) -> Resil.coverage_union acc r.Certify.coverage)
-      neg_report.Certify.coverage reports_rows
+  let c =
+    Suite.certify_all ~quick ~seed ~negative:true ~jobs:!Jobs.n ?grain:!Jobs.grain
+      ?checkpoint:!Jobs.checkpoint ~resume:!Jobs.resume ()
   in
-  let truncated = not (Resil.complete coverage) in
+  let neg = Option.get c.negative in
+  let truncated = not (Resil.complete c.coverage) in
   Tbl.print
     ~title:
       (Printf.sprintf
          "certification under exhaustive crash sweeps + chaos plans (seed %d%s)" seed
          (if quick then ", quick" else ""))
     ~header:[ "subject"; "plans"; "passed"; "blocked"; "worst own-steps"; "bound"; "verdict" ]
-    (List.map snd reports_rows @ [ neg_row ]);
+    (List.map Suite.columns (c.positives @ [ neg ]));
   Tbl.note
     "blocked = passing runs where an unfinished survivor was excused:\n\
      a parked victim of strictly higher priority stays ready and blocks\n\
@@ -147,11 +104,9 @@ let run ~quick =
      must be REJECTED: it is the control that proves the certifier can\n\
      see the algorithms fail when the quantum guarantee is withdrawn.";
   List.iter
-    (fun (report, _) ->
-      if not (Certify.certified report) then
-        Fmt.pr "@.%a@." Certify.pp_report report)
-    reports_rows;
-  (match neg_report.Certify.failures with
+    (fun (r : Suite.row) -> if not r.ok then Fmt.pr "@.%a@." Certify.pp_report r.report)
+    c.positives;
+  (match neg.report.Certify.failures with
   | f :: _ ->
     Tbl.note "negative-control counterexample (shrunk): plan [%s]; %s"
       (Plan.to_string f.Certify.plan)
@@ -159,18 +114,17 @@ let run ~quick =
   | [] -> ());
   let path = "BENCH_faults.json" in
   let oc = open_out path in
-  output_string oc (json_of ~quick ~truncated reports_rows neg_report);
+  output_string oc (json_of ~quick ~truncated c);
   close_out oc;
   Tbl.note "wrote %s%s" path
     (if truncated then " (TRUNCATED: partial campaign, see coverage fields)"
      else "");
   if truncated then
-    Fmt.pr "@.E16 incomplete: %a@." Resil.pp_coverage coverage
+    Fmt.pr "@.E16 incomplete: %a@." Resil.pp_coverage c.coverage
   else begin
     (* Only a completed campaign can be judged: a truncated one has an
        untrustworthy failure list (bench/main.ml exits 2 for it). *)
-    if List.exists (fun (r, _) -> not (Certify.certified r)) reports_rows then
+    if List.exists (fun (r : Suite.row) -> not r.ok) c.positives then
       failwith "E16: a positive campaign failed certification";
-    if Certify.certified neg_report then
-      failwith "E16: the negative control was not rejected"
+    if not neg.ok then failwith "E16: the negative control was not rejected"
   end

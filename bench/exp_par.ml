@@ -193,7 +193,7 @@ let dpor_cell scenario =
 
 (* ---- output ---- *)
 
-let json_of ~jobs ~grain ~self_check cells dpor =
+let json_of ~quick ~jobs ~grain ~self_check cells dpor =
   let total_par = List.fold_left (fun a c -> a +. c.par_s) 0. cells in
   let total_seq =
     List.fold_left
@@ -204,6 +204,7 @@ let json_of ~jobs ~grain ~self_check cells dpor =
     (Json.Obj
        [
          ("schema", Json.Str Json.Schema.bench_par.tag);
+         ("host", Jobs.host_json ~quick);
          ("jobs", Json.Int jobs);
          ("grain", match grain with None -> Json.Str "auto" | Some g -> Json.Int g);
          ("recommended_domains", Json.Int (Hwf_par.Pool.default_jobs ()));
@@ -312,7 +313,7 @@ let run ~quick =
        dpor);
   let path = "BENCH_par.json" in
   let oc = open_out path in
-  output_string oc (json_of ~jobs ~grain ~self_check cells dpor);
+  output_string oc (json_of ~quick ~jobs ~grain ~self_check cells dpor);
   close_out oc;
   Tbl.note
     "wrote %s; speedup scales with cores (expect >= 2x on >= 4 cores for\n\

@@ -27,3 +27,13 @@ let min_stmts_per_sec : float option ref = ref None
    cells from them (see docs/ROBUSTNESS.md). *)
 let checkpoint : string option ref = ref None
 let resume = ref false
+
+(* The "host" block of every BENCH_*.json that carries one: the machine
+   and mode that wrote the file, so numbers compare across commits. *)
+let host_json ~quick =
+  Hwf_obs.Json.Obj
+    [
+      ("nproc", Hwf_obs.Json.Int (Domain.recommended_domain_count ()));
+      ("ocaml", Hwf_obs.Json.Str Sys.ocaml_version);
+      ("mode", Hwf_obs.Json.Str (if quick then "quick" else "full"));
+    ]

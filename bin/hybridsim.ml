@@ -185,13 +185,19 @@ let metrics_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let export_trace path trace =
-  Hwf_obs.Jsonl.write_trace ~path trace;
-  Fmt.pr "trace: %s@." path
-
-let export_metrics path m =
-  Hwf_obs.Jsonl.write_metrics ~path m;
-  Fmt.pr "metrics: %s@." path
+(* The --trace-out/--metrics-out exports of one run: its trace, and the
+   metrics [metrics ()] builds only when they are asked for. *)
+let export ~trace_out ~metrics_out trace metrics =
+  Option.iter
+    (fun path ->
+      Hwf_obs.Jsonl.write_trace ~path trace;
+      Fmt.pr "trace: %s@." path)
+    trace_out;
+  Option.iter
+    (fun path ->
+      Hwf_obs.Jsonl.write_metrics ~path (metrics ());
+      Fmt.pr "metrics: %s@." path)
+    metrics_out
 
 (* Harness rows shared by the metrics exports: the Fig. 5 access-failure
    tap ([cas], [stats]) and an exploration's size ([explore], [stats]). *)
@@ -207,7 +213,7 @@ let cas_rows (st : Hwf_core.Hybrid_cas.stats) =
 let explore_rows (o : Explore.outcome) =
   [ ("explore.runs", o.runs); ("explore.exhaustive", if o.exhaustive then 1 else 0) ]
 
-let scenario_of impl cnum quantum layout =
+let bundle_of impl cnum quantum layout =
   let impl =
     match impl with
     | `Fig3 -> Scenarios.Fig3
@@ -216,11 +222,18 @@ let scenario_of impl cnum quantum layout =
   in
   Scenarios.consensus ~name:"cli" ~impl ~quantum ~layout
 
+let scenario_of impl cnum quantum layout =
+  match impl with
+  | `Queue ->
+    Scenarios.universal_queue ~name:"cli" ~quantum ~consensus_number:cnum ~layout
+      ~ops_per:1
+  | (`Fig3 | `Fig7 | `Fig9) as impl -> (bundle_of impl cnum quantum layout).Scenarios.scenario
+
 (* ---- run: one consensus execution ---- *)
 
 let run_cmd =
   let action impl cnum quantum layout policy seed render trace_out metrics_out =
-    let b = scenario_of impl cnum quantum layout in
+    let b = bundle_of impl cnum quantum layout in
     let config = b.Scenarios.scenario.Explore.config in
     let instance = b.Scenarios.scenario.Explore.make () in
     (* Metrics are collected live through the engine's trace sink; when
@@ -252,10 +265,8 @@ let run_cmd =
     | Some v -> Fmt.pr "consensus: %d@." v
     | None -> Fmt.pr "consensus: DISAGREEMENT OR INCOMPLETE@.");
     if render then Fmt.pr "@.%s@." (Render.lanes r.trace);
-    Option.iter (fun path -> export_trace path r.trace) trace_out;
-    Option.iter
-      (fun path -> export_metrics path (Hwf_obs.Metrics.finish (Option.get collector)))
-      metrics_out;
+    export ~trace_out ~metrics_out r.trace (fun () ->
+        Hwf_obs.Metrics.finish (Option.get collector));
     if b.Scenarios.last_decision () = None then exit 1
   in
   let term =
@@ -338,14 +349,7 @@ let explore_cmd =
       depth seed =
    guarded @@ fun () ->
     Resil.install_interrupt_handlers ();
-    let scenario =
-      match impl with
-      | `Queue ->
-        Scenarios.universal_queue ~name:"cli" ~quantum ~consensus_number:cnum
-          ~layout ~ops_per:1
-      | (`Fig3 | `Fig7 | `Fig9) as impl ->
-        (scenario_of impl cnum quantum layout).Scenarios.scenario
-    in
+    let scenario = scenario_of impl cnum quantum layout in
     let estats = Explore.make_stats ~jobs scenario in
     let relation =
       if not indep then None
@@ -411,12 +415,10 @@ let explore_cmd =
        outcome is. *)
     let export schedule =
       let result, _ = Schedule.replay scenario schedule in
-      Option.iter (fun path -> export_trace path result.Engine.trace) trace_out;
-      Option.iter
-        (fun path ->
-          let m = Hwf_obs.Metrics.of_trace result.Engine.trace in
-          export_metrics path (Hwf_obs.Metrics.with_harness m (explore_rows o)))
-        metrics_out
+      export ~trace_out ~metrics_out result.Engine.trace (fun () ->
+          Hwf_obs.Metrics.with_harness
+            (Hwf_obs.Metrics.of_trace result.Engine.trace)
+            (explore_rows o))
     in
     match o.counterexample with
     | None ->
@@ -468,15 +470,15 @@ let replay_cmd =
       & info [] ~docv:"FILE" ~doc:"Schedule file (from explore --save).")
   in
   let action impl cnum quantum layout file =
-    let b = scenario_of impl cnum quantum layout in
-    match Schedule.load ~n:(Hwf_sim.Config.n b.Scenarios.scenario.config) ~path:file () with
+    let scenario = scenario_of impl cnum quantum layout in
+    match Schedule.load ~n:(Hwf_sim.Config.n scenario.config) ~path:file () with
     | Error m ->
       Fmt.epr "%s@." m;
       exit 2
     | Ok schedule -> (
-      let result, _ = Schedule.replay b.Scenarios.scenario schedule in
+      let result, _ = Schedule.replay scenario schedule in
       Fmt.pr "%s@." (Render.lanes result.trace);
-      match Schedule.verdict b.Scenarios.scenario schedule with
+      match Schedule.verdict scenario schedule with
       | Ok () -> Fmt.pr "verdict: passes@."
       | Error m ->
         Fmt.pr "verdict: FAILS (%s)@." m;
@@ -537,11 +539,10 @@ let analyze_cmd =
         exit 1
     end
     else begin
-      let b = scenario_of impl cnum quantum layout in
-      let config = b.Scenarios.scenario.Explore.config in
-      let instance = b.Scenarios.scenario.Explore.make () in
+      let scenario = scenario_of impl cnum quantum layout in
+      let instance = scenario.Explore.make () in
       let r =
-        Engine.run ~step_limit:20_000_000 ~config
+        Engine.run ~step_limit:20_000_000 ~config:scenario.config
           ~policy:(make_policy policy seed) instance.Explore.programs
       in
       let m = Hwf_obs.Metrics.of_trace r.trace in
@@ -568,7 +569,7 @@ let analyze_cmd =
       Fmt.pr "@.%a@." Hwf_obs.Races.pp_report races;
       Option.iter
         (fun path ->
-          Hwf_obs.Jsonl.write_races ~path ~config races;
+          Hwf_obs.Jsonl.write_races ~path ~config:scenario.config races;
           Fmt.pr "report: %s@." path)
         report
     end
@@ -593,7 +594,7 @@ let bivalence_cmd =
     Arg.(value & opt int 100_000 & info [ "max-runs" ] ~docv:"N" ~doc:"Schedule budget.")
   in
   let action impl cnum quantum layout max_runs =
-    let b = scenario_of impl cnum quantum layout in
+    let b = bundle_of impl cnum quantum layout in
     let p =
       Bivalence.probe ~max_runs ~scenario:b.Scenarios.scenario
         ~decision:b.Scenarios.last_decision ()
@@ -627,13 +628,10 @@ let cas_cmd =
     (if trace_out <> None || metrics_out <> None then
        match o.counterexample with
        | Some c ->
-         Option.iter (fun path -> export_trace path c.Explore.trace) trace_out;
-         Option.iter
-           (fun path ->
-             let m = Hwf_obs.Metrics.of_trace c.Explore.trace in
-             export_metrics path
-               (Hwf_obs.Metrics.with_harness m [ ("cas.runs", o.Explore.runs) ]))
-           metrics_out
+         export ~trace_out ~metrics_out c.Explore.trace (fun () ->
+             Hwf_obs.Metrics.with_harness
+               (Hwf_obs.Metrics.of_trace c.Explore.trace)
+               [ ("cas.runs", o.Explore.runs) ])
        | None ->
          (* No failure: export one canonical single-threaded run (live
             collector), with the Fig. 5 access-failure tap reported
@@ -646,9 +644,7 @@ let cas_cmd =
              ~sink:(Hwf_obs.Metrics.sink collector)
              ~quantum ~layout ~script ~policy:(Policy.random ~seed) ()
          in
-         Option.iter (fun path -> export_trace path sum.Scenarios.cas_trace) trace_out;
-         Option.iter
-           (fun path ->
+         export ~trace_out ~metrics_out sum.Scenarios.cas_trace (fun () ->
              let st = sum.Scenarios.cas_stats in
              let m = Hwf_obs.Metrics.finish collector in
              let m =
@@ -671,11 +667,7 @@ let cas_cmd =
                    };
                  ]
              in
-             let m =
-               Hwf_obs.Metrics.with_harness m (("cas.runs", o.Explore.runs) :: cas_rows st)
-             in
-             export_metrics path m)
-           metrics_out);
+             Hwf_obs.Metrics.with_harness m (("cas.runs", o.Explore.runs) :: cas_rows st)));
     if o.counterexample <> None then exit 1
   in
   let term =
@@ -766,15 +758,7 @@ let sweep_cmd =
 
 let faults_cmd =
   let open Hwf_faults in
-  let subjects =
-    [
-      ("fig3", Suite.fig3);
-      ("fig3-time", Suite.fig3_time);
-      ("fig5", Suite.fig5);
-      ("fig7", Suite.fig7);
-      ("universal", Suite.universal);
-    ]
-  in
+  let names = List.map (fun s -> s.Certify.name) (Suite.positive_subjects ()) in
   let subject_arg =
     let doc =
       "Subjects to certify (repeatable): fig3, fig3-time, fig5, fig7, universal. \
@@ -782,7 +766,7 @@ let faults_cmd =
     in
     Arg.(
       value
-      & opt_all (enum (List.map (fun (n, _) -> (n, n)) subjects)) []
+      & opt_all (enum (List.map (fun n -> (n, n)) names)) []
       & info [ "s"; "subject" ] ~docv:"SUBJECT" ~doc)
   in
   let full_arg =
@@ -832,88 +816,37 @@ let faults_cmd =
         step_limit = max_int;
       }
   in
-  let action chosen seed full negative inject_livelock jobs grain ckpt resume
+  let action only seed full negative inject_livelock jobs grain checkpoint resume
       cell_wall retries trace_out metrics_out =
    guarded @@ fun () ->
     Resil.install_interrupt_handlers ();
-    let chosen =
-      if chosen = [] then subjects
-      else List.filter (fun (n, _) -> List.mem n chosen) subjects
-    in
     let retry = retry_of_attempts retries in
-    let cell_wall =
+    let cell_wall_s =
       match (cell_wall, inject_livelock) with None, true -> Some 2.0 | v, _ -> v
     in
-    let ckpt_for name =
-      Option.map (fun base -> Printf.sprintf "%s.%s.ckpt.jsonl" base name) ckpt
+    let c =
+      Suite.certify_all ~quick:(not full) ~seed ~only ~negative ~jobs ?grain ~retry
+        ?cell_wall_s ?checkpoint ~resume ()
     in
-    let rows = ref [] and all_ok = ref true in
-    let failures = ref [] in
-    let total_plans = ref 0 and total_passed = ref 0 in
-    let total_blocked = ref 0 and worst_steps = ref 0 in
-    let total_cov = ref (Resil.full_coverage 0) in
-    let row (report : Certify.report) verdict =
-      [
-        report.subject;
-        string_of_int report.plans;
-        string_of_int report.passed;
-        string_of_int report.blocked;
-        string_of_int report.worst_own_steps;
-        report.bound_desc;
-        verdict;
-      ]
-    in
-    List.iter
-      (fun (name, make_subject) ->
-        let subject = make_subject ?seed:(Some seed) () in
-        let plans = Suite.campaign ~quick:(not full) ~seed subject in
-        let report =
-          Certify.certify ~jobs ?grain ~retry ?cell_wall_s:cell_wall
-            ?checkpoint:(ckpt_for name) ~resume subject plans
+    let livelock =
+      if not inject_livelock then []
+      else
+        let subject = livelock_subject () in
+        let report = Certify.certify ~retry ?cell_wall_s subject [ Plan.none ] in
+        let verdict =
+          if Resil.complete report.Certify.coverage then "COMPLETED (watchdog control bug!)"
+          else Fmt.str "TIMED OUT (expected; %a)" Resil.pp_coverage report.Certify.coverage
         in
-        total_cov := Resil.coverage_union !total_cov report.Certify.coverage;
-        total_plans := !total_plans + report.Certify.plans;
-        total_passed := !total_passed + report.Certify.passed;
-        total_blocked := !total_blocked + report.Certify.blocked;
-        worst_steps := max !worst_steps report.Certify.worst_own_steps;
-        if not (Certify.certified report) then begin
-          all_ok := false;
-          failures := report :: !failures
-        end;
-        rows :=
-          row report
-            (if not (Resil.complete report.Certify.coverage) then
-               Fmt.str "INCOMPLETE (%a)" Resil.pp_coverage report.Certify.coverage
-             else if Certify.certified report then "CERTIFIED"
-             else Printf.sprintf "FAILED (%d)" (List.length report.Certify.failures))
-          :: !rows)
-      chosen;
-    if inject_livelock then begin
-      let subject = livelock_subject () in
-      let report =
-        Certify.certify ~retry ?cell_wall_s:cell_wall subject [ Hwf_faults.Plan.none ]
-      in
-      total_cov := Resil.coverage_union !total_cov report.Certify.coverage;
-      rows :=
-        row report
-          (if Resil.complete report.Certify.coverage then
-             "COMPLETED (watchdog control bug!)"
-           else Fmt.str "TIMED OUT (expected; %a)" Resil.pp_coverage report.Certify.coverage)
-        :: !rows
-    end;
-    if negative then begin
-      let subject = Suite.negative () in
-      let report = Certify.certify subject [ Suite.negative_plan ] in
-      total_cov := Resil.coverage_union !total_cov report.Certify.coverage;
-      let rejected = not (Certify.certified report) in
-      if not rejected then all_ok := false;
-      rows :=
-        row report
-          (if rejected then "REJECTED (expected)" else "NOT REJECTED (certifier bug!)")
-        :: !rows
-    end;
+        [ { Suite.subject; report; verdict; ok = true } ]
+    in
+    let negative = Option.to_list c.Suite.negative in
+    let coverage =
+      List.fold_left
+        (fun acc row -> Resil.coverage_union acc row.Suite.report.Certify.coverage)
+        c.coverage livelock
+    in
     let header = [ "subject"; "plans"; "passed"; "blocked"; "worst"; "bound"; "verdict" ] in
-    let rows = header :: List.rev !rows in
+    let rows = header :: List.map Suite.columns (c.positives @ livelock @ negative) in
     let widths =
       List.init (List.length header) (fun i ->
           List.fold_left (fun acc r -> max acc (String.length (List.nth r i))) 0 rows)
@@ -925,39 +858,39 @@ let faults_cmd =
         if k = 0 then
           Fmt.pr "%s@." (String.concat "  " (List.map (fun w -> String.make w '-') widths)))
       rows;
-    List.iter (fun r -> Fmt.pr "@.%a@." Certify.pp_report r) (List.rev !failures);
+    List.iter
+      (fun r -> if not r.Suite.ok then Fmt.pr "@.%a@." Certify.pp_report r.report)
+      c.positives;
     (* Exports: one deterministic judged run — the first chosen subject's
        first campaign plan — plus the campaign totals as harness rows. *)
     (if trace_out <> None || metrics_out <> None then
-       match chosen with
+       match c.positives with
        | [] -> ()
-       | (_, make_subject) :: _ -> (
-         let subject = make_subject ?seed:(Some seed) () in
-         match Suite.campaign ~quick:(not full) ~seed subject with
+       | first :: _ -> (
+         match Suite.campaign ~quick:(not full) ~seed first.subject with
          | [] -> ()
          | plan :: _ ->
-           let _, r, _ = Certify.run_plan subject plan in
-           Option.iter (fun path -> export_trace path r.Engine.trace) trace_out;
-           Option.iter
-             (fun path ->
-               let m = Hwf_obs.Metrics.of_trace r.Engine.trace in
-               let m =
-                 Hwf_obs.Metrics.with_harness m
-                   ([
-                      ("faults.plans", !total_plans);
-                      ("faults.passed", !total_passed);
-                      ("faults.blocked", !total_blocked);
-                      ("faults.worst_own_steps", !worst_steps);
-                    ]
-                   @ Resil.coverage_rows ~prefix:"faults" !total_cov)
-               in
-               export_metrics path m)
-             metrics_out));
+           let _, r, _ = Certify.run_plan first.subject plan in
+           export ~trace_out ~metrics_out r.Engine.trace (fun () ->
+               let sum f = List.fold_left (fun acc row -> acc + f row.Suite.report) 0 in
+               Hwf_obs.Metrics.with_harness
+                 (Hwf_obs.Metrics.of_trace r.Engine.trace)
+                 ([
+                    ("faults.plans", sum (fun r -> r.Certify.plans) c.positives);
+                    ("faults.passed", sum (fun r -> r.Certify.passed) c.positives);
+                    ("faults.blocked", sum (fun r -> r.Certify.blocked) c.positives);
+                    ( "faults.worst_own_steps",
+                      List.fold_left
+                        (fun acc row -> max acc row.Suite.report.Certify.worst_own_steps)
+                        0 c.positives );
+                  ]
+                 @ Resil.coverage_rows ~prefix:"faults" coverage))));
     (* Harness verdict first: a campaign with incomplete coverage is a
        partial result, so exit 2 regardless of what the evaluated cells
        say; only a complete campaign may exit 1 on failures. *)
-    exit_if_incomplete !total_cov;
-    if not !all_ok then exit Resil.exit_counterexample
+    exit_if_incomplete coverage;
+    if not (List.for_all (fun r -> r.Suite.ok) (c.positives @ negative)) then
+      exit Resil.exit_counterexample
   in
   let term =
     Term.(
@@ -1071,7 +1004,7 @@ let stats_cmd =
               ("mc.levels", sum.Scenarios.levels);
             ]
         in
-        (m, sum.Scenarios.trace, (scenario_of `Fig7 cnum quantum layout).Scenarios.scenario)
+        (m, sum.Scenarios.trace, scenario_of `Fig7 cnum quantum layout)
     in
     Fmt.pr "@.%a@." Hwf_obs.Metrics.pp metrics;
     (* Harness statistics: a bounded exploration of the same scenario
@@ -1114,10 +1047,8 @@ let stats_cmd =
     Array.iteri
       (fun w c -> if c > 0 then Fmt.pr "  domain %d: %d cells@." w c)
       (Hwf_par.Pool.stats_per_worker pool);
-    Option.iter (fun path -> export_trace path trace) trace_out;
-    Option.iter
-      (fun path -> export_metrics path (Hwf_obs.Metrics.with_harness metrics (explore_rows o)))
-      metrics_out
+    export ~trace_out ~metrics_out trace (fun () ->
+        Hwf_obs.Metrics.with_harness metrics (explore_rows o))
   in
   let term =
     Term.(

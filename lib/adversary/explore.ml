@@ -85,7 +85,7 @@ let pool_of stats = Option.map (fun s -> s.pool) stats
 
 (* A run that hits the step or decision limit fails: the scenarios are
    wait-free algorithms, which must terminate under every schedule. *)
-let verdict instance (result : Engine.result) =
+let verdict check (result : Engine.result) =
   match Wellformed.check result.trace with
   | v :: _ ->
     Error (Fmt.str "engine produced ill-formed trace: %a" Wellformed.pp_violation v)
@@ -94,8 +94,7 @@ let verdict instance (result : Engine.result) =
     | Engine.Step_limit -> Error "step limit hit (possible non-termination)"
     | Engine.Decision_limit ->
       Error "decision limit hit (statement-free spin; possible non-termination)"
-    | Engine.All_finished | Engine.Policy_stopped | Engine.All_halted ->
-      instance.check result)
+    | Engine.All_finished | Engine.Policy_stopped | Engine.All_halted -> check result)
 
 (* ---- per-worker scratch arenas ----
 
@@ -736,7 +735,7 @@ let explore ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_000) ?(jo
     ~cell_wall_s
     ~journal:(Option.map (fun path -> (path, resume)) checkpoint)
     ~should_stop
-    ~judge:(fun instance result _ -> verdict instance result)
+    ~judge:(fun instance result _ -> verdict instance.check result)
     scenario
 
 let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_000)
@@ -806,7 +805,7 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(jobs = 1) ?grain ?stats ?ru
       | Some f -> f ~step_limit ~policy instance
     in
     Option.iter (fun s -> Atomic.incr s.sampled) stats;
-    match verdict instance result with
+    match verdict instance.check result with
     | Error message ->
       sever arena;
       Some { message; trace = result.trace; decisions = Vec.to_list arena.log }

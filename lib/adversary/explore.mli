@@ -172,6 +172,21 @@ val stats_sampled : stats -> int
 
 val stats_pool : stats -> Hwf_par.Pool.stats
 
+val verdict :
+  (Hwf_sim.Engine.result -> ('a, string) result) ->
+  Hwf_sim.Engine.result ->
+  ('a, string) result
+(** [verdict check result] judges one run: an ill-formed trace, a
+    step-limit stop and a decision-limit stop each fail it (the
+    scenarios are wait-free algorithms, which must terminate under every
+    schedule); any other run is judged by [check]. The one run verdict
+    of {!explore}, {!sample}, {!Schedule.verdict} and
+    [Hwf_faults.Certify.judge]. *)
+
+val record_decisions : Hwf_sim.Policy.t -> Hwf_sim.Proc.pid Hwf_sim.Vec.t -> Hwf_sim.Policy.t
+(** [record_decisions policy log] chooses as [policy] does and pushes
+    each chosen pid onto [log]: the run's replayable schedule. *)
+
 val explore :
   ?preemption_bound:int ->
   ?max_runs:int ->

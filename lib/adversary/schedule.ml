@@ -55,11 +55,4 @@ let replay ?(step_limit = 1_000_000) (scenario : Explore.scenario) schedule =
 
 let verdict ?step_limit scenario schedule =
   let result, instance = replay ?step_limit scenario schedule in
-  match Wellformed.check result.trace with
-  | v :: _ -> Error (Fmt.str "ill-formed: %a" Wellformed.pp_violation v)
-  | [] -> (
-    match result.stop with
-    | Engine.Step_limit -> Error "step limit hit"
-    | Engine.Decision_limit -> Error "decision limit hit (statement-free spin)"
-    | Engine.All_finished | Engine.Policy_stopped | Engine.All_halted ->
-      instance.check result)
+  Explore.verdict instance.check result

@@ -46,63 +46,60 @@ let solo_own_steps subject =
   in
   r.Engine.own_steps
 
-let judge subject (inst : instance) (r : Engine.result) =
+(* The halting-failure half of [judge], on a well-formed run that
+   terminated: [Ok blocked] or the failure. *)
+let survivors_verdict subject (inst : instance) (r : Engine.result) =
   let config = subject.config in
   let n = Config.n config in
-  match Wellformed.check r.trace with
-  | v :: _ -> Fail (Fmt.str "ill-formed trace: %a" Wellformed.pp_violation v)
-  | [] ->
-    if r.stop = Engine.Step_limit then Fail "step limit hit (possible non-termination)"
-    else if r.stop = Engine.Decision_limit then
-      Fail "decision limit hit (statement-free spin; possible non-termination)"
-    else begin
-      let procs = config.Config.procs in
-      (* The model caveat of halting failures under Axiom 1: a parked
-         victim stays ready, so it permanently blocks strictly
-         lower-priority processes on its processor. Such survivors are
-         excused (the scheduler, not the algorithm, is starving them).
-         Equal-priority survivors are never excused — guarantees drain
-         before a victim parks, so Axiom 1 lets them run. *)
-      let blocked_by_victim p =
-        let me = procs.(p) in
-        let ok = ref false in
-        Array.iteri
-          (fun q hq ->
-            if
-              hq
-              && procs.(q).Proc.processor = me.Proc.processor
-              && procs.(q).Proc.priority > me.Proc.priority
-            then ok := true)
-          r.halted;
-        !ok
-      in
-      let unexcused = ref [] and blocked = ref false in
-      for p = n - 1 downto 0 do
-        if (not r.finished.(p)) && not r.halted.(p) then
-          if blocked_by_victim p then blocked := true else unexcused := p :: !unexcused
-      done;
-      match !unexcused with
-      | p :: _ ->
-        Fail
-          (Fmt.str
-             "survivor p%d did not finish (and no halted higher-priority victim blocks it)"
-             (p + 1))
-      | [] -> (
-        let over = ref [] in
-        Array.iteri
-          (fun p s -> if s > subject.step_bound then over := (p, s) :: !over)
-          r.own_steps;
-        match !over with
-        | (p, s) :: _ ->
-          Fail
-            (Fmt.str "p%d executed %d own statements, over the wait-freedom bound %d (%s)"
-               (p + 1) s subject.step_bound subject.bound_desc)
-        | [] -> (
-          let survivors = List.filter (fun p -> r.finished.(p)) (List.init n Fun.id) in
-          match inst.check ~survivors r with
-          | Ok () -> Pass { blocked = !blocked }
-          | Error m -> Fail m))
-    end
+  let procs = config.Config.procs in
+  (* The model caveat of halting failures under Axiom 1: a parked
+     victim stays ready, so it permanently blocks strictly
+     lower-priority processes on its processor. Such survivors are
+     excused (the scheduler, not the algorithm, is starving them).
+     Equal-priority survivors are never excused — guarantees drain
+     before a victim parks, so Axiom 1 lets them run. *)
+  let blocked_by_victim p =
+    let me = procs.(p) in
+    let ok = ref false in
+    Array.iteri
+      (fun q hq ->
+        if
+          hq
+          && procs.(q).Proc.processor = me.Proc.processor
+          && procs.(q).Proc.priority > me.Proc.priority
+        then ok := true)
+      r.halted;
+    !ok
+  in
+  let unexcused = ref [] and blocked = ref false in
+  for p = n - 1 downto 0 do
+    if (not r.finished.(p)) && not r.halted.(p) then
+      if blocked_by_victim p then blocked := true else unexcused := p :: !unexcused
+  done;
+  match !unexcused with
+  | p :: _ ->
+    Error
+      (Fmt.str
+         "survivor p%d did not finish (and no halted higher-priority victim blocks it)"
+         (p + 1))
+  | [] -> (
+    let over = ref [] in
+    Array.iteri
+      (fun p s -> if s > subject.step_bound then over := (p, s) :: !over)
+      r.own_steps;
+    match !over with
+    | (p, s) :: _ ->
+      Error
+        (Fmt.str "p%d executed %d own statements, over the wait-freedom bound %d (%s)"
+           (p + 1) s subject.step_bound subject.bound_desc)
+    | [] -> (
+      let survivors = List.filter (fun p -> r.finished.(p)) (List.init n Fun.id) in
+      match inst.check ~survivors r with Ok () -> Ok !blocked | Error m -> Error m))
+
+let judge subject inst r =
+  match Explore.verdict (survivors_verdict subject inst) r with
+  | Ok blocked -> Pass { blocked }
+  | Error m -> Fail m
 
 let replay_judge ?sink ?trace_buf subject plan schedule =
   let inst = subject.make () in

@@ -47,22 +47,8 @@ let run ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs =
 
 let run_recorded ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs =
   let decisions = Vec.create () in
-  let recording =
-    Policy.of_factory
-      (policy.Policy.name ^ "+rec")
-      (fun () ->
-        let choose = Policy.prepare policy in
-        fun view ->
-          match choose view with
-          | Some pid as r ->
-            Vec.push decisions pid;
-            r
-          | None -> None)
-  in
-  let result =
-    run ?step_limit ?sink ?trace_buf ~plan ~config ~policy:recording programs
-  in
-  (result, decisions)
+  let policy = Hwf_adversary.Explore.record_decisions policy decisions in
+  (run ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs, decisions)
 
 let replay ?step_limit ?sink ?trace_buf ~plan ~config ~schedule programs =
   let policy = Policy.scripted ~fallback:Policy.first schedule in

@@ -52,3 +52,51 @@ val campaign : ?quick:bool -> ?seed:int -> Certify.subject -> Plan.t list
     cost-model plans when the config has time spread ([tmax > tmin]),
     and seeded chaos plans. Never weakens Axiom 2. Deterministic per
     [seed]. *)
+
+(** {1 The certification campaign}
+
+    The one campaign behind [hybridsim faults] and E16: each positive
+    subject certified against its {!campaign}, then optionally the
+    negative control against {!negative_plan}. *)
+
+type row = {
+  subject : Certify.subject;
+  report : Certify.report;
+  verdict : string;
+      (** ["CERTIFIED"], ["FAILED (n)"], ["REJECTED (expected)"],
+          ["NOT REJECTED (certifier bug!)"] or, for a run with incomplete
+          coverage, ["INCOMPLETE (coverage)"]. *)
+  ok : bool;
+      (** A positive subject certified; the negative control rejected.
+          Meaningful only when the coverage is complete. *)
+}
+
+type certification = {
+  positives : row list;  (** In {!positive_subjects} order. *)
+  negative : row option;  (** The negative control's row, when run. *)
+  coverage : Hwf_resil.Resil.coverage;  (** Union over every row. *)
+}
+
+val certify_all :
+  ?quick:bool ->
+  ?seed:int ->
+  ?only:string list ->
+  ?negative:bool ->
+  ?jobs:int ->
+  ?grain:int ->
+  ?retry:Hwf_resil.Resil.retry ->
+  ?cell_wall_s:float ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  unit ->
+  certification
+(** Certify the {!positive_subjects} built from [seed] — those named in
+    [only], or all when it is empty (the default) — each against its
+    {!campaign} ([quick], [seed]), then the negative control when
+    [negative] (default [false]). [checkpoint] is a base path: each
+    subject journals to [BASE.<name>.ckpt.jsonl]. The other arguments
+    go to {!Certify.certify} unchanged. *)
+
+val columns : row -> string list
+(** The row as the front ends tabulate it: subject, plans, passed,
+    blocked, worst own steps, bound, verdict. *)

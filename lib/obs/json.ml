@@ -290,8 +290,8 @@ module Schema = struct
      one; the loader drops it (Hwf_resil.Checkpoint). *)
   let ckpt = lines ~header:[ "campaign"; "cells" ] ~partial_tail:true "hwf-ckpt/1" "cell"
 
-  (* [host] records where the throughput was measured, so numbers
-     compare across commits: [nproc], [ocaml], [mode]. *)
+  (* [host] records the machine and mode that wrote a bench file, so
+     numbers compare across commits: [nproc], [ocaml], [mode]. *)
   let bench_engine =
     whole ~header:[ "host" ] "hwf-bench-engine/1" "cells"
       [ "n"; "processors"; "observer"; "statements"; "seconds"; "stmts_per_sec" ]
@@ -299,11 +299,11 @@ module Schema = struct
   let bench_sched = whole "hwf-bench-sched/1" "cells" [ "case"; "strategy"; "runs"; "found" ]
 
   let bench_faults =
-    whole "hwf-bench-faults/1" "subjects"
+    whole ~header:[ "host" ] "hwf-bench-faults/1" "subjects"
       [ "name"; "plans"; "passed"; "blocked"; "worst_own_steps"; "certified" ]
 
   let bench_par =
-    whole "hwf-bench-par/1" "cells"
+    whole ~header:[ "host" ] "hwf-bench-par/1" "cells"
       [ "name"; "units"; "par_seconds"; "seq_seconds"; "speedup"; "identical" ]
 
   let all =

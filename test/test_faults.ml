@@ -58,6 +58,30 @@ let test_determinism () =
   let r2 = Certify.certify subject plans in
   Util.checkb "same report" (r1 = r2)
 
+let test_certify_all () =
+  (* The one campaign behind [hybridsim faults] and E16: each chosen
+     subject's row is [Certify.certify] over its campaign, and the
+     negative control comes back rejected. *)
+  let c = Suite.certify_all ~quick:true ~seed:7 ~only:[ "fig5"; "fig3" ] ~negative:true () in
+  Alcotest.(check (list string))
+    "subjects in suite order" [ "fig3"; "fig5" ]
+    (List.map (fun (r : Suite.row) -> r.report.Certify.subject) c.positives);
+  List.iter
+    (fun (r : Suite.row) ->
+      let plans = Suite.campaign ~quick:true ~seed:7 r.subject in
+      Util.checkb "same report" (r.report = Certify.certify r.subject plans);
+      Util.checkb "certified" r.ok;
+      Alcotest.(check string) "verdict" "CERTIFIED" r.verdict)
+    c.positives;
+  (match c.negative with
+  | Some r ->
+    Util.checkb "control rejected" r.ok;
+    Alcotest.(check string) "control verdict" "REJECTED (expected)" r.verdict
+  | None -> Alcotest.fail "negative control not run");
+  Util.checki "coverage counts every cell"
+    (List.fold_left (fun n (r : Suite.row) -> n + r.report.Certify.plans) 1 c.positives)
+    c.coverage.Hwf_resil.Resil.cells_done
+
 (* Behaviour pins for the suite's program bodies: a digest of the JSONL
    trace of each subject's run under the fault-free plan and under its
    campaign's first crash plan, plus the negative control's failure
@@ -203,6 +227,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_determinism;
           Alcotest.test_case "blocked-by-victim excuse" `Quick test_blocked_by_victim_excuse;
           Alcotest.test_case "body pins" `Quick test_body_pins;
+          Alcotest.test_case "one certification campaign" `Quick test_certify_all;
         ] );
       ( "machinery",
         [

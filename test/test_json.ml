@@ -88,6 +88,29 @@ let test_bench_engine_host () =
   valid "engine with host" (doc [ ("host", host) ]);
   invalid "engine without host" (doc [])
 
+let test_bench_faults_par_host () =
+  let doc (schema : Json.Schema.t) array fields extra =
+    let row = Json.Obj (List.map (fun k -> (k, Json.Int 1)) fields) in
+    Json.pretty
+      (Json.Obj
+         ((("schema", Json.Str schema.tag) :: extra) @ [ (array, Json.List [ row ]) ]))
+  in
+  let host =
+    Json.Obj [ ("nproc", Json.Int 2); ("ocaml", Json.Str "5.1.1"); ("mode", Json.Str "full") ]
+  in
+  let faults =
+    doc Json.Schema.bench_faults "subjects"
+      [ "name"; "plans"; "passed"; "blocked"; "worst_own_steps"; "certified" ]
+  in
+  let par =
+    doc Json.Schema.bench_par "cells"
+      [ "name"; "units"; "par_seconds"; "seq_seconds"; "speedup"; "identical" ]
+  in
+  valid "faults with host" (faults [ ("host", host) ]);
+  invalid "faults without host" (faults []);
+  valid "par with host" (par [ ("host", host) ]);
+  invalid "par without host" (par [])
+
 (* ---- every export validates ---- *)
 
 let test_goldens () =
@@ -195,6 +218,8 @@ let () =
           Alcotest.test_case "partial final line for hwf-ckpt/1 only" `Quick test_partial_tail;
           Alcotest.test_case "whole-file cells checked" `Quick test_whole_file;
           Alcotest.test_case "engine export needs host" `Quick test_bench_engine_host;
+          Alcotest.test_case "faults and par exports need host" `Quick
+            test_bench_faults_par_host;
         ] );
       ( "exports",
         [
