@@ -42,51 +42,64 @@ let experiments : (string * string * (quick:bool -> unit)) list =
     ("sched", "E20: randomized-scheduler bug-finding power (BENCH_sched.json)", Exp_sched.run);
   ]
 
-(* Pull "--jobs N" out of the argument list (the remaining args keep
-   their simple flag/experiment-name shape). *)
-let rec extract_jobs = function
-  | [] -> ([], None)
-  | "--jobs" :: n :: rest ->
-    let args, _ = extract_jobs rest in
-    (args, int_of_string_opt n)
-  | a :: rest ->
-    let args, j = extract_jobs rest in
-    (a :: args, j)
+(* Bad input is a harness failure (exit 2, docs/ROBUSTNESS.md): nothing
+   runs, rather than a gate silently switched off. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench/main.exe: " ^ m);
+      exit Hwf_resil.Resil.exit_harness)
+    fmt
 
-(* Same shape for the structured-export sinks ("--trace-out F",
-   "--metrics-out F"); see Exp_obs.export. *)
-let rec extract_opt key = function
+(* Pull "--key V" out of the argument list (the remaining args keep
+   their simple flag/experiment-name shape); [parse] must accept V. *)
+let rec extract_opt parse key = function
   | [] -> ([], None)
-  | k :: v :: rest when k = key ->
-    let args, _ = extract_opt key rest in
-    (args, Some v)
+  | [ k ] when k = key -> usage_error "%s needs a value" key
+  | k :: v :: rest when k = key -> (
+    let args, _ = extract_opt parse key rest in
+    match parse v with
+    | Some x -> (args, Some x)
+    | None -> usage_error "invalid value %S for %s" v key)
   | a :: rest ->
-    let args, v = extract_opt key rest in
+    let args, v = extract_opt parse key rest in
     (a :: args, v)
+
+let positive_int s =
+  Option.bind (int_of_string_opt s) (fun n -> if n >= 1 then Some n else None)
+
+let non_negative_float s =
+  Option.bind (float_of_string_opt s) (fun x ->
+      if Float.is_finite x && x >= 0. then Some x else None)
+
+let flags = [ "--full"; "--csv"; "--resume"; "--self-check" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let args, jobs = extract_jobs args in
-  let args, trace_out = extract_opt "--trace-out" args in
-  let args, metrics_out = extract_opt "--metrics-out" args in
-  let args, checkpoint = extract_opt "--checkpoint" args in
-  let args, grain = extract_opt "--grain" args in
-  let args, min_speedup = extract_opt "--min-speedup" args in
-  let args, min_stmts_per_sec = extract_opt "--min-stmts-per-sec" args in
-  Jobs.n := (match jobs with Some j when j >= 1 -> j | _ -> 1);
+  let args, jobs = extract_opt positive_int "--jobs" args in
+  let args, trace_out = extract_opt Option.some "--trace-out" args in
+  let args, metrics_out = extract_opt Option.some "--metrics-out" args in
+  let args, checkpoint = extract_opt Option.some "--checkpoint" args in
+  let args, grain = extract_opt positive_int "--grain" args in
+  let args, min_speedup = extract_opt non_negative_float "--min-speedup" args in
+  let args, min_stmts_per_sec = extract_opt non_negative_float "--min-stmts-per-sec" args in
+  Jobs.n := Option.value ~default:1 jobs;
+  Jobs.grain := grain;
+  Jobs.min_speedup := min_speedup;
+  Jobs.min_stmts_per_sec := min_stmts_per_sec;
   Jobs.checkpoint := checkpoint;
+  let names = List.map (fun (name, _, _) -> name) experiments in
+  List.iter
+    (fun a ->
+      if not (List.mem a flags || List.mem a names) then
+        usage_error "unknown experiment or option %S" a)
+    args;
+  let selected = List.filter (fun a -> List.mem a names) args in
   Jobs.resume := List.mem "--resume" args;
-  Jobs.grain :=
-    (match Option.bind grain int_of_string_opt with
-    | Some g when g >= 1 -> Some g
-    | _ -> None);
   Jobs.self_check := List.mem "--self-check" args;
-  Jobs.min_speedup := Option.bind min_speedup float_of_string_opt;
-  Jobs.min_stmts_per_sec := Option.bind min_stmts_per_sec float_of_string_opt;
   let full = List.mem "--full" args in
   Tbl.csv_mode := List.mem "--csv" args;
   let quick = not full in
-  let selected = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
   let want name = selected = [] || List.mem name selected in
   (* SIGINT/SIGTERM stop the harness at the next cell boundary: the
      running experiment flushes a truncated partial result (E16's
