@@ -23,7 +23,7 @@ let min_stmts_per_sec : float option ref = ref None
 
 (* Resilience knobs for the campaign experiments (E16), set by
    bench/main.ml's --checkpoint/--resume flags: [checkpoint] is the base
-   path for per-subject hwf-ckpt/1 journals, [resume] restores completed
+   path for per-subject hwf-ckpt/2 journals, [resume] restores completed
    cells from them (see docs/ROBUSTNESS.md). *)
 let checkpoint : string option ref = ref None
 let resume = ref false

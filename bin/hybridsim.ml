@@ -169,7 +169,7 @@ type resil = {
 let resil_term ~retries =
   let checkpoint_arg =
     let doc =
-      "Journal completed campaign cells to $(docv) (schema hwf-ckpt/1). With \
+      "Journal completed campaign cells to $(docv) (schema hwf-ckpt/2). With \
        --resume, cells already journaled are restored instead of re-run."
     in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
@@ -1112,7 +1112,7 @@ let check_json_cmd =
     (Cmd.info "check-json"
        ~doc:
          "Validate exported files against the schema table (hwf-trace/1, \
-          hwf-metrics/1, hwf-analyze/1, hwf-lint/1, hwf-ckpt/1 JSON lines and \
+          hwf-metrics/1, hwf-analyze/1, hwf-lint/1, hwf-ckpt/2 JSON lines and \
           the BENCH_*.json files). Exit 0 when every file is valid, 1 when \
           any is not, 2 when no file is given.")
   @@ let+ files = files_arg in

@@ -1,6 +1,7 @@
 open Hwf_sim
 module Resil = Hwf_resil.Resil
 module Checkpoint = Hwf_resil.Checkpoint
+module Json = Hwf_obs.Json
 
 type instance = {
   programs : (unit -> unit) array;
@@ -573,54 +574,50 @@ let dpor_requested ~dpor ~preemption_bound scenario =
 
 (* ---- checkpoint payloads ----
 
-   One [hwf-ckpt/1] record per subtree cell; grain only groups cells
+   One [hwf-ckpt/2] record per subtree cell; grain only groups cells
    for distribution, so a resumed campaign is byte-identical at every
-   grain. [msg] is last: counterexample messages may contain any
-   character (the journal layer JSON-escapes; this layer only needs an
-   unambiguous last field). *)
+   grain. *)
 
-let payload_of_subtree st =
-  match st.scx with
-  | None ->
-    Printf.sprintf "runs=%d;claims=%d;exh=%d;cx=none" st.sruns st.sclaims
-      (if st.sexhaustive then 1 else 0)
-  | Some c ->
-    Printf.sprintf "runs=%d;claims=%d;exh=0;cx=%s;msg=%s" st.sruns st.sclaims
-      (Checkpoint.pids_to_string c.decisions)
-      c.message
+let json_of_subtree st =
+  let cx c =
+    Json.Obj [ ("decisions", Checkpoint.pids c.decisions); ("message", Json.Str c.message) ]
+  in
+  Json.Obj
+    [
+      ("runs", Json.Int st.sruns);
+      ("claims", Json.Int st.sclaims);
+      ("exhaustive", Json.Bool st.sexhaustive);
+      ("counterexample", Json.option cx st.scx);
+    ]
 
-(* A restored counterexample's trace is reconstructed by replaying its
-   decision sequence (scripted policy, deterministic fallback) — the
-   same mechanism Schedule.replay uses. *)
-let replay_decisions ~step_limit scenario decisions message =
+(* A fresh instance run under a decision sequence: scripted, with
+   [Policy.first] for any decision the script cannot take. *)
+let replay ~step_limit scenario decisions =
   let instance = scenario.make () in
   let policy = Policy.scripted ~fallback:Policy.first decisions in
-  let result = Engine.run ~step_limit ~config:scenario.config ~policy instance.programs in
-  { message; trace = result.trace; decisions }
+  (Engine.run ~step_limit ~config:scenario.config ~policy instance.programs, instance)
 
-let subtree_of_payload ~step_limit scenario payload =
+(* A restored counterexample's trace is rebuilt by replaying its
+   journaled decisions. *)
+let subtree_of_json ~step_limit scenario v =
   let ( let* ) = Option.bind in
-  let* head, tail = Checkpoint.cut ~sep:";cx=" payload in
-  let* sruns, sclaims, sexh =
-    match String.split_on_char ';' head with
-    | [ r; c; e ] ->
-      let* r = Checkpoint.int_field "runs" r in
-      let* c = Checkpoint.int_field "claims" c in
-      let* e = Checkpoint.int_field "exh" e in
-      Some (r, c, e = 1)
-    | _ -> None
-  in
-  if tail = "none" then Some { sruns; sclaims; sexhaustive = sexh; scx = None }
-  else
-    let* sched, message = Checkpoint.cut ~sep:";msg=" tail in
-    let* decisions = Checkpoint.pids_of_string sched in
+  let* sruns = Json.int_member "runs" v in
+  let* sclaims = Json.int_member "claims" v in
+  let* sexhaustive = Json.bool_member "exhaustive" v in
+  match Json.member "counterexample" v with
+  | Some Json.Null -> Some { sruns; sclaims; sexhaustive; scx = None }
+  | Some c ->
+    let* decisions = Checkpoint.pids_member ~n:(Config.n scenario.config) "decisions" c in
+    let* message = Json.string_member "message" c in
+    let result, _ = replay ~step_limit scenario decisions in
     Some
       {
         sruns;
         sclaims;
         sexhaustive = false;
-        scx = Some (replay_decisions ~step_limit scenario decisions message);
+        scx = Some { message; trace = result.trace; decisions };
       }
+  | None -> None
 
 (* [dpor] is the {e armed} value (after the probe's taint decision): it
    changes run counts, so it is part of the campaign identity — a
@@ -636,11 +633,11 @@ let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario
   in
   Printf.sprintf "explore/%s/%s" scenario.name (Digest.to_hex (Digest.string params))
 
-(* The search itself. [journal], when given, is [(path, resume)]: the
-   checkpoint hook, opened once the probe has fixed the width and the
-   armed [dpor] that the campaign id names. *)
+(* The search itself. The [checkpoint] journal, when given, is opened
+   once the probe has fixed the width and the armed [dpor] that the
+   campaign id names. *)
 let search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation ~stats
-    ~cell_wall_s ~journal ~should_stop ~judge scenario =
+    ~cell_wall_s ?checkpoint ~resume ~should_stop ~judge scenario =
   let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
   let probe_instance = scenario.make () in
   let probe =
@@ -652,89 +649,68 @@ let search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation 
   let width =
     if Vec.length probe_arena.width = 0 then 1 else max 1 (Vec.get probe_arena.width 0)
   in
-  let restored = Hashtbl.create 8 in
-  let journal =
-    Option.map
-      (fun (path, resume) ->
-        let campaign =
-          campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario
-        in
-        match Checkpoint.open_ ~path ~campaign ~cells:width ~resume with
-        | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
-        | Ok (t, entries) ->
-          List.iter
-            (fun (e : Checkpoint.entry) ->
-              if e.idx >= 0 && e.idx < width then
-                match subtree_of_payload ~step_limit scenario e.payload with
-                | Some st -> Hashtbl.replace restored e.idx st
-                | None -> ())
-            entries;
-          t)
-      journal
+  let campaign () =
+    campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario
   in
-  (* Seed the budget with the journaled claims — verdict runs and blocked
-     prefixes alike — so a resumed search claims only the remaining
-     runs. *)
-  let claimed = Atomic.make (Hashtbl.fold (fun _ st acc -> acc + st.sclaims) restored 0) in
-  let claim () =
-    Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
-  in
-  (* The probe is subtree 0's first run: claimed here, before any cell
-     can race for the budget, unless subtree 0 is restored. *)
-  let probe_claimed = (not (Hashtbl.mem restored 0)) && claim () in
-  let stopping () = should_stop () || Resil.interrupted () in
-  let deadline_for ~attempt:_ =
-    match cell_wall_s with
-    | None -> Resil.no_deadline
-    | Some s -> Resil.deadline ~wall_s:s ()
-  in
-  let eval ~lower_failed arena i deadline =
-    (* Watchdog demotion: an expired deadline retires the subtree with a
-       partial, non-exhaustive result instead of hanging. *)
-    let aborted () = lower_failed () || stopping () || Resil.expired deadline in
-    let first = if i = 0 && probe_claimed then Some (probe_instance, probe) else None in
-    let st =
+  let run journal =
+    let restored i = Option.bind journal (fun t -> Checkpoint.restored t i) in
+    (* Seed the budget with the journaled claims — verdict runs and
+       blocked prefixes alike — so a resumed search claims only the
+       remaining runs. *)
+    let restored_claims = ref 0 in
+    for i = 0 to width - 1 do
+      Option.iter (fun st -> restored_claims := !restored_claims + st.sclaims) (restored i)
+    done;
+    let claimed = Atomic.make !restored_claims in
+    let claim () =
+      Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
+    in
+    (* The probe is subtree 0's first run: claimed here, before any cell
+       can race for the budget, unless subtree 0 is restored. *)
+    let probe_claimed = Option.is_none (restored 0) && claim () in
+    let stopping () = should_stop () || Resil.interrupted () in
+    let deadline_for ~attempt:_ =
+      match cell_wall_s with
+      | None -> Resil.no_deadline
+      | Some s -> Resil.deadline ~wall_s:s ()
+    in
+    let eval ~lower_failed arena i deadline =
+      (* Watchdog demotion: an expired deadline retires the subtree with
+         a partial, non-exhaustive result instead of hanging — and that
+         result is journaled. *)
+      let aborted () = lower_failed () || stopping () || Resil.expired deadline in
+      let first = if i = 0 && probe_claimed then Some (probe_instance, probe) else None in
       subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~step_limit
         ~judge ~root:i ?first ~arena scenario
     in
-    (* Journal only untainted cells: a cell cut short by an interrupt or
-       stop request must re-run on resume, not restore partial. *)
-    (match journal with
-    | Some t when not (stopping ()) ->
-      Checkpoint.record t ~idx:i
-        ~key:(Printf.sprintf "subtree-%d" i)
-        ~payload:(payload_of_subtree st)
-    | Some _ | None -> ());
-    st
-  in
-  let outcome =
     run_cells ~jobs ~grain ~stats width (fun ~lower_failed arena i ->
-        match Hashtbl.find_opt restored i with
-        | Some st -> { Resil.outcome = Resil.Ok_cell st; attempts = 1 }
-        | None when stopping () ->
-          { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
-        | None -> (
-          let f = eval ~lower_failed arena i in
-          match journal with
-          | Some _ -> Resil.run_cell ~deadline_for f
-          | None ->
-            (* Without a journal an exception escaping a subtree (a bug in
-               a process body, a latent clock read) propagates — lowest
-               subtree first — instead of being contained as an errored
-               cell: nothing would record it, and it must not pass for a
-               verdict. *)
-            { Resil.outcome = Resil.Ok_cell (f (deadline_for ~attempt:1)); attempts = 1 }))
+        Checkpoint.cell journal ~should_stop i (fun () ->
+            let f = eval ~lower_failed arena i in
+            match journal with
+            | Some _ -> Resil.run_cell ~deadline_for f
+            | None ->
+              (* Without a journal an exception escaping a subtree (a
+                 bug in a process body, a latent clock read) propagates
+                 — lowest subtree first — instead of being contained as
+                 an errored cell: nothing would record it, and it must
+                 not pass for a verdict. *)
+              { Resil.outcome = Resil.Ok_cell (f (deadline_for ~attempt:1)); attempts = 1 }))
   in
-  Option.iter Checkpoint.close journal;
-  outcome
+  match
+    Checkpoint.with_journal ?path:checkpoint ~resume ~campaign ~cells:width
+      ~key:(Printf.sprintf "subtree-%d")
+      ~encode:json_of_subtree
+      ~decode:(fun _ -> subtree_of_json ~step_limit scenario)
+      run
+  with
+  | Ok outcome -> outcome
+  | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
 
 let explore ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_000) ?(jobs = 1)
     ?grain ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
     ?(resume = false) ?(should_stop = fun () -> false) scenario =
   search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation ~stats
-    ~cell_wall_s
-    ~journal:(Option.map (fun path -> (path, resume)) checkpoint)
-    ~should_stop
+    ~cell_wall_s ?checkpoint ~resume ~should_stop
     ~judge:(fun instance result _ -> verdict instance.check result)
     scenario
 
@@ -747,7 +723,7 @@ let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_00
     match f ~pids:(pids_of ran) result with `Continue -> Ok () | `Stop -> Error "stopped"
   in
   (search ~preemption_bound ~max_runs ~step_limit ~jobs:1 ~grain:None ~dpor:false
-     ~relation:base_relation ~stats:None ~cell_wall_s:None ~journal:None
+     ~relation:base_relation ~stats:None ~cell_wall_s:None ~resume:false
      ~should_stop:(fun () -> false) ~judge scenario)
     .runs
 

@@ -183,6 +183,17 @@ val verdict :
     of {!explore}, {!sample}, {!Schedule.verdict} and
     [Hwf_faults.Certify.judge]. *)
 
+val replay :
+  step_limit:int ->
+  scenario ->
+  Hwf_sim.Proc.pid list ->
+  Hwf_sim.Engine.result * instance
+(** [replay ~step_limit scenario decisions] runs a fresh instance under
+    the decision sequence ({!Hwf_sim.Policy.scripted}, falling back to
+    {!Hwf_sim.Policy.first} for a decision the script cannot take). How
+    a resumed search rebuilds a journaled counterexample's trace, and
+    the body of {!Schedule.replay}. *)
+
 val record_decisions : Hwf_sim.Policy.t -> Hwf_sim.Proc.pid Hwf_sim.Vec.t -> Hwf_sim.Policy.t
 (** [record_decisions policy log] chooses as [policy] does and pushes
     each chosen pid onto [log]: the run's replayable schedule. *)
@@ -240,18 +251,22 @@ val explore :
     outcome's coverage reports it ([docs/ROBUSTNESS.md]).
 
     Resilience (see [docs/ROBUSTNESS.md]): [checkpoint] journals each
-    completed subtree cell to an [hwf-ckpt/1] file; a clean completed
+    completed subtree cell to an [hwf-ckpt/2] file through
+    {!Hwf_resil.Checkpoint} (key [subtree-<i>]; payload members [runs],
+    [claims], [exhaustive], [counterexample]); a clean completed
     campaign merges to the outcome without a checkpoint, run for run,
     and the journal stays per subtree at every [grain]. With
     [resume = true] journaled subtrees are restored instead of re-run —
-    their run counts re-seed the [max_runs] budget and a restored
-    counterexample's trace is rebuilt by replaying its decisions — and
-    the journal must match the campaign (same scenario name, search
-    bounds, and armed [dpor]) or the call raises [Invalid_argument].
-    [cell_wall_s] gives each subtree a wall-clock budget; an expired
-    subtree is {e demoted} (retired with a partial, non-exhaustive
-    result) rather than hung. [should_stop] (polled between runs, ORed
-    with {!Hwf_resil.Resil.interrupted}) stops the search cooperatively;
+    their [claims] re-seed the [max_runs] budget and a restored
+    counterexample's trace is rebuilt by {!replay} of its decisions; a
+    record with the wrong key or a pid outside the scenario is
+    malformed, and its subtree re-runs — and the journal must match the
+    campaign (same scenario name, search bounds, and armed [dpor]) or
+    the call raises [Invalid_argument]. [cell_wall_s] gives each
+    subtree a wall-clock budget; an expired subtree is {e demoted}
+    (retired with a partial, non-exhaustive result, which is journaled)
+    rather than hung. [should_stop] (polled between runs, ORed with
+    {!Hwf_resil.Resil.interrupted}) stops the search cooperatively;
     cells cut short by it are not journaled, so a resume re-runs them
     in full. *)
 

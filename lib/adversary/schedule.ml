@@ -47,11 +47,8 @@ let load ?n ~path () =
       (fun () -> of_string ?n (In_channel.input_all ic))
   with Sys_error msg -> Error msg
 
-let replay ?(step_limit = 1_000_000) (scenario : Explore.scenario) schedule =
-  let instance = scenario.make () in
-  let policy = Policy.scripted ~fallback:Policy.first schedule in
-  let result = Engine.run ~step_limit ~config:scenario.config ~policy instance.programs in
-  (result, instance)
+let replay ?(step_limit = 1_000_000) scenario schedule =
+  Explore.replay ~step_limit scenario schedule
 
 let verdict ?step_limit scenario schedule =
   let result, instance = replay ?step_limit scenario schedule in

@@ -2,6 +2,7 @@ open Hwf_sim
 open Hwf_adversary
 module Resil = Hwf_resil.Resil
 module Checkpoint = Hwf_resil.Checkpoint
+module Json = Hwf_obs.Json
 
 type instance = {
   programs : (unit -> unit) array;
@@ -135,8 +136,9 @@ let run_plan ?sink ?trace_buf subject plan =
    the plan fails. *)
 type cell = Cell_pass of { blocked : bool; worst : int } | Cell_fail of failure * int
 
-let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) ~trace_buf
-    subject plan =
+let max_shrink_rounds = 200
+
+let run_cell ~shrink ?(deadline = Resil.no_deadline) ~trace_buf subject plan =
   (* One guard for the whole cell: the event count and fuel accumulate
      across the initial run and every shrink replay, so the deadline
      bounds the cell, not each engine run separately. The guard ticks
@@ -174,42 +176,35 @@ let run_cell ~shrink ~max_shrink_rounds ?(deadline = Resil.no_deadline) ~trace_b
     in
     Cell_fail ({ plan; message; schedule; shrunk_from = List.length decisions }, worst)
 
-(* ---- checkpoint payloads ----
+(* ---- checkpoint payloads ---- *)
 
-   One line per completed cell; [msg] is always the last field because
-   failure messages may contain any character (the journal layer handles
-   JSON escaping; this layer only needs an unambiguous last field). The
-   schedule is the raw 0-based pid sequence, space-separated. *)
-
-let payload_of_cell = function
+let json_of_cell = function
   | Cell_pass { blocked; worst } ->
-    Printf.sprintf "pass;blocked=%d;worst=%d" (if blocked then 1 else 0) worst
+    Json.Obj
+      [ ("verdict", Json.Str "pass"); ("blocked", Json.Bool blocked); ("worst", Json.Int worst) ]
   | Cell_fail (f, worst) ->
-    Printf.sprintf "fail;worst=%d;from=%d;sched=%s;msg=%s" worst f.shrunk_from
-      (Checkpoint.pids_to_string f.schedule)
-      f.message
+    Json.Obj
+      [
+        ("verdict", Json.Str "fail");
+        ("worst", Json.Int worst);
+        ("from", Json.Int f.shrunk_from);
+        ("schedule", Checkpoint.pids f.schedule);
+        ("message", Json.Str f.message);
+      ]
 
-let cell_of_payload plan payload =
+let cell_of_json ~n plan v =
   let ( let* ) = Option.bind in
-  match Checkpoint.strip_prefix ~prefix:"pass;" payload with
-  | Some rest -> (
-    match String.split_on_char ';' rest with
-    | [ b; w ] ->
-      let* b = Checkpoint.int_field "blocked" b in
-      let* worst = Checkpoint.int_field "worst" w in
-      if b = 0 || b = 1 then Some (Cell_pass { blocked = b = 1; worst }) else None
-    | _ -> None)
-  | None -> (
-    let* rest = Checkpoint.strip_prefix ~prefix:"fail;" payload in
-    let* fields, message = Checkpoint.cut ~sep:";msg=" rest in
-    match String.split_on_char ';' fields with
-    | [ w; f; s ] ->
-      let* worst = Checkpoint.int_field "worst" w in
-      let* shrunk_from = Checkpoint.int_field "from" f in
-      let* sched = Checkpoint.strip_prefix ~prefix:"sched=" s in
-      let* schedule = Checkpoint.pids_of_string sched in
-      Some (Cell_fail ({ plan; message; schedule; shrunk_from }, worst))
-    | _ -> None)
+  let* worst = Json.int_member "worst" v in
+  match Json.string_member "verdict" v with
+  | Some "pass" ->
+    let* blocked = Json.bool_member "blocked" v in
+    Some (Cell_pass { blocked; worst })
+  | Some "fail" ->
+    let* shrunk_from = Json.int_member "from" v in
+    let* schedule = Checkpoint.pids_member ~n "schedule" v in
+    let* message = Json.string_member "message" v in
+    Some (Cell_fail ({ plan; message; schedule; shrunk_from }, worst))
+  | _ -> None
 
 let campaign_id subject plans =
   (* Identifies the run's parameters for resume validation: same
@@ -217,31 +212,11 @@ let campaign_id subject plans =
   Printf.sprintf "certify/%s/%s" subject.name
     (Digest.to_hex (Digest.string (String.concat "\n" (List.map Plan.to_string plans))))
 
-let certify ?(shrink = true) ?(max_shrink_rounds = 200) ?(jobs = 1) ?grain
-    ?pool_stats ?(retry = Resil.no_retry) ?cell_wall_s ?checkpoint
-    ?(resume = false) ?(should_stop = fun () -> false) ?sleep subject plans =
+let certify ?(jobs = 1) ?grain ?pool_stats ?(retry = Resil.no_retry) ?cell_wall_s
+    ?checkpoint ?(resume = false) ?(should_stop = fun () -> false) subject plans =
   let plan_arr = Array.of_list plans in
   let total = Array.length plan_arr in
-  let journal, restored =
-    match checkpoint with
-    | None -> (None, fun _ -> None)
-    | Some path -> (
-      match
-        Checkpoint.open_ ~path ~campaign:(campaign_id subject plans) ~cells:total ~resume
-      with
-      | Error msg -> invalid_arg ("Certify.certify: " ^ msg)
-      | Ok (t, entries) ->
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun (e : Checkpoint.entry) ->
-            if e.idx >= 0 && e.idx < total && e.key = Plan.to_string plan_arr.(e.idx) then
-              match cell_of_payload plan_arr.(e.idx) e.payload with
-              | Some c -> Hashtbl.replace tbl e.idx c
-              | None -> ())
-          entries;
-        (Some t, fun i -> Hashtbl.find_opt tbl i))
-  in
-  let eval trace_buf i plan =
+  let eval trace_buf plan () =
     (* Graceful degradation: a cell that exhausts its budget (or hits a
        transient error) re-runs with shrinking demoted off — the shrink
        replays are the expensive part — trading counterexample
@@ -253,30 +228,27 @@ let certify ?(shrink = true) ?(max_shrink_rounds = 200) ?(jobs = 1) ?grain
       | None -> Resil.no_deadline
       | Some s -> Resil.deadline ~wall_s:s ()
     in
-    let rc =
-      Resil.run_cell ~retry ~deadline_for ?sleep (fun deadline ->
-          run_cell ~shrink:(shrink && not !demoted) ~max_shrink_rounds ~deadline ~trace_buf
-            subject plan)
-    in
-    (match (journal, rc.Resil.outcome) with
-    | Some t, Resil.Ok_cell c ->
-      Checkpoint.record t ~idx:i ~key:(Plan.to_string plan) ~payload:(payload_of_cell c)
-    | _ -> ());
-    rc
+    Resil.run_cell ~retry ~deadline_for (fun deadline ->
+        run_cell ~shrink:(not !demoted) ~deadline ~trace_buf subject plan)
   in
   let cells =
-    Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:pool_stats
-      ~make:(fun () -> Trace.create subject.config)
-      (fun trace_buf (i, plan) ->
-        match restored i with
-        | Some c -> { Resil.outcome = Resil.Ok_cell c; attempts = 1 }
-        | None ->
-          if Resil.interrupted () || should_stop () then
-            { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
-          else eval trace_buf i plan)
-      (Array.mapi (fun i p -> (i, p)) plan_arr)
+    match
+      Checkpoint.with_journal ?path:checkpoint ~resume
+        ~campaign:(fun () -> campaign_id subject plans)
+        ~cells:total
+        ~key:(fun i -> Plan.to_string plan_arr.(i))
+        ~encode:json_of_cell
+        ~decode:(fun i -> cell_of_json ~n:(Config.n subject.config) plan_arr.(i))
+        (fun journal ->
+          Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:pool_stats
+            ~make:(fun () -> Trace.create subject.config)
+            (fun trace_buf i ->
+              Checkpoint.cell journal ~should_stop i (eval trace_buf plan_arr.(i)))
+            (Array.init total Fun.id))
+    with
+    | Ok cells -> cells
+    | Error msg -> invalid_arg ("Certify.certify: " ^ msg)
   in
-  Option.iter Checkpoint.close journal;
   let passed = ref 0 and blocked = ref 0 and worst = ref 0 in
   let failures = ref [] in
   Array.iter

@@ -101,8 +101,6 @@ val replay_judge :
     predicate behind shrinking. [trace_buf] as in {!run_plan}. *)
 
 val certify :
-  ?shrink:bool ->
-  ?max_shrink_rounds:int ->
   ?jobs:int ->
   ?grain:int ->
   ?pool_stats:Hwf_par.Pool.stats ->
@@ -111,12 +109,11 @@ val certify :
   ?checkpoint:string ->
   ?resume:bool ->
   ?should_stop:(unit -> bool) ->
-  ?sleep:(float -> unit) ->
   subject ->
   Plan.t list ->
   report
-(** Run and judge every plan. [shrink] (default [true]) minimizes each
-    failing schedule. Deterministic: same subject, plans and seeds give
+(** Run and judge every plan, minimizing each failing schedule (at most
+    200 shrink rounds). Deterministic: same subject, plans and seeds give
     the same report.
 
     [jobs] (default 1) distributes the plans — the independent
@@ -153,15 +150,16 @@ val certify :
     {e verdict}, never an exception — failed cells are successful
     evaluations and appear in [failures] exactly as before.
 
-    [checkpoint] journals each completed cell to an [hwf-ckpt/1] file;
-    with [resume = true] the journal's cells are restored instead of
-    re-evaluated (the journal must match the campaign — same subject
-    and plan battery — or the call raises [Invalid_argument]). A clean
-    campaign killed and resumed yields a report identical to an
-    uninterrupted one. [should_stop] (polled before each cell, ORed
-    with {!Hwf_resil.Resil.interrupted}) stops claiming new cells;
-    completed cells are kept and journaled. [sleep] is the backoff
-    sleep, injectable for tests. *)
+    [checkpoint] journals each completed cell to an [hwf-ckpt/2] file
+    through {!Hwf_resil.Checkpoint}; with [resume = true] the journal's
+    cells whose key is their plan are restored instead of re-evaluated
+    (the journal must match the campaign — same subject and plan
+    battery — or the call raises [Invalid_argument]). A clean campaign
+    killed and resumed yields a report identical to an uninterrupted
+    one. [should_stop] (polled before each cell, and after it when
+    journaling; ORed with {!Hwf_resil.Resil.interrupted}) stops claiming
+    new cells; completed cells are kept, and journaled unless the stop
+    came while they ran. *)
 
 val certified : report -> bool
 (** No failures. *)

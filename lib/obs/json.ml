@@ -264,6 +264,7 @@ let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
 let string_member k v = match member k v with Some (Str s) -> Some s | _ -> None
 let int_member k v = match member k v with Some (Int i) -> Some i | _ -> None
+let bool_member k v = match member k v with Some (Bool b) -> Some b | _ -> None
 
 (* ---- schemas ---- *)
 
@@ -288,7 +289,7 @@ module Schema = struct
 
   (* Journals are flushed per line, so a SIGKILL can cut only the last
      one; the loader drops it (Hwf_resil.Checkpoint). *)
-  let ckpt = lines ~header:[ "campaign"; "cells" ] ~partial_tail:true "hwf-ckpt/1" "cell"
+  let ckpt = lines ~header:[ "campaign"; "cells" ] ~partial_tail:true "hwf-ckpt/2" "cell"
 
   (* [host] records the machine and mode that wrote a bench file, so
      numbers compare across commits: [nproc], [ocaml], [mode]. *)

@@ -2,7 +2,7 @@
     it writes.
 
     Every export goes through this module: the JSON-lines files
-    ({!Jsonl}, the lint reporter, [hwf-ckpt/1] checkpoint journals) use
+    ({!Jsonl}, the lint reporter, [hwf-ckpt/2] checkpoint journals) use
     the compact one-line printer, and the [BENCH_*.json] files use the
     {!pretty} layout. {!Schema} declares each schema once; it is what
     [hybridsim check-json] and the test suite validate exports
@@ -48,11 +48,15 @@ val of_string : string -> (t, string) result
     Numbers without a fraction or exponent that fit an [int] parse as
     [Int], the rest as [Num]. [\u] escapes decode to UTF-8. *)
 
+val member : string -> t -> t option
+(** The first member named so, when the value is an object. *)
+
 val string_member : string -> t -> string option
 (** The first member named so, when the value is an object and the
     member a string. *)
 
 val int_member : string -> t -> int option
+val bool_member : string -> t -> bool option
 
 (** {1 Schemas} *)
 
@@ -84,7 +88,7 @@ module Schema : sig
 
   val lint : t  (** [hwf-lint/1]: one block per linted subject. *)
 
-  val ckpt : t  (** [hwf-ckpt/1]: campaign checkpoint journals. *)
+  val ckpt : t  (** [hwf-ckpt/2]: campaign checkpoint journals. *)
 
   val bench_engine : t
   (** [hwf-bench-engine/1]: [BENCH_engine.json] (E19); requires the

@@ -1,22 +1,20 @@
-(* hwf-ckpt/1 journals: append-only JSONL, one flushed line per
+(* hwf-ckpt/2 journals: append-only JSONL, one flushed line per
    completed campaign cell, written and read through Hwf_obs.Json. *)
 
 module Json = Hwf_obs.Json
 
 let schema = Json.Schema.ckpt.tag
 
-type t = { oc : out_channel; lock : Mutex.t }
 type header = { campaign : string; cells : int }
-type entry = { idx : int; key : string; payload : string }
+type entry = { idx : int; key : string; payload : Json.t }
 
-let header_line ~campaign ~cells =
-  Json.to_string
-    (Json.Obj
-       [ ("schema", Json.Str schema); ("campaign", Json.Str campaign); ("cells", Json.Int cells) ])
-
-let record_line ~idx ~key ~payload =
-  Json.to_string
-    (Json.Obj [ ("cell", Json.Int idx); ("key", Json.Str key); ("payload", Json.Str payload) ])
+type 'a t = {
+  oc : out_channel;
+  lock : Mutex.t;
+  key : int -> string;
+  encode : 'a -> Json.t;
+  restored : 'a option array;
+}
 
 (* ---- load ---- *)
 
@@ -35,9 +33,7 @@ let parse_entry line =
   match Json.of_string line with
   | Error _ -> None
   | Ok v -> (
-    match
-      (Json.int_member "cell" v, Json.string_member "key" v, Json.string_member "payload" v)
-    with
+    match (Json.int_member "cell" v, Json.string_member "key" v, Json.member "payload" v) with
     | Some idx, Some key, Some payload -> Some { idx; key; payload }
     | _ -> None)
 
@@ -74,71 +70,87 @@ let load ~path =
         let entries = List.rev_map (fun idx -> Hashtbl.find tbl idx) !order in
         Ok (hdr, entries)))
 
-(* ---- open / write ---- *)
+(* ---- open / record ---- *)
 
-let create ~path ~campaign ~cells =
-  let oc = open_out path in
-  output_string oc (header_line ~campaign ~cells);
+let write_line oc v =
+  output_string oc (Json.to_string v);
   output_char oc '\n';
-  flush oc;
-  { oc; lock = Mutex.create () }
+  flush oc
 
-let append ~path =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  { oc; lock = Mutex.create () }
-
-let open_ ~path ~campaign ~cells ~resume =
-  if not resume then Ok (create ~path ~campaign ~cells, [])
-  else if not (Sys.file_exists path) then Ok (create ~path ~campaign ~cells, [])
+let open_journal ~path ~resume ~campaign ~cells ~key ~encode ~decode =
+  let restored = Array.make cells None in
+  let journal oc = Ok { oc; lock = Mutex.create (); key; encode; restored } in
+  if not (resume && Sys.file_exists path) then begin
+    let oc = open_out path in
+    write_line oc
+      (Json.Obj
+         [
+           ("schema", Json.Str schema); ("campaign", Json.Str campaign); ("cells", Json.Int cells);
+         ]);
+    journal oc
+  end
   else
     match load ~path with
     | Error msg -> Error msg
-    | Ok (hdr, entries) ->
-      if hdr.campaign <> campaign then
-        Error
-          (Printf.sprintf
-             "%s: checkpoint is for campaign %S, refusing to resume campaign %S" path
-             hdr.campaign campaign)
-      else if hdr.cells <> cells then
-        Error
-          (Printf.sprintf
-             "%s: checkpoint has %d cells, campaign has %d — parameters changed" path
-             hdr.cells cells)
-      else Ok (append ~path, entries)
+    | Ok (hdr, _) when hdr.campaign <> campaign ->
+      Error
+        (Printf.sprintf "%s: checkpoint is for campaign %S, refusing to resume campaign %S"
+           path hdr.campaign campaign)
+    | Ok (hdr, _) when hdr.cells <> cells ->
+      Error
+        (Printf.sprintf "%s: checkpoint has %d cells, campaign has %d — parameters changed"
+           path hdr.cells cells)
+    | Ok (_, entries) ->
+      List.iter
+        (fun e ->
+          if e.idx >= 0 && e.idx < cells && e.key = key e.idx then
+            restored.(e.idx) <- decode e.idx e.payload)
+        entries;
+      journal (open_out_gen [ Open_append; Open_creat ] 0o644 path)
 
-let record t ~idx ~key ~payload =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      output_string t.oc (record_line ~idx ~key ~payload);
-      output_char t.oc '\n';
-      flush t.oc)
+let with_journal ?path ~resume ~campaign ~cells ~key ~encode ~decode f =
+  match path with
+  | None -> Ok (f None)
+  | Some path ->
+    Result.map
+      (fun t -> Fun.protect ~finally:(fun () -> close_out t.oc) (fun () -> f (Some t)))
+      (open_journal ~path ~resume ~campaign:(campaign ()) ~cells ~key ~encode ~decode)
 
-let close t = close_out t.oc
+let restored t i = t.restored.(i)
 
-(* ---- payload codec ---- *)
-
-let strip_prefix ~prefix s =
-  let np = String.length prefix and ns = String.length s in
-  if ns >= np && String.sub s 0 np = prefix then Some (String.sub s np (ns - np))
-  else None
-
-let cut ~sep s =
-  let n = String.length s and m = String.length sep in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sep then
-      Some (String.sub s 0 i, String.sub s (i + m) (n - i - m))
-    else go (i + 1)
+let record t i v =
+  let line =
+    Json.Obj [ ("cell", Json.Int i); ("key", Json.Str (t.key i)); ("payload", t.encode v) ]
   in
-  go 0
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> write_line t.oc line)
 
-let int_field key part =
-  Option.bind (strip_prefix ~prefix:(key ^ "=") part) int_of_string_opt
+let stop_requested should_stop = Resil.interrupted () || should_stop ()
 
-let pids_to_string pids = String.concat " " (List.map string_of_int pids)
+let cell journal ~should_stop i run =
+  let restored = match journal with Some t -> t.restored.(i) | None -> None in
+  match restored with
+  | Some v -> { Resil.outcome = Resil.Ok_cell v; attempts = 1 }
+  | None when stop_requested should_stop ->
+    { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
+  | None ->
+    let c = run () in
+    (match (journal, c.Resil.outcome) with
+    | Some t, Resil.Ok_cell v when not (stop_requested should_stop) -> record t i v
+    | _ -> ());
+    c
 
-let pids_of_string s =
-  let ps = if s = "" then [] else List.map int_of_string_opt (String.split_on_char ' ' s) in
-  if List.mem None ps then None else Some (List.map Option.get ps)
+(* ---- schedules ---- *)
+
+let pids ps = Json.List (List.map (fun p -> Json.Int p) ps)
+
+let pids_member ~n name v =
+  match Json.member name v with
+  | Some (Json.List items) ->
+    List.fold_right
+      (fun item acc ->
+        match (item, acc) with
+        | Json.Int p, Some ps when p >= 0 && p < n -> Some (p :: ps)
+        | _ -> None)
+      items (Some [])
+  | _ -> None

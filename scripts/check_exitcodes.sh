@@ -61,6 +61,12 @@ echo "1 2 1 2 2 1" > "$tmp/queue.sched"
 expect 0 "replay queue"                   "$BIN" replay "${queue[@]}" "$tmp/queue.sched"
 expect 0 "analyze queue"                  "$BIN" analyze "${queue[@]}"
 
+# A journal of the retired string-payload schema is refused on resume,
+# even for the same campaign: its header, relabelled hwf-ckpt/1.
+"$BIN" explore -q 8 --checkpoint "$tmp/v2.ckpt.jsonl" >/dev/null 2>&1
+head -n 1 "$tmp/v2.ckpt.jsonl" | sed 's|"hwf-ckpt/2"|"hwf-ckpt/1"|' > "$tmp/v1.ckpt.jsonl"
+expect 2 "resume an hwf-ckpt/1 journal"   "$BIN" explore -q 8 --checkpoint "$tmp/v1.ckpt.jsonl" --resume
+
 expect 2 "bench unknown experiment"       "$BENCH" crsh
 expect 2 "bench unparsable gate"          "$BENCH" crash --min-speedup abc
 expect 2 "bench unparsable jobs"          "$BENCH" crash --jobs x

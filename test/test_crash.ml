@@ -23,8 +23,9 @@ let run_with_crash ~config ~victims ~seed ~step_limit bodies =
 let survivors_finished (r : Engine.result) = Array.for_all2 ( || ) r.finished r.halted
 
 let test_fig3_tolerates_crash () =
-  (* 3 same-priority processes; p2 crashes mid-decide (after 3 of its 8
-     statements). The survivors must still decide and agree. *)
+  (* 3 same-priority processes; p2 crashes mid-decide, after its first
+     statement (before any preemption can grant it a guarantee, so the
+     crash always lands). The survivors must still decide and agree. *)
   for seed = 0 to 29 do
     let config = Util.uni_config ~quantum:8 [ 1; 1; 1 ] in
     let obj = Uni_consensus.make "c" in
@@ -34,8 +35,9 @@ let test_fig3_tolerates_crash () =
           Eff.invocation "decide" (fun () ->
               outs.(pid) <- Some (Uni_consensus.decide obj (100 + pid))))
     in
-    let victims = [ (2, 3) ] in
+    let victims = [ (2, 1) ] in
     let r = run_with_crash ~config ~victims ~seed ~step_limit:10_000 bodies in
+    Util.checkb "victims parked" r.halted.(2);
     Util.checkb "survivors finished" (survivors_finished r);
     match (outs.(0), outs.(1)) with
     | Some a, Some b ->
@@ -103,7 +105,8 @@ let test_crash_high_priority_blocks_processor () =
 
 let test_renaming_tolerates_crash () =
   (* One-shot renaming stays wait-free and dense among survivors even
-     with a claimant crashed mid-acquisition. *)
+     with a claimant crashed mid-acquisition (after its first
+     statement, so the crash always lands). *)
   for seed = 0 to 19 do
     let config = Util.uni_config ~quantum:3000 [ 1; 1; 1; 1 ] in
     let r = Renaming.make "names" in
@@ -112,8 +115,9 @@ let test_renaming_tolerates_crash () =
       Array.init 4 (fun pid () ->
           Eff.invocation "acquire" (fun () -> got.(pid) <- Renaming.acquire r ~pid))
     in
-    let victims = [ (3, 2) ] in
+    let victims = [ (3, 1) ] in
     let res = run_with_crash ~config ~victims ~seed ~step_limit:100_000 bodies in
+    Util.checkb "victims parked" res.halted.(3);
     Util.checkb "survivors finished" (survivors_finished res);
     let names = [ got.(0); got.(1); got.(2) ] |> List.sort compare in
     Util.checkb "distinct" (List.length (List.sort_uniq compare names) = 3);

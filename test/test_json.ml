@@ -44,16 +44,18 @@ let test_lint_restart () =
   invalid "only lint blocks restart"
     "{\"schema\":\"hwf-trace/1\"}\n{\"ev\":\"x\"}\n{\"schema\":\"hwf-trace/1\"}\n"
 
-let ckpt_head = "{\"schema\":\"hwf-ckpt/1\",\"campaign\":\"c\",\"cells\":2}\n"
+let ckpt_head = "{\"schema\":\"hwf-ckpt/2\",\"campaign\":\"c\",\"cells\":2}\n"
 
 let test_partial_tail () =
   valid "checkpoint partial final line"
-    (ckpt_head ^ "{\"cell\":0,\"key\":\"a\",\"payload\":\"p\"}\n{\"cell\":1,\"key\":\"b\",\"pay");
+    (ckpt_head ^ "{\"cell\":0,\"key\":\"a\",\"payload\":{\"runs\":1}}\n{\"cell\":1,\"key\":\"b\",\"pay");
   invalid "checkpoint partial line mid-file"
-    (ckpt_head ^ "{\"cell\":1,\"key\":\"b\",\"pay\n{\"cell\":0,\"key\":\"a\",\"payload\":\"p\"}\n");
+    (ckpt_head ^ "{\"cell\":1,\"key\":\"b\",\"pay\n{\"cell\":0,\"key\":\"a\",\"payload\":{\"runs\":1}}\n");
   invalid "trace partial final line" "{\"schema\":\"hwf-trace/1\"}\n{\"ev\":\"x\"}\n{\"ev\":\"y";
   invalid "checkpoint header without campaign"
-    "{\"schema\":\"hwf-ckpt/1\",\"cells\":2}\n{\"cell\":0,\"key\":\"a\",\"payload\":\"p\"}\n"
+    "{\"schema\":\"hwf-ckpt/2\",\"cells\":2}\n{\"cell\":0,\"key\":\"a\",\"payload\":{\"runs\":1}}\n";
+  invalid "checkpoint of the retired string-payload schema"
+    "{\"schema\":\"hwf-ckpt/1\",\"campaign\":\"c\",\"cells\":2}\n{\"cell\":0,\"key\":\"a\",\"payload\":\"p\"}\n"
 
 let test_whole_file () =
   let doc ?(schema = Json.Schema.bench_sched) cells =
@@ -140,9 +142,21 @@ let test_fresh_exports () =
   in
   valid "lint, two blocks" (Hwf_lint.Report.to_string lint);
   let path = Filename.temp_file "hwf_json_test" ".ckpt.jsonl" in
-  let t = Hwf_resil.Checkpoint.create ~path ~campaign:"demo \"camp\"" ~cells:2 in
-  Hwf_resil.Checkpoint.record t ~idx:0 ~key:"a\tb" ~payload:"pass;worst=8";
-  Hwf_resil.Checkpoint.close t;
+  let module Checkpoint = Hwf_resil.Checkpoint in
+  let pass = Json.Obj [ ("verdict", Json.Str "pass"); ("worst", Json.Int 8) ] in
+  (match
+     Checkpoint.with_journal ~path ~resume:false
+       ~campaign:(fun () -> "demo \"camp\"")
+       ~cells:2
+       ~key:(fun i -> Printf.sprintf "a\tb%d" i)
+       ~encode:Fun.id
+       ~decode:(fun _ v -> Some v)
+       (fun t ->
+         Checkpoint.cell t ~should_stop:(fun () -> false) 0 (fun () ->
+             { Hwf_resil.Resil.outcome = Hwf_resil.Resil.Ok_cell pass; attempts = 1 }))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "checkpoint: %s" e);
   (match Json.Schema.validate_file path with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "checkpoint: %s" e);
@@ -215,7 +229,7 @@ let () =
           Alcotest.test_case "missing or unknown schema rejected" `Quick test_schema_tag;
           Alcotest.test_case "row without its discriminator rejected" `Quick test_discriminator;
           Alcotest.test_case "lint header restarts a block" `Quick test_lint_restart;
-          Alcotest.test_case "partial final line for hwf-ckpt/1 only" `Quick test_partial_tail;
+          Alcotest.test_case "partial final line for hwf-ckpt only" `Quick test_partial_tail;
           Alcotest.test_case "whole-file cells checked" `Quick test_whole_file;
           Alcotest.test_case "engine export needs host" `Quick test_bench_engine_host;
           Alcotest.test_case "faults and par exports need host" `Quick

@@ -1,6 +1,6 @@
 (* The resilience layer (lib/resil) and its integration with the
    campaign runners: per-cell deadlines, the error taxonomy and retry
-   policy, hwf-ckpt/1 checkpoint journals, and the kill-and-resume
+   policy, hwf-ckpt/2 checkpoint journals, and the kill-and-resume
    determinism contract of docs/ROBUSTNESS.md — a campaign interrupted
    mid-flight and resumed from its checkpoint must produce the same
    report as an uninterrupted run, sequentially and under --jobs 2. *)
@@ -12,6 +12,27 @@ module Resil = Hwf_resil.Resil
 module Checkpoint = Hwf_resil.Checkpoint
 
 let tmpfile () = Filename.temp_file "hwf_resil_test" ".ckpt.jsonl"
+
+(* [s] with the first occurrence of [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub and len = String.length s in
+  let rec find i =
+    if i + n > len then s
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (len - i - n)
+    else find (i + 1)
+  in
+  find 0
+
+(* Insert [bad] at the head of the first journaled schedule named
+   [member] — a hand edit no runner would write. *)
+let corrupt_first_schedule path ~member bad =
+  let journal = In_channel.with_open_bin path In_channel.input_all in
+  let sub = Printf.sprintf "\"%s\":[" member in
+  let edited = replace_first ~sub ~by:(Printf.sprintf "%s%d," sub bad) journal in
+  Util.checkb "journal holds a schedule" (edited <> journal);
+  Out_channel.with_open_bin path (fun oc -> output_string oc edited)
+
 
 (* ---- deadlines ---- *)
 
@@ -129,13 +150,33 @@ let test_run_cell_timeout_demotion () =
 
 (* ---- checkpoint journals ---- *)
 
+(* Run [f] over a journal of JSON values; cell [i]'s key is ["k<i>"]. *)
+let with_json ?(key = Printf.sprintf "k%d") ~path ~campaign ~cells ~resume f =
+  Checkpoint.with_journal ~path ~resume
+    ~campaign:(fun () -> campaign)
+    ~cells ~key ~encode:Fun.id
+    ~decode:(fun _ v -> Some v)
+    (fun t -> f (Option.get t))
+
+let with_json_ok ?key ~path ~campaign ~cells ~resume f =
+  match with_json ?key ~path ~campaign ~cells ~resume f with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "journal: %s" e
+
+(* Run cell [i], which returns [v], through the one cell protocol. *)
+let record t i v =
+  ignore
+    (Checkpoint.cell (Some t) ~should_stop:(fun () -> false) i (fun () ->
+         { Resil.outcome = Resil.Ok_cell v; attempts = 1 }))
+
+let str s = Hwf_obs.Json.Str s
+
 let test_checkpoint_roundtrip () =
   let path = tmpfile () in
-  let t = Checkpoint.create ~path ~campaign:"camp" ~cells:3 in
-  Checkpoint.record t ~idx:0 ~key:"a" ~payload:"p0";
-  Checkpoint.record t ~idx:1 ~key:"b" ~payload:"p1";
-  Checkpoint.record t ~idx:0 ~key:"a" ~payload:"p0'";
-  Checkpoint.close t;
+  with_json_ok ~path ~campaign:"camp" ~cells:3 ~resume:false (fun t ->
+      record t 0 (str "p0");
+      record t 1 (str "p1");
+      record t 0 (str "p0'"));
   (match Checkpoint.load ~path with
   | Error e -> Alcotest.failf "load: %s" e
   | Ok (h, entries) ->
@@ -143,18 +184,25 @@ let test_checkpoint_roundtrip () =
     Util.checki "cells" 3 h.Checkpoint.cells;
     Util.checki "last-wins dedup" 2 (List.length entries);
     let e0 = List.find (fun e -> e.Checkpoint.idx = 0) entries in
-    Util.check Alcotest.string "last record wins" "p0'" e0.Checkpoint.payload);
+    Util.checkb "last record wins" (e0.Checkpoint.payload = str "p0'"));
+  with_json_ok ~path ~campaign:"camp" ~cells:3 ~resume:true (fun t ->
+      Util.checkb "restored, last wins" (Checkpoint.restored t 0 = Some (str "p0'"));
+      Util.checkb "unjournaled cell restores nothing" (Checkpoint.restored t 2 = None);
+      (* A restored cell is not run again. *)
+      let c =
+        Checkpoint.cell (Some t) ~should_stop:(fun () -> false) 1 (fun () ->
+            Alcotest.fail "restored cell ran")
+      in
+      Util.checkb "restored value" (Resil.cell_value c = Some (str "p1")));
   Sys.remove path
 
 let test_checkpoint_partial_trailing_line () =
   (* A SIGKILL mid-write leaves a partial last line; the loader must
      drop it and keep everything before. *)
   let path = tmpfile () in
-  let t = Checkpoint.create ~path ~campaign:"camp" ~cells:2 in
-  Checkpoint.record t ~idx:0 ~key:"a" ~payload:"p0";
-  Checkpoint.close t;
+  with_json_ok ~path ~campaign:"camp" ~cells:2 ~resume:false (fun t -> record t 0 (str "p0"));
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"cell\":1,\"key\":\"b\",\"pay";
+  output_string oc "{\"cell\":1,\"key\":\"k1\",\"pay";
   close_out oc;
   (match Checkpoint.load ~path with
   | Error e -> Alcotest.failf "load: %s" e
@@ -164,22 +212,57 @@ let test_checkpoint_partial_trailing_line () =
 
 let test_checkpoint_campaign_mismatch () =
   let path = tmpfile () in
-  let t = Checkpoint.create ~path ~campaign:"camp-A" ~cells:2 in
-  Checkpoint.close t;
-  (match Checkpoint.open_ ~path ~campaign:"camp-B" ~cells:2 ~resume:true with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "resume across campaigns must be refused");
-  (match Checkpoint.open_ ~path ~campaign:"camp-A" ~cells:5 ~resume:true with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "resume with a different cell count must be refused");
+  with_json_ok ~path ~campaign:"camp-A" ~cells:2 ~resume:false ignore;
+  let refused ~campaign ~cells =
+    match with_json ~path ~campaign ~cells ~resume:true (fun _ -> Alcotest.fail "ran") with
+    | Error _ -> true
+    | Ok () -> false
+  in
+  Util.checkb "resume across campaigns must be refused"
+    (refused ~campaign:"camp-B" ~cells:2);
+  Util.checkb "resume with a different cell count must be refused"
+    (refused ~campaign:"camp-A" ~cells:5);
   Sys.remove path;
   (* A missing file degrades to a fresh journal. *)
-  match Checkpoint.open_ ~path ~campaign:"camp-A" ~cells:2 ~resume:true with
-  | Ok (t, []) ->
-    Checkpoint.close t;
-    Sys.remove path
-  | Ok _ -> Alcotest.fail "missing file must restore no entries"
-  | Error e -> Alcotest.failf "missing file must degrade to fresh: %s" e
+  with_json_ok ~path ~campaign:"camp-A" ~cells:2 ~resume:true (fun t ->
+      Util.checkb "missing file must restore no entries"
+        (Checkpoint.restored t 0 = None && Checkpoint.restored t 1 = None));
+  Sys.remove path
+
+let test_checkpoint_v1_refused () =
+  (* A journal of the string-payload format names schema hwf-ckpt/1:
+     resuming it is refused, not silently re-run. *)
+  let path = tmpfile () in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "{\"schema\":\"hwf-ckpt/1\",\"campaign\":\"camp\",\"cells\":1}\n\
+         {\"cell\":0,\"key\":\"k0\",\"payload\":\"pass;blocked=0;worst=8\"}\n");
+  (match with_json ~path ~campaign:"camp" ~cells:1 ~resume:true ignore with
+  | Error e ->
+    Util.checkb "names both schemas"
+      (Util.contains e "\"hwf-ckpt/1\"" && Util.contains e "expected \"hwf-ckpt/2\"")
+  | Ok () -> Alcotest.fail "an hwf-ckpt/1 journal must be refused");
+  Sys.remove path
+
+let test_checkpoint_key_and_stop () =
+  (* Resume restores only records whose key is the campaign's own, and
+     never journals a cell that returned after a stop was requested. *)
+  let path = tmpfile () in
+  with_json_ok ~path ~campaign:"camp" ~cells:2 ~resume:false (fun t ->
+      record t 0 (str "p0");
+      let stop = ref false in
+      let c =
+        Checkpoint.cell (Some t) ~should_stop:(fun () -> !stop) 1 (fun () ->
+            stop := true;
+            { Resil.outcome = Resil.Ok_cell (str "p1"); attempts = 1 })
+      in
+      Util.checkb "the cut cell keeps its value" (Resil.cell_value c = Some (str "p1")));
+  (match Checkpoint.load ~path with
+  | Ok (_, [ e ]) -> Util.checki "only the finished cell journaled" 0 e.Checkpoint.idx
+  | _ -> Alcotest.fail "expected one journaled cell");
+  with_json_ok ~path ~key:(Printf.sprintf "other%d") ~campaign:"camp" ~cells:2 ~resume:true
+    (fun t -> Util.checkb "a key mismatch restores nothing" (Checkpoint.restored t 0 = None));
+  Sys.remove path
 
 (* ---- certify kill-and-resume determinism ---- *)
 
@@ -223,6 +306,24 @@ let certify_kill_resume ~jobs () =
 
 let test_certify_kill_resume_seq () = certify_kill_resume ~jobs:1 ()
 let test_certify_kill_resume_par () = certify_kill_resume ~jobs:2 ()
+
+let test_certify_checkpoint_bad_pids () =
+  (* The certifier's failure schedules go through the same pid check: a
+     hand-edited out-of-range pid makes the record malformed, so the
+     plan is re-judged and re-shrunk instead of reporting the edit. *)
+  let subject = Suite.negative () in
+  let plans = [ Suite.negative_plan ] in
+  let reference = Certify.certify subject plans in
+  Util.checki "negative control fails" 1 (List.length reference.Certify.failures);
+  List.iter
+    (fun bad ->
+      let path = tmpfile () in
+      ignore (Certify.certify ~checkpoint:path subject plans);
+      corrupt_first_schedule path ~member:"schedule" bad;
+      let resumed = Certify.certify ~checkpoint:path ~resume:true subject plans in
+      check_reports (Printf.sprintf "pid %d re-judged" bad) reference resumed;
+      Sys.remove path)
+    [ -1; 99 ]
 
 let test_certify_timeout_structured () =
   (* A livelocked subject (unbounded spin, no step limit) must come back
@@ -395,6 +496,27 @@ let test_explore_checkpoint_resume_counterexample () =
   | _ -> Alcotest.fail "expected counterexamples on both sides");
   Sys.remove path
 
+let test_explore_checkpoint_bad_pids () =
+  (* A hand-edited journal whose counterexample names a pid outside the
+     scenario is malformed: its subtree re-runs instead of restoring a
+     counterexample whose decisions do not match its replayed trace. *)
+  let open Hwf_adversary in
+  let scenario = fig3_scenario ~quantum:1 ~pris:[ 1; 1 ] in
+  let reference = Explore.explore ~jobs:1 scenario in
+  List.iter
+    (fun bad ->
+      let path = tmpfile () in
+      ignore (Explore.explore ~checkpoint:path scenario);
+      corrupt_first_schedule path ~member:"decisions" bad;
+      let stats = Explore.make_stats ~jobs:1 scenario in
+      let resumed = Explore.explore ~checkpoint:path ~resume:true ~stats scenario in
+      let tag = Printf.sprintf "pid %d" bad in
+      check_outcomes (tag ^ ": re-run counterexample") reference resumed;
+      Util.checkb (tag ^ ": the subtree re-ran")
+        (Array.exists (fun n -> n > 0) (Explore.stats_subtree_runs stats));
+      Sys.remove path)
+    [ -1; 2; 99 ]
+
 let test_explore_checkpoint_jobs_grain () =
   (* Kill-and-resume quantified over the knobs: a campaign cut short by
      [should_stop] must resume to the plain outcome whatever jobs/grain
@@ -465,6 +587,9 @@ let () =
             test_checkpoint_partial_trailing_line;
           Alcotest.test_case "campaign mismatch refused" `Quick
             test_checkpoint_campaign_mismatch;
+          Alcotest.test_case "hwf-ckpt/1 refused" `Quick test_checkpoint_v1_refused;
+          Alcotest.test_case "key checked, stopped cell not journaled" `Quick
+            test_checkpoint_key_and_stop;
         ] );
       ( "certify",
         [
@@ -472,6 +597,8 @@ let () =
             test_certify_kill_resume_seq;
           Alcotest.test_case "kill and resume (jobs=2)" `Quick
             test_certify_kill_resume_par;
+          Alcotest.test_case "out-of-range journaled pids re-run" `Quick
+            test_certify_checkpoint_bad_pids;
           Alcotest.test_case "livelock becomes structured timeout" `Quick
             test_certify_timeout_structured;
         ] );
@@ -485,5 +612,7 @@ let () =
             test_explore_checkpoint_dpor_identity;
           Alcotest.test_case "restored counterexample" `Quick
             test_explore_checkpoint_resume_counterexample;
+          Alcotest.test_case "out-of-range journaled pids re-run" `Quick
+            test_explore_checkpoint_bad_pids;
         ] );
     ]
