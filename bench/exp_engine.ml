@@ -9,15 +9,21 @@
      P  processors           1, 4 (cells with P > N are skipped)
      observer                off / full Hwf_obs.Metrics collector
                              (via the allocation-free Metrics.sink)
+     batched                 yes / no: the seeded random policy as is
+                             (burst-safe, so forced decisions run as
+                             quantum bursts) or declared not burst-safe
+                             (every decision takes the unbatched path:
+                             cached schedulable list, policy call)
 
    Each cell runs the same two-band workload (processes round-robin
    over the processors, alternating between two priority levels, each
    performing 8-statement invocations until a shared statement target
    is met) under a seeded random policy, and reports wall-clock
-   statements/sec. Results go to stdout and to BENCH_engine.json
-   ({schema, target, cells[]}) so the perf trajectory of the scheduling
-   loop is recorded per run; EXPERIMENTS.md (E19) keeps the pre/post
-   numbers of the incremental-scheduler rewrite. *)
+   statements/sec. The policy draws nothing on a forced decision, so a
+   batched cell and its unbatched twin run the same schedule. Results
+   go to stdout and to BENCH_engine.json ({schema, host, target,
+   cells[]}) so the perf trajectory of the scheduling loop is recorded
+   per run; EXPERIMENTS.md (E19) keeps the pre/post numbers. *)
 
 open Hwf_sim
 module Json = Hwf_obs.Json
@@ -27,6 +33,7 @@ type cell = {
   n : int;
   processors : int;
   observer : bool;
+  batched : bool;
   statements : int;
   seconds : float;
 }
@@ -54,8 +61,16 @@ let workload ~n ~processors ~target =
   in
   (config, bodies)
 
-let measure ~reps ~observer ~n ~processors ~target =
+(* The same seeded random policy, batched (burst-safe, as declared by
+   [Policy.random]) or not. *)
+let policy ~batched =
+  let random = Policy.random ~seed:7 in
+  if batched then random
+  else Policy.of_factory "random(7), not burst-safe" (fun () -> Policy.prepare random)
+
+let measure ~reps ~observer ~batched ~n ~processors ~target =
   let config, bodies = workload ~n ~processors ~target in
+  let policy = policy ~batched in
   (* Best-of-[reps] wall clock: the cell reports the engine's
      throughput, not the container's scheduling noise, so take the
      fastest trial (identical deterministic work each time). *)
@@ -75,8 +90,7 @@ let measure ~reps ~observer ~n ~processors ~target =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r =
-      Engine.run ~step_limit:100_000_000 ?sink ~config ~policy:(Policy.random ~seed:7)
-        (bodies ())
+      Engine.run ~step_limit:100_000_000 ?sink ~config ~policy (bodies ())
     in
     let seconds = Unix.gettimeofday () -. t0 in
     assert (Array.for_all Fun.id r.Engine.finished);
@@ -86,31 +100,36 @@ let measure ~reps ~observer ~n ~processors ~target =
     | _ -> best := Some (statements, seconds)
   done;
   let statements, seconds = Option.get !best in
-  { n; processors; observer; statements; seconds }
+  { n; processors; observer; batched; statements; seconds }
 
-(* --self-check: run the same layout through the engine and through
-   the naive reference interpreter (test/reference) and require equal
-   results — trace bytes, stop reason, and the finished, own_steps and
-   halted vectors. This is the differential gate behind the hot path:
-   any divergence is an engine bug, not a tolerable perf artifact. *)
+(* --self-check: run the same layout through the engine, batched and
+   unbatched, and through the naive reference interpreter
+   (test/reference) and require equal results — trace bytes, stop
+   reason, and the finished, own_steps and halted vectors. This is the
+   differential gate behind the hot path: any divergence is an engine
+   bug, not a tolerable perf artifact. *)
 let differential ~n ~processors ~target =
   let config, bodies = workload ~n ~processors ~target in
-  let policy = Policy.random ~seed:7 in
-  let fast =
-    Hwf_reference.Reference.outcome (fun () ->
-        Engine.run ~step_limit:100_000_000 ~config ~policy (bodies ()))
-  in
   let slow =
     Hwf_reference.Reference.outcome (fun () ->
-        Hwf_reference.Reference.run ~step_limit:100_000_000 ~config ~policy (bodies ()))
+        Hwf_reference.Reference.run ~step_limit:100_000_000 ~config
+          ~policy:(policy ~batched:true) (bodies ()))
   in
-  match Hwf_reference.Reference.diff fast slow with
-  | None -> ()
-  | Some d ->
-    failwith
-      (Printf.sprintf
-         "E19 --self-check: engine diverges from the reference at N=%d P=%d: %s" n
-         processors d)
+  List.iter
+    (fun batched ->
+      let fast =
+        Hwf_reference.Reference.outcome (fun () ->
+            Engine.run ~step_limit:100_000_000 ~config ~policy:(policy ~batched) (bodies ()))
+      in
+      match Hwf_reference.Reference.diff fast slow with
+      | None -> ()
+      | Some d ->
+        failwith
+          (Printf.sprintf
+             "E19 --self-check: engine (%s) diverges from the reference at N=%d P=%d: %s"
+             (if batched then "batched" else "unbatched")
+             n processors d))
+    [ true; false ]
 
 let json_of_cells ~quick ~target ~truncated cells =
   Json.pretty
@@ -129,6 +148,7 @@ let json_of_cells ~quick ~target ~truncated cells =
                       ("n", Json.Int c.n);
                       ("processors", Json.Int c.processors);
                       ("observer", Json.Bool c.observer);
+                      ("batched", Json.Bool c.batched);
                       ("statements", Json.Int c.statements);
                       ("seconds", Json.fixed 6 c.seconds);
                       ("stmts_per_sec", Json.fixed 1 (stmts_per_sec c));
@@ -149,16 +169,20 @@ let run ~quick =
         List.concat_map
           (fun processors ->
             if processors > n then []
-            else List.map (fun observer -> (n, processors, observer)) [ false; true ])
+            else
+              List.concat_map
+                (fun observer ->
+                  List.map (fun batched -> (n, processors, observer, batched)) [ true; false ])
+                [ false; true ])
           [ 1; 4 ])
       [ 2; 8; 32; 128; 1024 ]
   in
   let reps = if quick then 1 else 5 in
   let cells =
     List.filter_map
-      (fun (n, processors, observer) ->
+      (fun (n, processors, observer, batched) ->
         if Hwf_resil.Resil.interrupted () then None
-        else Some (measure ~reps ~observer ~n ~processors ~target))
+        else Some (measure ~reps ~observer ~batched ~n ~processors ~target))
       params
   in
   let truncated = List.length cells < List.length params in
@@ -167,13 +191,14 @@ let run ~quick =
       (Printf.sprintf "statements/sec, ~%d statements per cell, best of %d (seed 7%s)"
          target reps
          (if quick then ", quick" else ""))
-    ~header:[ "N"; "P"; "observer"; "statements"; "seconds"; "stmts/sec" ]
+    ~header:[ "N"; "P"; "observer"; "batched"; "statements"; "seconds"; "stmts/sec" ]
     (List.map
        (fun c ->
          [
            string_of_int c.n;
            string_of_int c.processors;
            (if c.observer then "metrics" else "off");
+           (if c.batched then "yes" else "no");
            string_of_int c.statements;
            Printf.sprintf "%.3f" c.seconds;
            Printf.sprintf "%.0f" (stmts_per_sec c);
@@ -198,14 +223,18 @@ let run ~quick =
           [ 1; 4 ])
       [ 2; 8; 32; 128; 1024 ];
     Tbl.note
-      "self-check: engine byte-identical to the reference interpreter on every layout"
+      "self-check: engine, batched and unbatched, byte-identical to the reference \
+       interpreter on every layout"
   end;
   (* Throughput regression gate (CI): the headline cell is the one the
-     tentpole targets — N=128, single processor, observer off. *)
+     burst batching targets — N=128, single processor, observer off,
+     batched. *)
   match !Jobs.min_stmts_per_sec with
   | Some floor when not truncated -> (
     match
-      List.find_opt (fun c -> c.n = 128 && c.processors = 1 && not c.observer) cells
+      List.find_opt
+        (fun c -> c.n = 128 && c.processors = 1 && (not c.observer) && c.batched)
+        cells
     with
     | Some c when stmts_per_sec c < floor ->
       failwith

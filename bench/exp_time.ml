@@ -11,7 +11,7 @@
 open Hwf_sim
 open Hwf_workload
 
-let slow_cost _view _pid _op = max_int (* clamp to tmax *)
+let slow_cost ~step:_ _pid _op = max_int (* clamp to tmax *)
 
 (* Exhaustive DFS over 2-process Fig. 3 schedules with all statements at
    Tmax; returns true iff agreement holds over all schedules. *)

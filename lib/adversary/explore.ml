@@ -192,7 +192,7 @@ let truncate_slots a d =
   end
 
 let footprint a (view : Policy.view) pid =
-  let pv = view.procs.(pid) in
+  let pv = view.proc pid in
   if a.fp_view.(pid) != pv then begin
     a.fp.(pid) <- Policy.footprint view pid;
     a.fp_view.(pid) <- pv

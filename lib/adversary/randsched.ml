@@ -75,7 +75,7 @@ let pct ~depth ~horizon ~seed =
       let decisions = ref 0 in
       let pri = ref [||] in
       fun (v : Policy.view) ->
-        let n = Array.length v.procs in
+        let n = v.nprocs in
         if Array.length !pri < n then begin
           (* Random permutation of d .. d+n-1 (all above the change-point
              priorities 1 .. d-1), mapped into floats for [argmax]. *)
@@ -117,7 +117,7 @@ let pos ~seed =
       let st = Random.State.make [| seed; 0x905 |] in
       let pri = ref [||] in
       fun (v : Policy.view) ->
-        let n = Array.length v.procs in
+        let n = v.nprocs in
         if Array.length !pri < n then
           pri := Array.init n (fun _ -> Random.State.float st 1.0);
         match argmax !pri v.runnable with
@@ -155,7 +155,7 @@ let surw ~profile ~seed =
         | None -> 1
         | Some est ->
           let e = if p < Array.length est then est.(p) else 0 in
-          max 1 (e - v.procs.(p).Policy.own_steps)
+          max 1 (e - (v.proc p).Policy.own_steps)
       in
       fun (v : Policy.view) ->
         match v.runnable with

@@ -34,7 +34,7 @@ let preempt_after_rmw ?(victim_ops = 1) ~var_prefix ~(fallback : Policy.t) () =
         (match pick with
         | Some pid ->
           last := pid;
-          let pv = view.procs.(pid) in
+          let pv = view.proc pid in
           last_was_target :=
             (match pv.next_op with
             | Some (Op.Rmw { var; _ }) -> starts_with ~prefix:var_prefix var
@@ -53,7 +53,7 @@ let delayed_wake ~seed ~wake_every () =
       fun (view : Policy.view) ->
       let ready, thinking =
         List.partition
-          (fun p -> view.procs.(p).Policy.phase = Policy.Ready)
+          (fun p -> (view.proc p).Policy.phase = Policy.Ready)
           view.runnable
       in
       let pick = function
@@ -73,7 +73,7 @@ let max_interleave () =
       match view.runnable with
       | [] -> None
       | runnable ->
-        let steps p = view.procs.(p).Policy.own_steps in
+        let steps p = (view.proc p).Policy.own_steps in
         Some
           (List.fold_left
              (fun best p -> if steps p < steps best then p else best)

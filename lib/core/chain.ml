@@ -9,6 +9,7 @@ type ('s, 'op, 'r) t = {
   ver : int Shared.t;
   seqs : (int, int ref) Hashtbl.t;  (* private per-process op counters *)
   mutable max_attempts : int;
+  propose : Op.t;  (* the local statement before each slot proposal *)
 }
 
 (* find_current (~4 stmts) + decide (8) + two writes + locals *)
@@ -17,14 +18,14 @@ let statements_per_attempt_hint = 16
 let val_cell t k =
   while Vec.length t.vals <= k do
     Vec.push t.vals
-      (Shared.make (Printf.sprintf "%s.val[%d]" t.name (Vec.length t.vals)) None)
+      (Shared.make (Shared.subscript (t.name ^ ".val") (Vec.length t.vals)) None)
   done;
   Vec.get t.vals k
 
 let slot_cell t k =
   while Vec.length t.slots <= k do
     Vec.push t.slots
-      (Uni_consensus.make (Printf.sprintf "%s.slot[%d]" t.name (Vec.length t.slots)))
+      (Uni_consensus.make (Shared.subscript (t.name ^ ".slot") (Vec.length t.slots)))
   done;
   Vec.get t.slots k
 
@@ -39,6 +40,7 @@ let make ~name ~init ~apply =
       ver = Shared.make (name ^ ".ver") 0;
       seqs = Hashtbl.create 8;
       max_attempts = 0;
+      propose = Op.local (name ^ ".propose");
     }
   in
   (* Initialization-before-publication: objects may be built lazily from
@@ -84,7 +86,7 @@ let invoke t ~who op =
   let seq = next_seq t ~who in
   let rec attempt n =
     let k, s = find_current t in
-    Eff.local (t.name ^ ".propose");
+    Eff.step t.propose;
     let winner_who, winner_seq, _winner_op =
       Uni_consensus.decide (slot_cell t k) (who, seq, op)
     in

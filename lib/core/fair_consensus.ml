@@ -20,7 +20,7 @@ let make ~config ~name ~consensus_number =
       Array.init p (fun i ->
           Array.init v (fun w ->
               Uni_consensus.make
-                (Printf.sprintf "%s.elect[%d][%d]" name (i + 1) (w + 1))));
+                (Shared.subscript2 (name ^ ".elect") (i + 1) (w + 1))));
     global = Multi_consensus.make ~config ~name:(name ^ ".global") ~consensus_number ();
     lost = 0;
   }

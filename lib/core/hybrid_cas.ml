@@ -50,7 +50,14 @@ type 'a t = {
   mutable worst_af_diff : int;
   mutable worst_af_same : int;
   mutable ops : int;
+  line : Op.t array;  (* [line.(l)]: the local statement of Fig. 5 line [l] *)
+  fb_line : Op.t array;  (* [fb_line.(l)]: line [l] of Feedback *)
 }
+
+(* [".l"] for every line [l] of Fig. 5, and [".fb.l"] for Feedback's,
+   shared by all objects. *)
+let line_suffix = Array.init 56 (fun l -> "." ^ string_of_int l)
+let fb_suffix = Array.init 8 (fun l -> ".fb." ^ string_of_int l)
 
 let tag_space n = (4 * n) + 2
 
@@ -60,19 +67,14 @@ let make ~config ~name ~init =
   let priority pid =
     if pid = n then 1 else config.Config.procs.(pid).Proc.priority
   in
-  let fresh_nxt owner tag =
-    Uni_consensus.make (Printf.sprintf "%s.Cell[%d][%d].nxt" name owner tag)
-  in
   let cells =
     Array.init (n + 1) (fun owner ->
         Array.init (tag_space n) (fun tag ->
+            let cell = Shared.subscript2 (name ^ ".Cell") owner tag in
+            let nxt = cell ^ ".nxt" in
             {
-              value =
-                Shared.make (Printf.sprintf "%s.Cell[%d][%d].val" name owner tag) init;
-              nxt =
-                Shared.make
-                  (Printf.sprintf "%s.Cell[%d][%d].nxt" name owner tag)
-                  (fresh_nxt owner tag);
+              value = Shared.make (cell ^ ".val") init;
+              nxt = Shared.make nxt (Uni_consensus.make nxt);
             }))
   in
   (* "We assume the list is initialized as if some process had previously
@@ -80,15 +82,15 @@ let make ~config ~name ~init =
      priority 1) owns the initial cell (N, 0); every Hd points at it. *)
   let initial = { hid = n; htag = 0; last = n } in
   let hd =
-    Array.init v (fun i -> Q_cas.make (Printf.sprintf "%s.Hd[%d]" name (i + 1)) initial)
+    Array.init v (fun i -> Q_cas.make (Shared.subscript (name ^ ".Hd") (i + 1)) initial)
   in
   let a =
     Array.init (2 * n) (fun q ->
         Array.init v (fun i ->
-            Shared.make (Printf.sprintf "%s.A[%d][%d]" name (q + 1) (i + 1)) 0))
+            Shared.make (Shared.subscript2 (name ^ ".A") (q + 1) (i + 1)) 0))
   in
   let seen =
-    Array.init v (fun i -> Shared.make (Printf.sprintf "%s.Seen[%d]" name (i + 1)) init)
+    Array.init v (fun i -> Shared.make (Shared.subscript (name ^ ".Seen") (i + 1)) init)
   in
   {
     name;
@@ -107,6 +109,8 @@ let make ~config ~name ~init =
     worst_af_diff = 0;
     worst_af_same = 0;
     ops = 0;
+    line = Array.map (fun suffix -> Op.local (name ^ suffix)) line_suffix;
+    fb_line = Array.map (fun suffix -> Op.local (name ^ suffix)) fb_suffix;
   }
 
 let pstate t pid =
@@ -142,12 +146,12 @@ let cell_of_hd t (h : hd) = t.cells.(h.hid).(h.htag)
 let feedback t ~q ~i ~(cmp : hd) ~(h : hd ref) =
   let caller = if q < t.n then q else q - t.n in
   let pri = t.priority caller in
-  Eff.local (t.name ^ ".fb.1");
+  Eff.step t.fb_line.(1);
   if i < pri then true (* line 1: no feedback below own level *)
   else begin
     Shared.write t.a.(q).(i - 1) !h.htag (* line 2 *);
     let tmp = Q_cas.read t.hd.(i - 1) (* line 3 *) in
-    Eff.local (t.name ^ ".fb.4");
+    Eff.step t.fb_line.(4);
     if (cmp.hid, cmp.htag) <> (tmp.hid, tmp.htag) then begin
       let st = pstate t caller in
       if i > pri then begin
@@ -161,7 +165,7 @@ let feedback t ~q ~i ~(cmp : hd) ~(h : hd ref) =
         st.op_same <- st.op_same + 1;
         t.af_same <- t.af_same + 1;
         Shared.write t.a.(q).(i - 1) tmp.htag (* line 6 *);
-        Eff.local (t.name ^ ".fb.7");
+        Eff.step t.fb_line.(7);
         h := tmp;
         true
       end
@@ -174,9 +178,9 @@ let select_tag t st ~pri =
   let read_tag = Shared.read t.a.(st.j).(pri - 1) (* line 8 *) in
   Queue.add read_tag st.reads;
   if Queue.length st.reads > 2 * t.n then ignore (Queue.pop st.reads);
-  Eff.local (t.name ^ ".9");
+  Eff.step t.line.(9);
   st.j <- (st.j + 1) mod (2 * t.n) (* line 9 *);
-  Eff.local (t.name ^ ".10");
+  Eff.step t.line.(10);
   let excluded tag =
     tag = st.lasttag
     || Queue.fold (fun acc x -> acc || x = tag) false st.reads
@@ -220,18 +224,18 @@ let apply t ~pid ~pri ~old ~new_ ~mytag (h : hd) =
   let v = Shared.read (cell_of_hd t h).value (* line 26 *) in
   if v <> old then false
   else begin
-    Eff.local (t.name ^ ".27");
+    Eff.step t.line.(27);
     if old = new_ then true (* line 27: trivial C&S *)
     else begin
       (* lines 28-29: help lower-priority reads *)
       for i = 1 to pri - 1 do
         Shared.write t.seen.(i - 1) old
       done;
-      Eff.local (t.name ^ ".30");
+      Eff.step t.line.(30);
       let install_first = t.priority h.hid <= pri (* line 30 *) in
       let proceed =
         if install_first then begin
-          Eff.local (t.name ^ ".31");
+          Eff.step t.line.(31);
           update_hd t ~pid ~pri { h with last = pid } (* lines 31-36 *)
         end
         else true
@@ -243,7 +247,7 @@ let apply t ~pid ~pri ~old ~new_ ~mytag (h : hd) =
         let mine = { id = pid; tag = mytag } in
         let won = Uni_consensus.decide nxt_obj mine in
         if won = mine then begin
-          Eff.local (t.name ^ ".38");
+          Eff.step t.line.(38);
           st.lasttag <- mytag;
           t.appends <- t.appends + 1;
           let my_hd = { hid = pid; htag = mytag; last = pid } in
@@ -264,14 +268,14 @@ let cas t ~pid ~expected ~desired =
   let my_cell = t.cells.(pid).(mytag) in
   Shared.write my_cell.value desired (* line 11 *);
   Shared.write my_cell.nxt
-    (Uni_consensus.make (Printf.sprintf "%s.Cell[%d][%d].nxt'" t.name pid mytag))
+    (Uni_consensus.make (Shared.subscript2 (t.name ^ ".Cell") pid mytag ^ ".nxt'"))
   (* line 12 *);
   (* lines 13-24: scan the Hd variables for the list head *)
   let result = ref None in
   let i = ref 1 in
   while !result = None && !i <= t.v do
     let h = ref (Q_cas.read t.hd.(!i - 1)) (* line 14 *) in
-    Eff.local (t.name ^ ".15");
+    Eff.step t.line.(15);
     if !i <= pri || t.priority !h.hid = !i (* line 15 *) then begin
       if not (feedback t ~q:pid ~i:!i ~cmp:!h ~h) (* line 16 *) then
         result := Some false
@@ -281,10 +285,10 @@ let cas t ~pid ~expected ~desired =
         | None -> result := Some (apply t ~pid ~pri ~old:expected ~new_:desired ~mytag !h)
           (* line 18 *)
         | Some np ->
-          Eff.local (t.name ^ ".19");
+          Eff.step t.line.(19);
           if !i <= pri (* line 19 *) then begin
             let next = ref { hid = np.id; htag = np.tag; last = np.id } in
-            Eff.local (t.name ^ ".21");
+            Eff.step t.line.(21);
             if t.priority np.id = !i (* line 21 *) then begin
               ignore (feedback t ~q:(pid + t.n) ~i:!i ~cmp:!h ~h:next) (* line 22 *);
               let nxt2 = Shared.read (cell_of_hd t !next).nxt in
@@ -304,7 +308,7 @@ let cas t ~pid ~expected ~desired =
     match !result with
     | Some b -> b
     | None ->
-      Eff.local (t.name ^ ".25");
+      Eff.step t.line.(25);
       t.scan_failures <- t.scan_failures + 1;
       false (* line 25: preempted throughout the scan; some C&S succeeded *)
   in
@@ -325,7 +329,7 @@ let read t ~pid =
     (fun i ->
       if !result = None then begin
         rhd.(i - 1) <- Q_cas.read t.hd.(i - 1) (* line 47 *);
-        Eff.local (t.name ^ ".48");
+        Eff.step t.line.(48);
         if i <= pri || t.priority rhd.(i - 1).hid = i (* line 48 *) then begin
           let href = ref rhd.(i - 1) in
           if not (feedback t ~q:pid ~i ~cmp:rhd.(i - 1) ~h:href) (* line 49 *) then
@@ -338,11 +342,11 @@ let read t ~pid =
               result := Some (Shared.read (cell_of_hd t rhd.(i - 1)).value)
               (* line 52 *)
             | Some np ->
-              Eff.local (t.name ^ ".53");
+              Eff.step t.line.(53);
               if i <= pri (* line 53 *) then begin
                 let nx = { hid = np.id; htag = np.tag; last = np.id } in
                 next := Some nx;
-                Eff.local (t.name ^ ".55");
+                Eff.step t.line.(55);
                 if t.priority np.id = i (* line 55 *) then begin
                   let nref = ref nx in
                   ignore (feedback t ~q:(pid + t.n) ~i ~cmp:rhd.(i - 1) ~h:nref)

@@ -30,7 +30,11 @@ type 'a t = {
   mutable af_same_events : int;
   mutable af_diff_events : int;
   returned : 'a Vec.t;
+  line : Op.t array;  (* [line.(l)]: the local statement of Fig. 7 line [l] *)
 }
+
+(* [".l"] for every line [l] of Fig. 7, shared by all objects. *)
+let line_suffix = Array.init 35 (fun l -> "." ^ string_of_int l)
 
 let apply_port s = function
   | Fetch_inc -> (s + 1, s)
@@ -60,36 +64,35 @@ let make ?levels_override ~config ~name ~consensus_number () =
     outval =
       Array.init p (fun i ->
           Array.init (l + 1) (fun lev ->
-              Shared.make (Printf.sprintf "%s.Outval[%d][%d]" name (i + 1) lev) None));
+              Shared.make (Shared.subscript2 (name ^ ".Outval") (i + 1) lev) None));
     lastpub =
       Array.init p (fun i ->
           Array.init v (fun w ->
-              Q_cas.make (Printf.sprintf "%s.Lastpub[%d][%d]" name (i + 1) (w + 1)) 0));
+              Q_cas.make (Shared.subscript2 (name ^ ".Lastpub") (i + 1) (w + 1)) 0));
     port =
       Array.init p (fun i ->
           Array.init v (fun w ->
               Chain.make
-                ~name:(Printf.sprintf "%s.Port[%d][%d]" name (i + 1) (w + 1))
+                ~name:(Shared.subscript2 (name ^ ".Port") (i + 1) (w + 1))
                 ~init:1 ~apply:apply_port));
     elections = Array.init p (fun _ -> Vec.create ());
     cons =
       Array.init l (fun lev ->
-          Cons_obj.make ~consensus_number
-            (Printf.sprintf "%s.Cons[%d]" name (lev + 1)));
+          Cons_obj.make ~consensus_number (Shared.subscript (name ^ ".Cons") (lev + 1)));
     exhausted = 0;
     af = Hashtbl.create 32;
     claimants = Hashtbl.create 32;
     af_same_events = 0;
     af_diff_events = 0;
     returned = Vec.create ();
+    line = Array.map (fun suffix -> Op.local (name ^ suffix)) line_suffix;
   }
 
 let election t i port =
   let v = t.elections.(i) in
   while Vec.length v < port do
     Vec.push v
-      (Uni_consensus.make
-         (Printf.sprintf "%s.elect[%d][%d]" t.name (i + 1) (Vec.length v + 1)))
+      (Uni_consensus.make (Shared.subscript2 (t.name ^ ".elect") (i + 1) (Vec.length v + 1)))
   done;
   Vec.get v (port - 1)
 
@@ -108,23 +111,23 @@ let decide t ~pid input0 =
   let port_v = t.port.(i).(v - 1) in
   match Shared.read t.outval.(i).(t.l) (* line 1 *) with
   | Some r ->
-    Eff.local (t.name ^ ".2");
+    Eff.step t.line.(2);
     return_value t r (* line 2 *)
   | None ->
-    Eff.local (t.name ^ ".3");
+    Eff.step t.line.(3);
     let numports = t.numports.(i) (* line 3 *) in
-    Eff.local (t.name ^ ".4");
+    Eff.step t.line.(4);
     let input = ref input0 and prevlevel = ref 0 and level = ref 0 (* line 4 *) in
     (* lines 5-13: lower-priority processes may have made progress *)
     for w = 1 to v - 1 do
       let lowerport = Chain.read t.port.(i).(w - 1) (* line 6 *) in
       let port = Chain.read port_v (* line 7 *) in
-      Eff.local (t.name ^ ".8");
+      Eff.step t.line.(8);
       if lowerport > port (* line 8 *) then
         ignore (Chain.invoke port_v ~who:pid (Port_cas (port, lowerport))) (* line 9 *);
       let lowerpublevel = Q_cas.read t.lastpub.(i).(w - 1) (* line 10 *) in
       let publevel = Q_cas.read lastpub_v (* line 11 *) in
-      Eff.local (t.name ^ ".12");
+      Eff.step t.line.(12);
       if lowerpublevel > publevel (* line 12 *) then
         ignore
           (Q_cas.cas lastpub_v ~who:pid ~expected:publevel ~desired:lowerpublevel)
@@ -134,28 +137,28 @@ let decide t ~pid input0 =
     while !result = None && !level <= t.l (* line 14 *) do
       (match Shared.read t.outval.(i).(t.l) (* line 15 *) with
       | Some r ->
-        Eff.local (t.name ^ ".16");
+        Eff.step t.line.(16);
         result := Some r (* line 16 *)
       | None ->
         let port = Chain.read port_v (* line 17 *) in
-        Eff.local (t.name ^ ".18");
+        Eff.step t.line.(18);
         level := ((port - 1) / numports) + 1 (* line 18 *);
         let claimed_port =
-          Eff.local (t.name ^ ".19");
+          Eff.step t.line.(19);
           if !prevlevel = !level (* line 19 *) then begin
-            Eff.local (t.name ^ ".20");
+            Eff.step t.line.(20);
             let newport = port + numports (* line 20 *) in
             if Chain.invoke port_v ~who:pid (Port_cas (port, newport + 1)) = 1
                (* line 21 *)
             then begin
-              Eff.local (t.name ^ ".22");
+              Eff.step t.line.(22);
               newport (* line 22 *)
             end
             else Chain.invoke port_v ~who:pid Fetch_inc (* line 23 *)
           end
           else Chain.invoke port_v ~who:pid Fetch_inc (* line 25 *)
         in
-        Eff.local (t.name ^ ".26");
+        Eff.step t.line.(26);
         level := ((claimed_port - 1) / numports) + 1 (* line 26 *);
         (* Access-failure instrumentation (Sec. 4.2): at this moment every
            port of every level below [level] on this processor has been
@@ -189,7 +192,7 @@ let decide t ~pid input0 =
               end
             done);
         let publevel = Q_cas.read lastpub_v (* line 27 *) in
-        Eff.local (t.name ^ ".28");
+        Eff.step t.line.(28);
         if publevel <> 0 then begin
           match Shared.read t.outval.(i).(publevel) (* line 28 *) with
           | Some out -> input := out
@@ -212,7 +215,7 @@ let decide t ~pid input0 =
             ignore (Q_cas.cas lastpub_v ~who:pid ~expected:publevel ~desired:!level)
             (* line 33 *)
           end;
-          Eff.local (t.name ^ ".34");
+          Eff.step t.line.(34);
           prevlevel := !level (* line 34 *)
         end)
     done;

@@ -7,7 +7,7 @@ let make name = { name; slots = Vec.create () }
 let slot t i =
   while Vec.length t.slots <= i do
     Vec.push t.slots
-      (Uni_consensus.make (Printf.sprintf "%s.slot[%d]" t.name (Vec.length t.slots + 1)))
+      (Uni_consensus.make (Shared.subscript (t.name ^ ".slot") (Vec.length t.slots + 1)))
   done;
   Vec.get t.slots i
 

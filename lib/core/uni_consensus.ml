@@ -1,8 +1,16 @@
 open Hwf_sim
 
-type 'a t = { name : string; p : 'a option Shared.t array }
+(* [set_val] and [set_w] are the two local statements (lines 1 and 5),
+   built once per object. *)
+type 'a t = { name : string; p : 'a option Shared.t array; set_val : Op.t; set_w : Op.t }
 
-let make name = { name; p = Shared.array (name ^ ".P") 3 (fun _ -> None) }
+let make name =
+  {
+    name;
+    p = Shared.array (name ^ ".P") 3 (fun _ -> None);
+    set_val = Op.local (name ^ ".v:=val");
+    set_w = Op.local (name ^ ".v:=w");
+  }
 
 let name t = t.name
 
@@ -19,11 +27,11 @@ let statements_per_decide = 8
      7: return P[3]
    Unrolled: 1 + 3*2 + 1 = 8 statements. *)
 let decide t value =
-  Eff.local (t.name ^ ".v:=val");
+  Eff.step t.set_val;
   let v = ref value in
   for i = 0 to 2 do
     match Shared.read t.p.(i) with
-    | Some w -> Eff.local (t.name ^ ".v:=w"); v := w
+    | Some w -> Eff.step t.set_w; v := w
     | None -> Shared.write t.p.(i) (Some !v)
   done;
   match Shared.read t.p.(2) with

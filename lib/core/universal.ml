@@ -43,7 +43,7 @@ let make ~name ~n ~init ~apply ~factory =
 let cell t k =
   while Vec.length t.cells <= k do
     let idx = Vec.length t.cells in
-    let cname = Printf.sprintf "%s.cell[%d]" t.name idx in
+    let cname = Shared.subscript (t.name ^ ".cell") idx in
     let decide = t.factory cname in
     Vec.push t.cells
       { decide; cache = Shared.make (cname ^ ".cache") None }

@@ -22,12 +22,10 @@ let jitter_hash ~seed ~step ~pid =
 let cost_fn (plan : Plan.t) ~(config : Config.t) =
   match plan.cost with
   | Plan.Uniform -> None
-  | Plan.Slow -> Some (fun _view _pid _op -> config.tmax)
+  | Plan.Slow -> Some (fun ~step:_ _pid _op -> config.tmax)
   | Plan.Jitter seed ->
     let span = config.tmax - config.tmin + 1 in
-    Some
-      (fun (view : Policy.view) pid _op ->
-        config.tmin + (jitter_hash ~seed ~step:view.Policy.step ~pid mod span))
+    Some (fun ~step pid _op -> config.tmin + (jitter_hash ~seed ~step ~pid mod span))
 
 let gate_fn (plan : Plan.t) =
   match plan.axiom2 with

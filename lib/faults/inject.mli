@@ -62,7 +62,7 @@ val halted_pred : Plan.t -> (Policy.pview -> bool) option
 (** The crash predicate the plan induces ([None] when it has no
     crashes). Exposed for tests. *)
 
-val cost_fn : Plan.t -> config:Config.t -> (Policy.view -> Proc.pid -> Op.t -> int) option
+val cost_fn : Plan.t -> config:Config.t -> (step:int -> Proc.pid -> Op.t -> int) option
 (** The [cost] hook the plan induces ([None] for [Uniform]). Exposed for
     tests, like {!halted_pred} and {!gate_fn}: the differential suite
     hands the three hooks to the reference interpreter. *)

@@ -5,16 +5,23 @@ type 'a t = {
   consensus_number : int;
   mutable decided : 'a option;
   mutable invocations : int;
+  propose_op : Op.t;  (* built once: [propose] is on the Fig. 7 statement path *)
 }
 
 let make ?(consensus_number = max_int) name =
   if consensus_number < 1 then invalid_arg "Cons_obj.make: consensus_number < 1";
-  { name; consensus_number; decided = None; invocations = 0 }
+  {
+    name;
+    consensus_number;
+    decided = None;
+    invocations = 0;
+    propose_op = Op.rmw ~var:name ~kind:"propose";
+  }
 
 let consensus_number t = t.consensus_number
 
 let propose t v =
-  Eff.step (Op.rmw ~var:t.name ~kind:"propose");
+  Eff.step t.propose_op;
   t.invocations <- t.invocations + 1;
   if t.invocations > t.consensus_number then None
   else begin

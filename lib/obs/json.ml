@@ -292,10 +292,11 @@ module Schema = struct
   let ckpt = lines ~header:[ "campaign"; "cells" ] ~partial_tail:true "hwf-ckpt/2" "cell"
 
   (* [host] records the machine and mode that wrote a bench file, so
-     numbers compare across commits: [nproc], [ocaml], [mode]. *)
+     numbers compare across commits: [nproc], [ocaml], [mode]. Version 2
+     of the engine export added the [batched] column. *)
   let bench_engine =
-    whole ~header:[ "host" ] "hwf-bench-engine/1" "cells"
-      [ "n"; "processors"; "observer"; "statements"; "seconds"; "stmts_per_sec" ]
+    whole ~header:[ "host" ] "hwf-bench-engine/2" "cells"
+      [ "n"; "processors"; "observer"; "batched"; "statements"; "seconds"; "stmts_per_sec" ]
 
   let bench_sched = whole "hwf-bench-sched/1" "cells" [ "case"; "strategy"; "runs"; "found" ]
 

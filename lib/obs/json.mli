@@ -91,8 +91,9 @@ module Schema : sig
   val ckpt : t  (** [hwf-ckpt/2]: campaign checkpoint journals. *)
 
   val bench_engine : t
-  (** [hwf-bench-engine/1]: [BENCH_engine.json] (E19); requires the
-      [host] block ([nproc], [ocaml], [mode]). *)
+  (** [hwf-bench-engine/2]: [BENCH_engine.json] (E19); requires the
+      [host] block ([nproc], [ocaml], [mode]) and a [batched] column in
+      every cell. *)
 
   val bench_sched : t  (** [hwf-bench-sched/1]: [BENCH_sched.json] (E20). *)
 

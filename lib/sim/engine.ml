@@ -47,7 +47,7 @@ type cell = {
   mutable guarantee : int;  (* remaining protected statements (Axiom 2) *)
   mutable grant_ver : int;  (* runnable-set version before this cell's
                                current guarantee was granted *)
-  mutable dirty : bool;  (* scratch policy view needs rebuilding *)
+  mutable dirty : bool;  (* this cell's policy view needs rebuilding *)
 }
 
 let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
@@ -71,9 +71,10 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   Option.iter (Trace.set_sink trace) sink;
   let cost_of =
     match cost with
-    | None -> fun _view _pid _op -> config.tmin
+    | None -> fun _pid _op -> config.tmin
     | Some f ->
-      fun view pid op -> max config.tmin (min config.tmax (f view pid op))
+      fun pid op ->
+        max config.tmin (min config.tmax (f ~step:(Trace.statements trace) pid op))
   in
   let new_cell (info : Proc.t) =
     {
@@ -112,10 +113,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
        process's selection forced?" — in O(1) (see [forced]). *)
   let processors = config.processors in
   let proc_stmts = Array.make processors 0 in
-  (* Last executor per processor: the only cell (other than the one
-     executing) whose lazily-derived [pending] flag can flip at a
-     statement, so the dirty tracking below can be exact without a scan. *)
-  let last_exec = Array.make processors (-1) in
   let ready_count = Array.make_matrix processors (config.levels + 1) 0 in
   let max_ready = Array.make processors 0 in
   let guard_count = Array.make_matrix processors (config.levels + 1) 0 in
@@ -124,15 +121,14 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   let live_on = Array.make processors 0 in
   let live_total = ref n in
   (* Membership version of the runnable set: bumped by every event that
-     can change WHICH cells pass the runnable test (a [max_ready] fall, a
-     quantum-guard 0<->+ transition, a priority change, an unlink, an
-     Axiom-2 gate flip). A [max_ready] rise needs no bump of its own: only
-     the running cell can raise it, as the sole Ready cell at the new top
-     level, and it leaves Ready — emptying that level, a fall — before
-     the decision loop looks again. While the version is unchanged the
-     decision loop reuses the previously built schedulable list instead
-     of rescanning the live cells. [rs_built] is the version the cached
-     list was built at. *)
+     can change WHICH cells pass the runnable test (a [max_ready] rise or
+     fall, a quantum-guard 0<->+ transition, a priority change, an
+     unlink, an Axiom-2 gate flip) and by nothing else. A statement that
+     leaves its process Ready (the common case: the next statement is
+     announced) moves no counter, so it bumps nothing. While the version
+     is unchanged the decision loop reuses the previously built
+     schedulable list instead of rescanning the live cells. [rs_built]
+     is the version the cached list was built at. *)
   let rs_version = ref 0 in
   let rs_built = ref (-1) in
   Array.iter
@@ -181,7 +177,12 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   in
   let incr_ready p l =
     ready_count.(p).(l) <- ready_count.(p).(l) + 1;
-    if l > max_ready.(p) then max_ready.(p) <- l
+    if l > max_ready.(p) then begin
+      (* A process woke above every Ready process of its processor: the
+         levels in between stop being runnable. *)
+      max_ready.(p) <- l;
+      incr rs_version
+    end
   in
   let decr_ready p l =
     ready_count.(p).(l) <- ready_count.(p).(l) - 1;
@@ -197,52 +198,28 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
       incr rs_version
     end
   in
-  (* Dirty queue: every mutation that can stale a cell's policy view
-     enqueues the pid, so a decision that reuses the cached runnable set
-     refreshes exactly the touched views instead of walking all live
-     cells. [queued] dedups; [refresh]/[drain_dirty] below consume. *)
-  let queued = Array.make (max n 1) false in
-  let dirty_buf = Array.make (max n 1) 0 in
-  let dirty_len = ref 0 in
-  let mark_dirty c =
-    c.dirty <- true;
-    let pid = c.info.pid in
-    if not queued.(pid) then begin
-      queued.(pid) <- true;
-      dirty_buf.(!dirty_len) <- pid;
-      incr dirty_len
-    end
-  in
-  (* When [c] executes a statement on [proc], the only OTHER cell whose
-     [pending] derivation can flip is the previous last executor (its
-     stamp stops matching [proc_stmts]); mark it so its view refreshes. *)
-  let note_exec c proc =
-    let prev = last_exec.(proc) in
-    if prev >= 0 && prev <> c.info.pid then mark_dirty cells.(prev);
-    last_exec.(proc) <- c.info.pid
-  in
+  let is_ready = function Ready _ -> true | Boundary _ | Finished -> false in
   (* [state]/[priority]/[guarantee] are stale while a continuation chain
      runs (they describe the last suspension point); the counters mirror
      the fields, so they are exact whenever the decision loop looks.
      Every path from a running body back to the decision loop ends here,
-     so this one [mark_dirty] also covers the running cell's own view
-     changes in [begin_inv], [end_inv], [exec_stmt] and [Set_priority]. *)
+     so this one [dirty] mark also covers the running cell's own view
+     changes in [begin_inv], [end_inv], [exec_stmt] and [Set_priority].
+     Ready to Ready (a statement followed by the next one's announcement)
+     changes no counter. *)
   let set_state c st =
-    (match c.state with
-    | Ready _ -> decr_ready c.info.processor c.priority
-    | Boundary _ | Finished -> ());
+    let was = is_ready c.state and now = is_ready st in
+    if was && not now then decr_ready c.info.processor c.priority
+    else if now && not was then incr_ready c.info.processor c.priority;
     c.state <- st;
-    mark_dirty c;
-    match st with
-    | Ready _ -> incr_ready c.info.processor c.priority
-    | Boundary _ -> ()
-    | Finished -> unlink c.info.pid
+    c.dirty <- true;
+    match st with Finished -> unlink c.info.pid | Ready _ | Boundary _ -> ()
   in
   let set_guarantee c g =
     if g <> c.guarantee then begin
       let was = c.guarantee > 0 and now = g > 0 in
       c.guarantee <- g;
-      mark_dirty c;
+      c.dirty <- true;
       if was <> now then begin
         let gc = guard_count.(c.info.processor) in
         gc.(c.priority) <- (gc.(c.priority) + if now then 1 else -1);
@@ -272,9 +249,10 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
      body code runs, so Shared can police its harness-only accessors.
      Every resume sets it; every handler entry clears it (handler code —
      including Trace appends and the scheduler loop — is harness
-     context). *)
+     context). [rt] is this domain's context, looked up once per run. *)
+  let rt = Runtime.handle () in
   let resume k v =
-    Runtime.enter_process ();
+    Runtime.enter rt;
     continue k v
   in
   let decisions = ref 0 in
@@ -333,7 +311,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
      reads before the next statement reaches it. The hooks that could
      observe or perturb individual decisions disable batching wholesale:
      [halted] (consulted per decision), [axiom2_active] (can revoke the
-     guarantee mid-burst), [cost] (sees per-decision views), and
+     guarantee mid-burst), [cost] (consulted per statement), and
      non-burst-safe policies (would miss decisions). A burst decision
      still runs the limits check, one [decisions] tick, the wake and
      {!exec_stmt}, so traces, counters and stop reasons are
@@ -407,7 +385,6 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
        preempted-before-its-next-statement: advancing the processor
        counter past their stamps says exactly that. *)
     let proc = c.info.processor in
-    note_exec c proc;
     proc_stmts.(proc) <- proc_stmts.(proc) + 1;
     c.stamp <- proc_stmts.(proc)
   in
@@ -428,7 +405,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   let stash_str = ref "" in
   let stash_level = ref 0 in
   let step_fn (k : (unit, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     let op = !stash_op in
     let c = !cur in
     (* In-handler burst: while this cell's next decision is still
@@ -444,7 +421,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   in
   let step_some = Some step_fn in
   let inv_begin_fn (k : (unit, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     let label = !stash_str in
     let c = !cur in
     if c.mid_inv then
@@ -455,33 +432,33 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   in
   let inv_begin_some = Some inv_begin_fn in
   let inv_end_fn (k : (unit, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     (try end_inv !cur !stash_str with e -> park !cur k e);
     resume k ()
   in
   let inv_end_some = Some inv_end_fn in
   let note_fn (k : (unit, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     (try Trace.add trace (Trace.Note { pid = !cur.info.pid; text = !stash_str })
      with e -> park !cur k e);
     resume k ()
   in
   let note_some = Some note_fn in
   let now_fn (k : (int, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     Trace.count_now trace;
     resume k (Trace.statements trace)
   in
   let now_some = Some now_fn in
   let stamp_fn (k : (int * int, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     Trace.count_stamp trace;
     let proc = !cur.info.processor in
     resume k (proc, proc_stmts.(proc))
   in
   let stamp_some = Some stamp_fn in
   let set_priority_fn (k : (unit, unit) continuation) =
-    Runtime.exit_process ();
+    Runtime.leave rt;
     let p = !stash_level in
     let c = !cur in
     if c.mid_inv then
@@ -525,15 +502,15 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
       c.state <- Finished;
       cur := c;
       abandoning := true;
-      Runtime.enter_process ();
+      Runtime.enter rt;
       (try discontinue k Abandoned with _ -> ());
-      Runtime.exit_process ()
+      Runtime.leave rt
   in
   let handler =
     {
       retc =
         (fun () ->
-          Runtime.exit_process ();
+          Runtime.leave rt;
           let c = !cur in
           (* A body may return mid-invocation (statements with no closing
              [Inv_end]): its guarantee and preemption bookkeeping die with
@@ -544,7 +521,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
           set_state c Finished);
       exnc =
         (fun e ->
-          Runtime.exit_process ();
+          Runtime.leave rt;
           match e with Abandoned -> () | e -> raise e);
       effc =
         (fun (type a) (e : a Effect.t) : ((a, unit) continuation -> unit) option ->
@@ -585,7 +562,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
   Array.iteri
     (fun pid body ->
       cur := cells.(pid);
-      Runtime.enter_process ();
+      Runtime.enter rt;
       match_with body () handler)
     programs;
   (* Axiom 2 enforcement may be gated off by fault injection; gate flips
@@ -634,33 +611,28 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
       pending = is_pending c;
     }
   in
-  (* Scratch policy views, refreshed in place: only cells that changed
-     since the last decision re-allocate a view record. *)
+  (* Policy views, built on read: [proc pid] rebuilds [pid]'s record
+     only when a transition marked the cell [dirty] or another process's
+     statement flipped its derived [pending] flag (the one view field a
+     statement changes in a cell that does not run it), so a decision
+     pays only for the views its policy reads. An unchanged view keeps
+     its physically-same record. *)
   let views = Array.map pview cells in
   Array.iter (fun c -> c.dirty <- false) cells;
-  let refresh pid =
+  let proc pid =
     let c = cells.(pid) in
     if c.dirty || views.(pid).Policy.pending <> is_pending c then begin
       views.(pid) <- pview c;
       c.dirty <- false
-    end
-  in
-  let drain_dirty () =
-    for j = 0 to !dirty_len - 1 do
-      let pid = dirty_buf.(j) in
-      queued.(pid) <- false;
-      refresh pid
-    done;
-    dirty_len := 0
+    end;
+    views.(pid)
   in
   let is_finished c = match c.state with Finished -> true | Ready _ | Boundary _ -> false in
   (* A halted (fault-injected) process is withheld from the policy's
      choices but still blocks per Axioms 1/2 — a crash is the scheduler
      never allocating it another quantum, not the process vanishing. *)
-  let is_halted_view (pv : Policy.pview) =
-    match halted with
-    | None -> false
-    | Some pred -> pv.Policy.phase <> Policy.Finished && pred pv
+  let is_halted pid =
+    match halted with None -> false | Some pred -> pred (proc pid)
   in
   let sched_buf = Array.make (max n 1) 0 in
   let sched_mark = Array.make (max n 1) 0 in
@@ -670,10 +642,8 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
      the incremental counters alone: [halted] re-judges membership with a
      per-decision predicate. *)
   let caching = Option.is_none halted in
-  (* The view of the last policy call, handed to the [cost] hook. A
-     decision taken without the policy (a burst) leaves it stale, which
-     nothing reads: [batching] implies there is no [cost] hook. *)
-  let view = ref { Policy.step = 0; runnable = []; procs = views } in
+  (* The one view record of the run, updated in place per policy call. *)
+  let view = { Policy.step = 0; runnable = []; nprocs = n; proc } in
   let stop = ref All_finished in
   (try
      while link_next.(n) >= 0 do
@@ -684,28 +654,20 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
          if batching && forced !cur then !cur
          else begin
            let schedulable =
-             if caching && !rs_built = !rs_version then begin
-               (* Membership unchanged since the last scan: reuse the
-                  built list, refreshing only the views the dirty queue
-                  names. *)
-               drain_dirty ();
-               !cached_sched
-             end
+             (* Membership unchanged since the last scan: reuse the list. *)
+             if caching && !rs_built = !rs_version then !cached_sched
              else begin
-               drain_dirty ();
                incr build_id;
                (* One pass over live cells in ascending pid order:
-                  refresh the scratch views and collect the
-                  runnable/schedulable sets. *)
+                  collect the runnable/schedulable sets. *)
                let nr = ref 0 and ns = ref 0 in
                let i = ref link_next.(n) in
                while !i >= 0 do
                  let c = cells.(!i) in
-                 refresh !i;
                  if c.priority >= max_ready.(c.info.processor) && not (guarded_by_other c)
                  then begin
                    incr nr;
-                   if not (is_halted_view views.(!i)) then begin
+                   if not (is_halted !i) then begin
                      sched_buf.(!ns) <- !i;
                      incr ns;
                      sched_mark.(!i) <- !build_id
@@ -724,9 +686,9 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
                l
              end
            in
-           view :=
-             { step = Trace.statements trace; runnable = schedulable; procs = views };
-           match choose !view with
+           view.step <- Trace.statements trace;
+           view.runnable <- schedulable;
+           match choose view with
            | None -> raise (Stop Policy_stopped)
            | Some pid ->
              if pid < 0 || pid >= n || sched_mark.(pid) <> !build_id then
@@ -743,7 +705,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink ?trace_buf
        | Ready _ | Finished -> ());
        match c.state with
        | Ready (k, op) ->
-         exec_stmt c op ~cost:(cost_of !view c.info.pid op);
+         exec_stmt c op ~cost:(cost_of c.info.pid op);
          cur := c;
          if batching then chain := chain_max;
          resume k ();

@@ -61,7 +61,7 @@ type result = {
 
 val run :
   ?step_limit:int ->
-  ?cost:(Policy.view -> Proc.pid -> Op.t -> int) ->
+  ?cost:(step:int -> Proc.pid -> Op.t -> int) ->
   ?halted:(Policy.pview -> bool) ->
   ?axiom2_active:(step:int -> bool) ->
   ?sink:Trace.sink ->
@@ -81,11 +81,11 @@ val run :
     The scheduling hot path is incremental: ready-level counts, quantum
     guards, preemption stamps and a live-process list make each decision
     one allocation-light pass over unfinished processes instead of a
-    quadratic rescan (see docs/ARCHITECTURE.md). The [Policy.view.procs]
-    array handed to the policy (and to [cost]) is a reused scratch
-    buffer: its contents are valid only for the duration of that call
-    and must not be retained (the [pview] records themselves are
-    immutable and safe to keep).
+    quadratic rescan (see docs/ARCHITECTURE.md). The {!Policy.view}
+    handed to the policy is one record per run, updated in place: it is
+    valid only for the duration of that call and must not be retained
+    (the [pview] records its [proc] returns are immutable and safe to
+    keep).
 
     On top of that, {e forced} decisions are batched into quantum
     bursts. There is one decision loop and one statement transition;
@@ -99,11 +99,12 @@ val run :
     run's first decision included), and the statement handler keeps
     executing [p]'s statements inline until forcedness can lapse
     (guarantee drained, invocation ended, priority changed, limits
-    near). Unforced decisions are cheap too: the schedulable
-    list is cached and reused across decisions, invalidated by a
-    version counter that every membership-changing transition bumps
-    (and a matched guarantee grant/drain restores), with a dirty queue
-    refreshing only the policy views that a statement could have
+    near). Unforced decisions are cheap too: the schedulable list is
+    cached and reused across decisions, invalidated by a version counter
+    that only membership-changing transitions bump (a statement that
+    leaves its process Ready bumps nothing, and a matched guarantee
+    grant/drain restores the version); the view record is reused, and a
+    process's [pview] is rebuilt only when the policy reads it after it
     changed. Batching is disabled wholesale when any per-decision hook
     is supplied ([cost], [halted], [axiom2_active]), and list caching
     under [halted]; both are pure optimizations — traces, counters and
@@ -111,7 +112,8 @@ val run :
     in test/reference, which the differential suite in
     test/test_burst.ml checks (see docs/ARCHITECTURE.md).
 
-    [cost] chooses each statement's duration in time units, clamped to
+    [cost ~step pid op] chooses the duration in time units of [pid]'s
+    statement [op], executed when [step] statements have run, clamped to
     the configuration's [tmin..tmax] (default: every statement costs
     [tmin]). In the time model the quantum guarantee of Axiom 2 protects
     [Q] time units rather than [Q] statements, so an adversarial [cost]

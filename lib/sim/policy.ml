@@ -13,7 +13,15 @@ type pview = {
   pending : bool;
 }
 
-type view = { step : int; runnable : Proc.pid list; procs : pview array }
+type view = {
+  mutable step : int;
+  mutable runnable : Proc.pid list;
+  nprocs : int;
+  proc : Proc.pid -> pview;
+}
+
+let view ~step ~runnable procs =
+  { step; runnable; nprocs = Array.length procs; proc = Array.get procs }
 
 type t = { name : string; burst_safe : bool; make : unit -> view -> Proc.pid option }
 
@@ -122,7 +130,7 @@ let by_priority =
         Some
           (List.fold_left
              (fun best p ->
-               if v.procs.(p).priority > v.procs.(best).priority then p else best)
+               if (v.proc p).priority > (v.proc best).priority then p else best)
              first rest))
 
 let prefer pids ~fallback =
@@ -151,7 +159,7 @@ type footprint = {
 }
 
 let footprint (view : view) pid =
-  let pv = view.procs.(pid) in
+  let pv = view.proc pid in
   match (pv.phase, pv.next_op) with
   | Ready, Some op ->
     let fvar, fwrite =

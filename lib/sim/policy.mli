@@ -32,19 +32,25 @@ type pview = {
 }
 
 type view = {
-  step : int;  (** Global statement count so far. *)
-  runnable : Proc.pid list;  (** Legal choices, ascending pid order. *)
-  procs : pview array;
-      (** Indexed by pid. The engine reuses this array as a scratch
-          buffer across decisions: read it freely during [choose], but
-          do not retain the array itself. The [pview] records are
-          immutable and safe to keep, and the engine stores a new record
-          only when that process's view changes: a physically unchanged
-          [procs.(pid)] is an unchanged view. [Hwf_adversary.Explore]
-          caches footprints on that identity; a future engine that
-          refreshed views in place would have to key such caches on a
-          version stamp instead. *)
+  mutable step : int;  (** Global statement count so far. *)
+  mutable runnable : Proc.pid list;  (** Legal choices, ascending pid order. *)
+  nprocs : int;  (** Number of processes; pids are [0 .. nprocs - 1]. *)
+  proc : Proc.pid -> pview;
+      (** [proc pid] is [pid]'s view at this decision. {!Engine.run}
+          keeps one [view] record per run, updates [step] and
+          [runnable] in place before each call, and builds a process's
+          [pview] only when [proc] asks for it: read the view freely
+          during [choose], but do not retain the record or call [proc]
+          after the call returns. The [pview] records are immutable and
+          safe to keep, and the engine returns a new record only when
+          that process's view changed: a physically unchanged [proc pid]
+          is an unchanged view. [Hwf_adversary.Explore] caches
+          footprints on that identity. *)
 }
+
+val view : step:int -> runnable:Proc.pid list -> pview array -> view
+(** A view over a fixed array of process views, indexed by pid (the
+    reference interpreter, recorders, tests). *)
 
 type t = { name : string; burst_safe : bool; make : unit -> view -> Proc.pid option }
 (** A policy is a {e factory}: [make ()] instantiates the per-run
@@ -144,7 +150,7 @@ type footprint = {
 
 val footprint : view -> Proc.pid -> footprint
 (** Footprint of one candidate at the current decision point.
-    [footprint view pid] reads only [view.procs.(pid)], so it is a
+    [footprint view pid] reads only [view.proc pid], so it is a
     function of that one immutable record. *)
 
 type relation = footprint -> footprint -> bool

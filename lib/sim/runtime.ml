@@ -13,7 +13,7 @@ let pp_access ppf a =
 (* One context per domain: the engine executes a run entirely on one
    domain, and the pool fans runs out over distinct domains, so
    domain-local state is exactly per-run state. *)
-type ctx = {
+type handle = {
   mutable in_process : bool;
   mutable instr_depth : int;
   mutable tap : (access -> unit) option;
@@ -22,31 +22,43 @@ type ctx = {
 let key =
   Domain.DLS.new_key (fun () -> { in_process = false; instr_depth = 0; tap = None })
 
-let ctx () = Domain.DLS.get key
+let handle () = Domain.DLS.get key
 
-let enter_process () = (ctx ()).in_process <- true
-let exit_process () = (ctx ()).in_process <- false
-let in_process () = (ctx ()).in_process
+let enter h = h.in_process <- true
+let leave h = h.in_process <- false
+let in_process () = (handle ()).in_process
+
+(* Taps installed on any domain. While it reads 0 — every run outside
+   lint replay — [report] needs no domain-local lookup: no domain has a
+   tap to report to. A domain always sees its own increments, so a
+   tapped domain never skips its tap. *)
+let taps = Atomic.make 0
 
 let instrumentation f =
-  let c = ctx () in
+  let c = handle () in
   c.instr_depth <- c.instr_depth + 1;
   Fun.protect ~finally:(fun () -> c.instr_depth <- c.instr_depth - 1) f
 
 let with_tap tap f =
-  let c = ctx () in
+  let c = handle () in
   let previous = c.tap in
   c.tap <- Some tap;
-  Fun.protect ~finally:(fun () -> c.tap <- previous) f
+  Atomic.incr taps;
+  Fun.protect
+    ~finally:(fun () ->
+      c.tap <- previous;
+      Atomic.decr taps)
+    f
 
 let report ~var ~kind =
-  let c = ctx () in
-  match c.tap with
-  | None -> ()
-  | Some f -> f { var; kind; instrumentation = c.instr_depth > 0 }
+  if Atomic.get taps > 0 then
+    let c = handle () in
+    match c.tap with
+    | None -> ()
+    | Some f -> f { var; kind; instrumentation = c.instr_depth > 0 }
 
 let harness_access ~var ~kind =
-  let c = ctx () in
+  let c = handle () in
   if c.in_process && c.instr_depth = 0 then begin
     match c.tap with
     | Some f -> f { var; kind; instrumentation = false }

@@ -31,11 +31,19 @@ type access = {
 val pp_kind : access_kind Fmt.t
 val pp_access : access Fmt.t
 
-val enter_process : unit -> unit
+type handle
+(** This domain's context. Looking it up costs a domain-local-storage
+    read, so the engine takes it once per run and flips the
+    process-context flag through it on every resume and handler entry. *)
+
+val handle : unit -> handle
+(** The calling domain's context. Valid on this domain only. *)
+
+val enter : handle -> unit
 (** Mark the start of process-code execution. {b Engine use only} —
     called immediately before resuming a process continuation. *)
 
-val exit_process : unit -> unit
+val leave : handle -> unit
 (** Mark the end of process-code execution. {b Engine use only} —
     called as soon as control returns to the scheduler (effect handler
     entry). *)
@@ -58,7 +66,9 @@ val with_tap : (access -> unit) -> (unit -> 'a) -> 'a
 
 val report : var:string -> kind:access_kind -> unit
 (** Report a legitimate (announced) store access to the tap, if one is
-    installed. {b Shared use only.} *)
+    installed. {b Shared use only.} While no domain has a tap installed
+    (a global count {!with_tap} maintains) this is one atomic read: no
+    domain-local lookup. *)
 
 val harness_access : var:string -> kind:access_kind -> unit
 (** Police one {!Shared.peek}/{!Shared.poke}: report it to the tap when

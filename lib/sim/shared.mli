@@ -42,6 +42,13 @@ val poke : 'a t -> 'a -> unit
 (** Initialize/overwrite without consuming a statement. Harness use
     only; enforced at run time exactly like {!peek}. *)
 
+val subscript : string -> int -> string
+(** [subscript name k] is ["name[k]"], built without a format string:
+    objects that grow cells during a run name them with it. *)
+
+val subscript2 : string -> int -> int -> string
+(** [subscript2 name i j] is ["name[i][j]"]. *)
+
 val array : string -> int -> (int -> 'a) -> 'a t array
 (** [array name n init] creates [n] shared variables named
     [name[1]] … [name[n]], element [i] initialized to [init i]

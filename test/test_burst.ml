@@ -1,12 +1,12 @@
 open Hwf_sim
 
 (* The differential suite behind the engine's hot-path machinery
-   (quantum-burst batching, schedulable-list caching, dirty-queue view
-   refresh): every run must agree with the naive reference interpreter
+   (quantum-burst batching, schedulable-list caching, views built on
+   read): every run must agree with the naive reference interpreter
    (test/reference), which shares no code with the engine. Each case
    runs the engine as given (batching on where the policy allows it)
    and under a non-burst-safe recording policy (caching on, every view
-   audited against the reference's). The matrix crosses the lint
+   it reads audited against the reference's). The matrix crosses the lint
    corpus's workloads (the repo's nastiest subjects — harness misuse,
    spins, priority churn) with fault plans and every policy family,
    including the randomized samplers whose RNG streams the burst
@@ -168,6 +168,45 @@ let test_stop_reasons () =
         spin, Engine.All_halted);
       ("no processes", Hwf_faults.Plan.none, [], Policy.first, (fun () -> [||]),
         Engine.All_finished);
+    ]
+
+(* The version rule for a rise of the top Ready level: a higher-priority
+   process that wakes on a processor whose lower-priority processes are
+   Ready silences them, and no other transition changes the version
+   before the next decision (the woken process stays Ready from one
+   statement to the next). Under policies that are not burst-safe every
+   decision goes through the cached schedulable list; with a [halted]
+   hook (a crash plan whose victim never crashes) the list is rebuilt
+   every decision instead. *)
+let test_wake_above_ready () =
+  (* pid 2 (level 2) wakes over pids 0 and 1 (level 1), on one cpu. *)
+  let config = Util.uni_config ~quantum:4 [ 1; 1; 2 ] in
+  let make () =
+    Array.init 3 (fun pid () ->
+        Eff.invocation "w" (fun () ->
+            for _ = 1 to if pid = 2 then 3 else 6 do
+              Eff.local "s"
+            done))
+  in
+  let unsafe_random seed =
+    Policy.of_factory "random, not burst-safe" (fun () ->
+        Policy.prepare (Policy.random ~seed))
+  in
+  List.iter
+    (fun (hook, plan) ->
+      List.iter
+        (fun (pname, policy) ->
+          differential
+            (Printf.sprintf "wake above ready/%s/%s" hook pname)
+            ~step_limit:1_000 ~plan ~config ~policy make)
+        [
+          ("script", Policy.scripted ~fallback:Policy.first [ 0; 1; 0; 1; 2; 0; 1; 0 ]);
+          ("random 1", unsafe_random 1);
+          ("random 2", unsafe_random 2);
+        ])
+    [
+      ("no hook", Hwf_faults.Plan.none);
+      ("halted", Hwf_faults.Plan.crash_at ~victim:1 ~after:1_000);
     ]
 
 (* A solo process's every decision is forced, its first included, so a
@@ -370,6 +409,7 @@ let () =
           Alcotest.test_case "corpus x fault plans" `Quick test_corpus_faults;
           Alcotest.test_case "two-band stress layouts" `Quick test_two_band_stress;
           Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
+          Alcotest.test_case "wake above ready processes" `Quick test_wake_above_ready;
           Alcotest.test_case "forced first decision skips burst-safe policy" `Quick
             test_forced_first_decision;
         ] );

@@ -76,7 +76,7 @@ let test_bench_engine_host () =
     Json.Obj
       (List.map
          (fun k -> (k, Json.Int 1))
-         [ "n"; "processors"; "observer"; "statements"; "seconds"; "stmts_per_sec" ])
+         [ "n"; "processors"; "observer"; "batched"; "statements"; "seconds"; "stmts_per_sec" ])
   in
   let doc extra =
     Json.pretty
@@ -88,7 +88,22 @@ let test_bench_engine_host () =
     Json.Obj [ ("nproc", Json.Int 2); ("ocaml", Json.Str "5.1.1"); ("mode", Json.Str "full") ]
   in
   valid "engine with host" (doc [ ("host", host) ]);
-  invalid "engine without host" (doc [])
+  invalid "engine without host" (doc []);
+  invalid "engine without batched column"
+    (Json.pretty
+       (Json.Obj
+          [
+            ("schema", Json.Str Json.Schema.bench_engine.tag);
+            ("host", host);
+            ( "cells",
+              Json.List
+                [
+                  Json.Obj
+                    (List.map
+                       (fun k -> (k, Json.Int 1))
+                       [ "n"; "processors"; "observer"; "statements"; "seconds"; "stmts_per_sec" ]);
+                ] );
+          ]))
 
 let test_bench_faults_par_host () =
   let doc (schema : Json.Schema.t) array fields extra =
@@ -121,7 +136,13 @@ let test_goldens () =
       match Json.Schema.validate_file ("golden/" ^ f) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "golden/%s: %s" f e)
-    [ "fig3_trace.jsonl"; "fig3_metrics.jsonl"; "e19_trace.jsonl" ]
+    [
+      "fig3_trace.jsonl";
+      "fig3_metrics.jsonl";
+      "fig5_trace.jsonl";
+      "fig7_trace.jsonl";
+      "e19_trace.jsonl";
+    ]
 
 (* The Fig. 3 demo run of test_obs, exported every way the CLI can. *)
 let test_fresh_exports () =

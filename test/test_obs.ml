@@ -50,6 +50,32 @@ let test_golden_metrics () =
     (read_file golden_metrics)
     (Hwf_obs.Jsonl.metrics_to_string (Hwf_obs.Metrics.finish collector))
 
+(* Statement-name goldens: one round-robin run each of Fig. 7 consensus
+   (layout 0:1,1:1,0:1, C = 2, Q = 8) and of the Fig. 5 C&S object, so
+   every operation string and grown cell name their objects put in the
+   trace stays byte-identical however the objects build them. *)
+let fig7_run () =
+  (Scenarios.run_multi ~quantum:8 ~consensus_number:2
+     ~layout:[ (0, 1); (1, 1); (0, 1) ]
+     ~policy:(Policy.round_robin ()) ())
+    .Scenarios.trace
+
+let fig5_run () =
+  (Scenarios.run_cas ~quantum:8
+     ~layout:[ (0, 1); (0, 2); (0, 1) ]
+     ~script:(Scenarios.random_script ~seed:5 ~n:3 ~ops_per:3)
+     ~policy:(Policy.round_robin ()) ())
+    .Scenarios.cas_trace
+
+let golden_fig7 = "golden/fig7_trace.jsonl"
+let golden_fig5 = "golden/fig5_trace.jsonl"
+
+let test_golden_named name path run () =
+  Alcotest.(check string)
+    (name ^ " trace matches the golden file")
+    (read_file path)
+    (Hwf_obs.Jsonl.trace_to_string (run ()))
+
 (* S4: the CLI's explore export path — replay of a schedule-deterministic
    decision sequence — must produce identical bytes whatever the worker
    count of the search that preceded it. *)
@@ -290,7 +316,9 @@ let promote () =
   Hwf_obs.Jsonl.write_metrics
     ~path:("test/" ^ golden_metrics)
     (Hwf_obs.Metrics.finish collector);
-  print_endline "promoted test/golden/fig3_{trace,metrics}.jsonl"
+  Hwf_obs.Jsonl.write_trace ~path:("test/" ^ golden_fig7) (fig7_run ());
+  Hwf_obs.Jsonl.write_trace ~path:("test/" ^ golden_fig5) (fig5_run ());
+  print_endline "promoted test/golden/fig{3,5,7}_*.jsonl"
 
 let () =
   if Sys.getenv_opt "HWF_GOLDEN_PROMOTE" <> None then promote ()
@@ -301,6 +329,10 @@ let () =
           [
             Alcotest.test_case "golden trace" `Quick test_golden_trace;
             Alcotest.test_case "golden metrics" `Quick test_golden_metrics;
+            Alcotest.test_case "golden fig7 trace" `Quick
+              (test_golden_named "fig7" golden_fig7 fig7_run);
+            Alcotest.test_case "golden fig5 trace" `Quick
+              (test_golden_named "fig5" golden_fig5 fig5_run);
             Alcotest.test_case "jobs determinism (S4)" `Quick test_jobs_determinism;
             Alcotest.test_case "feed vs of_trace" `Quick test_feed_vs_of_trace;
             Alcotest.test_case "escaping" `Quick test_escaping;

@@ -265,6 +265,62 @@ let test_exceptions_propagate () =
   Alcotest.check_raises "policy Exit propagates" Exit (fun () ->
       ignore (Engine.run ~config ~policy:quits bodies))
 
+(* The access tap and its fast path: [Runtime.report] skips the
+   domain-local lookup while no tap is installed on any domain, so
+   installing, nesting, raising out of and removing taps must keep the
+   routing of reports and the peek/poke policing exact. *)
+let test_runtime_taps () =
+  let config = Util.uni_config ~quantum:8 [ 1 ] in
+  let x = Shared.make "rt.x" 0 in
+  let run ?(fail = false) () =
+    Engine.run ~config ~policy:Policy.first
+      [|
+        (fun () ->
+          Eff.invocation "op" (fun () ->
+              ignore (Shared.read x);
+              ignore (Shared.peek x);
+              if fail then failwith "boom"));
+      |]
+  in
+  let log = ref [] in
+  let tap name (a : Runtime.access) =
+    log := Fmt.str "%s: %a" name Runtime.pp_access a :: !log
+  in
+  let reported label expected =
+    Util.check Alcotest.(list string) label expected (List.rev !log);
+    log := []
+  in
+  let peek_raises label =
+    Alcotest.check_raises label
+      (Invalid_argument "Shared.peek: harness-only access to rt.x from process code")
+      (fun () -> ignore (run ()))
+  in
+  peek_raises "untapped peek raises";
+  reported "untapped run reports nothing" [];
+  Runtime.with_tap (tap "outer") (fun () ->
+      Runtime.with_tap (tap "inner") (fun () -> ignore (run ()));
+      reported "nested tap takes the reports" [ "inner: read rt.x"; "inner: peek rt.x" ];
+      ignore (run ());
+      reported "outer tap restored" [ "outer: read rt.x"; "outer: peek rt.x" ];
+      (match Runtime.with_tap (tap "raising") (fun () -> run ~fail:true ()) with
+      | _ -> Alcotest.fail "the failing body should raise"
+      | exception Failure _ -> ());
+      reported "raising tap saw its run" [ "raising: read rt.x"; "raising: peek rt.x" ];
+      ignore (run ());
+      reported "outer tap restored after a raise" [ "outer: read rt.x"; "outer: peek rt.x" ]);
+  peek_raises "peek raises again after the outermost tap";
+  reported "untapped again" [];
+  Util.checkb "harness context" (not (Runtime.in_process ()))
+
+let test_subscript () =
+  List.iter
+    (fun (k, expected) ->
+      Util.check Alcotest.string expected expected (Shared.subscript "a.b" k))
+    [ (0, "a.b[0]"); (7, "a.b[7]"); (10, "a.b[10]"); (1203, "a.b[1203]"); (-4, "a.b[-4]") ];
+  Util.check Alcotest.string "max_int"
+    ("x[" ^ string_of_int max_int ^ "]")
+    (Shared.subscript "x" max_int)
+
 (* Regression: a run that ends with processes still suspended (policy
    stop, step limit, All_halted, a sibling's exception) must unwind them
    — a dropped continuation's fiber stack is never reclaimed. Every
@@ -653,7 +709,7 @@ let prop_incremental_matches_naive =
          both sides; absent on every fifth seed so batching stays covered. *)
       let cost =
         if seed mod 5 = 0 then None
-        else Some (fun (v : Policy.view) pid _op -> (seed + (3 * v.step) + pid) mod 5)
+        else Some (fun ~step pid _op -> (seed + (3 * step) + pid) mod 5)
       in
       let policy =
         match family with
@@ -743,6 +799,11 @@ let () =
             test_wellformed_detects_quantum_violation;
         ] );
       ("render", [ Alcotest.test_case "lane shapes" `Quick test_render_shapes ]);
+      ( "runtime",
+        [
+          Alcotest.test_case "tap fast path" `Quick test_runtime_taps;
+          Alcotest.test_case "subscript names" `Quick test_subscript;
+        ] );
       ("props",
        [ prop_engine_always_well_formed; prop_incremental_matches_naive ]);
     ]

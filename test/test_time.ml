@@ -6,7 +6,7 @@ open Hwf_workload
    adversary-chosen within [tmin..tmax] and the quantum protects Q time
    units. *)
 
-let slow_cost _view _pid _op = max_int (* clamped to tmax *)
+let slow_cost ~step:_ _pid _op = max_int (* clamped to tmax *)
 
 let test_default_cost_is_one () =
   let config = Util.uni_config ~quantum:8 [ 1 ] in
@@ -21,7 +21,7 @@ let test_cost_clamped () =
   let bodies = [| (fun () -> Eff.invocation "w" (fun () -> Eff.local "a"; Eff.local "b")) |] in
   let r = Engine.run ~cost:slow_cost ~config ~policy:Policy.first bodies in
   Util.checki "clamped to tmax" 10 (Trace.time r.trace);
-  let r' = Engine.run ~cost:(fun _ _ _ -> 0) ~config ~policy:Policy.first bodies in
+  let r' = Engine.run ~cost:(fun ~step:_ _ _ -> 0) ~config ~policy:Policy.first bodies in
   Util.checki "clamped to tmin" 4 (Trace.time r'.trace)
 
 let test_config_validates_bounds () =
@@ -162,7 +162,7 @@ let prop_random_costs_well_formed =
             done)
       in
       let st = Random.State.make [| seed; 0x7e |] in
-      let cost _ _ _ = 1 + Random.State.int st (max 1 tmax) in
+      let cost ~step:_ _ _ = 1 + Random.State.int st (max 1 tmax) in
       let r =
         Engine.run ~cost ~config ~policy:(Policy.random ~seed:(seed + 1)) bodies
       in
