@@ -122,6 +122,34 @@ let test_body_pins () =
   | Certify.Fail m, _, _ -> Alcotest.(check string) "negative message" negative_message_pin m
   | Certify.Pass _, _, _ -> Alcotest.fail "negative control passed"
 
+(* Behaviour pin for the faulted engine: one MD5 per positive subject
+   over the JSONL traces of every judged run of its quick campaign, in
+   plan order. Nearly every campaign plan crashes a victim, so this pins
+   where each victim parks and everything the survivors do after. *)
+let campaign_pins =
+  [
+    ("fig3", "e222c952415643a2e1f9a1698821a6d7");
+    ("fig3-time", "5c8fc25535d619d4aff2e4baf2343474");
+    ("fig5", "375bd528e6c836c21bd6722e0b17683d");
+    ("fig7", "6930e6cf52fac34957a8e2b598252afd");
+    ("universal", "e01ef8f197f784639919613b6411d467");
+  ]
+
+let test_campaign_pins () =
+  let got =
+    List.map
+      (fun s ->
+        let b = Buffer.create 65536 in
+        List.iter
+          (fun plan ->
+            let _, r, _ = Certify.run_plan s plan in
+            Buffer.add_string b (Hwf_obs.Jsonl.trace_to_string r.Engine.trace))
+          (Suite.campaign ~quick:true ~seed:41 s);
+        (s.Certify.name, Digest.to_hex (Digest.string (Buffer.contents b))))
+      (Suite.positive_subjects ~seed:41 ())
+  in
+  Alcotest.(check (list (pair string string))) "campaign trace digests" campaign_pins got
+
 let test_blocked_by_victim_excuse () =
   (* A victim of strictly higher priority parked mid-invocation blocks
      its processor forever (Axiom 1); the certifier must excuse the
@@ -227,6 +255,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_determinism;
           Alcotest.test_case "blocked-by-victim excuse" `Quick test_blocked_by_victim_excuse;
           Alcotest.test_case "body pins" `Quick test_body_pins;
+          Alcotest.test_case "campaign trace pins" `Quick test_campaign_pins;
           Alcotest.test_case "one certification campaign" `Quick test_certify_all;
         ] );
       ( "machinery",
