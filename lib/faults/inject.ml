@@ -1,16 +1,5 @@
 open Hwf_sim
 
-let halted_pred (plan : Plan.t) =
-  match plan.crashes with
-  | [] -> None
-  | crashes ->
-    Some
-      (fun (pv : Policy.pview) ->
-        List.exists
-          (fun (c : Plan.crash) ->
-            c.victim = pv.Policy.pid && pv.own_steps >= c.after && pv.guarantee = 0)
-          crashes)
-
 (* Deterministic per-(seed, step, pid) hash, avalanched with the usual
    multiplicative constants; no mutable state, so replay is exact. *)
 let jitter_hash ~seed ~step ~pid =
@@ -36,10 +25,13 @@ let gate_fn (plan : Plan.t) =
       invalid_arg "Inject: Windows requires 0 <= off <= period, period > 0";
     Some (fun ~step -> (step + phase) mod period >= off)
 
+let crashes (plan : Plan.t) =
+  List.map (fun (c : Plan.crash) -> (c.victim, c.after)) plan.crashes
+
 let run ?step_limit ?sink ?trace_buf ~plan ~config ~policy programs =
   Engine.run ?step_limit ?sink ?trace_buf
     ?cost:(cost_fn plan ~config)
-    ?halted:(halted_pred plan)
+    ~crashes:(crashes plan)
     ?axiom2_active:(gate_fn plan)
     ~config ~policy programs
 

@@ -1,9 +1,9 @@
 (** Executing a run under a fault plan.
 
-    Translates a {!Plan.t} into the engine's fault hooks: crashes become
-    the [halted] predicate (victim parked once past its crash point with
-    no active quantum guarantee), the cost model becomes the [cost]
-    hook, and Axiom-2 windows become the [axiom2_active] gate. Because
+    Translates a {!Plan.t} into the engine's fault inputs: crashes become
+    its [crashes] list (the engine parks a victim once past its crash
+    point with no active quantum guarantee), the cost model becomes the
+    [cost] hook, and Axiom-2 windows become the [axiom2_active] gate. Because
     all three are engine-level and deterministic, a faulted run can be
     re-executed exactly from its decision sequence — which is what makes
     schedule shrinking work on counterexamples found under faults. *)
@@ -58,14 +58,13 @@ val replay :
     fallback, so shrunk schedules — which may have gaps — still drive a
     complete run). [trace_buf] as in {!run}. *)
 
-val halted_pred : Plan.t -> (Policy.pview -> bool) option
-(** The crash predicate the plan induces ([None] when it has no
-    crashes). Exposed for tests. *)
+val crashes : Plan.t -> (Proc.pid * int) list
+(** The plan's crashes as the engine's [(victim, after)] pairs. Exposed
+    for tests, like {!cost_fn} and {!gate_fn}: the differential suite
+    hands the three inputs to the reference interpreter. *)
 
 val cost_fn : Plan.t -> config:Config.t -> (step:int -> Proc.pid -> Op.t -> int) option
-(** The [cost] hook the plan induces ([None] for [Uniform]). Exposed for
-    tests, like {!halted_pred} and {!gate_fn}: the differential suite
-    hands the three hooks to the reference interpreter. *)
+(** The [cost] hook the plan induces ([None] for [Uniform]). *)
 
 val gate_fn : Plan.t -> (step:int -> bool) option
 (** The [axiom2_active] gate the plan induces ([None] for [Enforced]).

@@ -45,8 +45,8 @@ type stop_reason =
           downstream tooling can tell a long computation ([Step_limit])
           from a statement-free livelock. *)
   | All_halted
-      (** Every legally runnable process was withheld by the [halted]
-          fault hook: only crashed processes (and processes they block)
+      (** Every legally runnable process is a parked crash victim
+          ([crashes]): only crashed processes (and processes they block)
           remain — the fault-injection analogue of [Policy_stopped]. *)
 
 type result = {
@@ -54,15 +54,15 @@ type result = {
   finished : bool array;  (** Indexed by pid. *)
   own_steps : int array;  (** Statements executed, per pid. *)
   halted : bool array;
-      (** Unfinished processes the [halted] hook withheld at the end of
-          the run (all [false] when the hook was not supplied). *)
+      (** Unfinished crash victims parked at the end of the run (all
+          [false] without [crashes]). *)
   stop : stop_reason;
 }
 
 val run :
   ?step_limit:int ->
   ?cost:(step:int -> Proc.pid -> Op.t -> int) ->
-  ?halted:(Policy.pview -> bool) ->
+  ?crashes:(Proc.pid * int) list ->
   ?axiom2_active:(step:int -> bool) ->
   ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
@@ -105,12 +105,12 @@ val run :
     leaves its process Ready bumps nothing, and a matched guarantee
     grant/drain restores the version); the view record is reused, and a
     process's [pview] is rebuilt only when the policy reads it after it
-    changed. Batching is disabled wholesale when any per-decision hook
-    is supplied ([cost], [halted], [axiom2_active]), and list caching
-    under [halted]; both are pure optimizations — traces, counters and
-    stop reasons are byte-identical to the naive reference interpreter
-    in test/reference, which the differential suite in
-    test/test_burst.ml checks (see docs/ARCHITECTURE.md).
+    changed. Batching is disabled wholesale when [cost], [crashes] or
+    [axiom2_active] is supplied; it and the list cache are pure
+    optimizations — traces, counters and stop reasons are byte-identical
+    to the naive reference interpreter in test/reference, which the
+    differential suite in test/test_burst.ml checks (see
+    docs/ARCHITECTURE.md).
 
     [cost ~step pid op] chooses the duration in time units of [pid]'s
     statement [op], executed when [step] statements have run, clamped to
@@ -120,17 +120,16 @@ val run :
     of [tmax] shrinks the number of protected statements — the Tmax/Tmin
     structure of Table 1.
 
-    [halted] is the fault-injection hook behind {!Hwf_faults.Inject}
-    (the paper's halting failures, Sec. 2): a process whose view
-    satisfies the predicate is withheld from the policy's choices while
-    still participating in the Axiom 1/2 blocking rules — a crash is the
-    scheduler never allocating the process another quantum, not the
-    process vanishing. When only halted processes remain runnable, the
-    run stops with [All_halted]. The predicate must be monotone in
-    [own_steps] for a given pid (crashed processes stay crashed) and
-    should leave processes holding an active quantum guarantee running
-    (see {!Hwf_faults.Plan}); it is consulted afresh each scheduling
-    decision, so it must be stateless.
+    [crashes] lists the [(victim, after)] crash points behind
+    {!Hwf_faults.Inject} (the paper's halting failures, Sec. 2; a victim
+    listed twice crashes at the smaller [after]). An unfinished victim
+    that has executed at least [after] own statements and holds no
+    active quantum guarantee is {e parked}: withheld from the policy's
+    choices for the rest of the run while still taking part in the
+    Axiom 1/2 blocking rules — a crash is the scheduler never allocating
+    the process another quantum, not the process vanishing. A guarantee
+    drains before its holder parks. When only parked processes remain
+    runnable, the run stops with [All_halted].
 
     [axiom2_active] gates enforcement of the Axiom 2 quantum guarantee
     per scheduling step (given the global statement count): while it
@@ -163,8 +162,9 @@ val run :
     process count.
 
     @raise Invalid_argument if the program count differs from the process
-    count, if [trace_buf] is configured for a different process count,
-    or if the policy chooses a process outside the schedulable set.
+    count, if a crash victim is not a pid of [config], if [trace_buf] is
+    configured for a different process count, or if the policy chooses
+    a process outside the schedulable set.
     Exceptions raised by process bodies or by the policy propagate
     ([Stdlib.Exit] included), after the suspended processes are
     discontinued. *)

@@ -28,11 +28,16 @@ exception Abandoned
 
 let is_finished p = match p.state with Finished -> true | Thinking _ | Ready _ -> false
 
-let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ~(config : Config.t)
-    ~(policy : Policy.t) programs =
+let run ?(step_limit = 1_000_000) ?cost ?(crashes = []) ?axiom2_active
+    ~(config : Config.t) ~(policy : Policy.t) programs =
   let n = Config.n config in
   if Array.length programs <> n then
     invalid_arg "Engine.run: program count <> process count";
+  List.iter
+    (fun (victim, _) ->
+      if victim < 0 || victim >= n then
+        Fmt.invalid_arg "Engine.run: crash victim %d outside [0, %d)" victim n)
+    crashes;
   let choose = Policy.prepare policy in
   let rt = Runtime.handle () in
   let trace = Trace.create config in
@@ -195,10 +200,12 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ~(config : Config
       pending = p.pending;
     }
   in
+  (* A crash victim is parked once it has run [after] own statements
+     and holds no guarantee; asked afresh at every decision. *)
   let is_halted p =
-    match halted with
-    | None -> false
-    | Some pred -> (not (is_finished p)) && pred (pview p)
+    (not (is_finished p))
+    && p.guarantee = 0
+    && List.exists (fun (victim, after) -> victim = p.info.pid && p.own_steps >= after) crashes
   in
   let cost_of ~step pid op =
     match cost with

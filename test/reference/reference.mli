@@ -21,7 +21,7 @@ open Hwf_sim
 val run :
   ?step_limit:int ->
   ?cost:(step:int -> Proc.pid -> Op.t -> int) ->
-  ?halted:(Policy.pview -> bool) ->
+  ?crashes:(Proc.pid * int) list ->
   ?axiom2_active:(step:int -> bool) ->
   config:Config.t ->
   policy:Policy.t ->

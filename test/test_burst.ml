@@ -24,7 +24,7 @@ let differential label ~step_limit ~(plan : Hwf_faults.Plan.t) ~config ~policy m
   let reference policy =
     Hwf_reference.Reference.run ~step_limit
       ?cost:(Hwf_faults.Inject.cost_fn plan ~config)
-      ?halted:(Hwf_faults.Inject.halted_pred plan)
+      ~crashes:(Hwf_faults.Inject.crashes plan)
       ?axiom2_active:(Hwf_faults.Inject.gate_fn plan)
       ~config ~policy (make ())
   in
@@ -72,8 +72,8 @@ let test_corpus_policies () =
         policies)
     (Hwf_lint_corpus.Corpus.all ())
 
-(* Every corpus workload under every fault plan: the hooks that disable
-   batching (and, for crashes, list caching) still go through the
+(* Every corpus workload under every fault plan: the fault inputs that
+   disable batching still go through the cached schedulable list and the
    incremental view machinery, which must agree with the reference. *)
 let test_corpus_faults () =
   List.iter
@@ -153,7 +153,7 @@ let test_stop_reasons () =
       differential label ~step_limit:40 ~plan ~config ~policy make;
       let r =
         Hwf_reference.Reference.run ~step_limit:40
-          ?halted:(Hwf_faults.Inject.halted_pred plan)
+          ~crashes:(Hwf_faults.Inject.crashes plan)
           ~config ~policy (make ())
       in
       Util.checkb (label ^ ": reference stop") (r.Engine.stop = expected))
@@ -170,14 +170,18 @@ let test_stop_reasons () =
         Engine.All_finished);
     ]
 
+(* A seeded random policy that is not burst-safe: the engine consults it
+   at every decision, through the cached schedulable list. *)
+let unsafe_random seed =
+  Policy.of_factory "random, not burst-safe" (fun () -> Policy.prepare (Policy.random ~seed))
+
 (* The version rule for a rise of the top Ready level: a higher-priority
    process that wakes on a processor whose lower-priority processes are
    Ready silences them, and no other transition changes the version
    before the next decision (the woken process stays Ready from one
    statement to the next). Under policies that are not burst-safe every
-   decision goes through the cached schedulable list; with a [halted]
-   hook (a crash plan whose victim never crashes) the list is rebuilt
-   every decision instead. *)
+   decision goes through the cached schedulable list, with and without
+   a crash plan (whose victim never reaches its crash point). *)
 let test_wake_above_ready () =
   (* pid 2 (level 2) wakes over pids 0 and 1 (level 1), on one cpu. *)
   let config = Util.uni_config ~quantum:4 [ 1; 1; 2 ] in
@@ -187,10 +191,6 @@ let test_wake_above_ready () =
             for _ = 1 to if pid = 2 then 3 else 6 do
               Eff.local "s"
             done))
-  in
-  let unsafe_random seed =
-    Policy.of_factory "random, not burst-safe" (fun () ->
-        Policy.prepare (Policy.random ~seed))
   in
   List.iter
     (fun (hook, plan) ->
@@ -205,9 +205,85 @@ let test_wake_above_ready () =
           ("random 2", unsafe_random 2);
         ])
     [
-      ("no hook", Hwf_faults.Plan.none);
-      ("halted", Hwf_faults.Plan.crash_at ~victim:1 ~after:1_000);
+      ("no crash", Hwf_faults.Plan.none);
+      ("crash", Hwf_faults.Plan.crash_at ~victim:1 ~after:1_000);
     ]
+
+(* The three transitions that park a crash victim must each invalidate
+   the cached schedulable list: the victim's own statement, the drain of
+   its guarantee (by a statement, or by Inv_end right after a grant on
+   the invocation's last statement, where the grant/drain version
+   restore would otherwise apply) and Axiom-2 re-enforcement; plus a
+   victim listed twice, which parks at the smaller crash point. Two
+   equal-priority processes on one cpu; the script (with [Policy.first]
+   as fallback once it names a parked victim) makes pid 0 park after
+   [parks_at] own statements, which the scripted engine run asserts. *)
+let test_parking_transitions () =
+  let work ~invs ~stmts () =
+    Array.init 2 (fun _ () ->
+        for _ = 1 to invs do
+          Eff.invocation "w" (fun () ->
+              for _ = 1 to stmts do
+                Eff.local "s"
+              done)
+        done)
+  in
+  let crash = Hwf_faults.Plan.crash_at ~victim:0 in
+  List.iter
+    (fun (label, quantum, (invs, stmts), plan, script, parks_at) ->
+      let config = Util.uni_config ~quantum [ 1; 1 ] in
+      let make = work ~invs ~stmts in
+      let scripted = Policy.scripted ~fallback:Policy.first script in
+      List.iter
+        (fun (pname, policy) ->
+          differential
+            (Printf.sprintf "parking/%s/%s" label pname)
+            ~step_limit:1_000 ~plan ~config ~policy make)
+        [ ("script", scripted); ("random 1", unsafe_random 1); ("random 2", unsafe_random 2) ];
+      let r =
+        Hwf_faults.Inject.run ~step_limit:1_000 ~plan ~config ~policy:scripted (make ())
+      in
+      Util.checkb (label ^ ": victim parked") r.Engine.halted.(0);
+      Util.checki (label ^ ": victim's own statements") parks_at r.Engine.own_steps.(0);
+      Util.checkb (label ^ ": survivor finished") r.Engine.finished.(1))
+    [
+      ("own statement", 4, (2, 3), crash ~after:2, [ 0; 0; 1; 1 ], 2);
+      ("guarantee drain", 2, (1, 6), crash ~after:2, [ 0; 1; 0; 0; 1; 1 ], 3);
+      ("inv end after grant", 4, (2, 3), crash ~after:3, [ 0; 0; 1; 0; 0; 0; 0; 1; 1 ], 3);
+      ( "axiom2 re-enforcement",
+        8,
+        (1, 6),
+        Hwf_faults.Plan.with_axiom2
+          (Hwf_faults.Plan.Windows { period = 6; off = 3; phase = 0 })
+          (crash ~after:2),
+        [ 0; 1; 0; 0; 1; 1 ],
+        2 );
+      ( "listed twice",
+        4,
+        (2, 3),
+        Hwf_faults.Plan.crashes
+          [ { victim = 0; after = 5 }; { victim = 0; after = 2 } ],
+        [ 0; 0; 1; 1 ],
+        2 );
+    ]
+
+(* A crash victim that is not a pid of the configuration is rejected,
+   identically by the engine and the reference, before anything runs. *)
+let test_crash_victim_out_of_range () =
+  let config = Util.uni_config ~quantum:4 [ 1; 1 ] in
+  let make () = Array.init 2 (fun _ () -> Eff.invocation "w" (fun () -> Eff.local "s")) in
+  List.iter
+    (fun victim ->
+      let crashes = [ (1, 1); (victim, 1) ] in
+      let expected =
+        Invalid_argument (Printf.sprintf "Engine.run: crash victim %d outside [0, 2)" victim)
+      in
+      Alcotest.check_raises "engine" expected (fun () ->
+          ignore (Engine.run ~crashes ~config ~policy:Policy.first (make ())));
+      Alcotest.check_raises "reference" expected (fun () ->
+          ignore
+            (Hwf_reference.Reference.run ~crashes ~config ~policy:Policy.first (make ()))))
+    [ 2; -1 ]
 
 (* A solo process's every decision is forced, its first included, so a
    burst-safe policy is never consulted; one that is not burst-safe is
@@ -410,6 +486,9 @@ let () =
           Alcotest.test_case "two-band stress layouts" `Quick test_two_band_stress;
           Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
           Alcotest.test_case "wake above ready processes" `Quick test_wake_above_ready;
+          Alcotest.test_case "crash parking transitions" `Quick test_parking_transitions;
+          Alcotest.test_case "crash victim out of range" `Quick
+            test_crash_victim_out_of_range;
           Alcotest.test_case "forced first decision skips burst-safe policy" `Quick
             test_forced_first_decision;
         ] );

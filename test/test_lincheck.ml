@@ -180,8 +180,9 @@ let test_hist_pending_recording () =
                    Eff.local "b";
                    0))))
   in
-  let halted (pv : Policy.pview) = pv.pid = 1 && pv.own_steps >= 1 in
-  let r = Engine.run ~halted ~config ~policy:(Policy.round_robin ()) bodies in
+  let r =
+    Engine.run ~crashes:[ (1, 1) ] ~config ~policy:(Policy.round_robin ()) bodies
+  in
   Util.checkb "p2 halted" r.halted.(1);
   (match Hist.entries h with
   | [ { pid = 0; op = `Set 0; _ } ] -> ()

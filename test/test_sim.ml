@@ -343,13 +343,13 @@ let test_abandoned_processes_released () =
               Eff.local "s"
             done))
   in
-  let case (who, run) name ?step_limit ?halted ?(fail = false) ~policy pris stop =
+  let case (who, run) name ?step_limit ?crashes ?(fail = false) ~policy pris stop =
     let name = who ^ ": " ^ name in
     released := 0;
     in_process := true;
     let config = Util.uni_config ~quantum:4 pris in
     let bodies = Array.of_list (List.mapi (fun i _ -> body ~fail:(fail && i = 0)) pris) in
-    (match run step_limit halted config policy bodies with
+    (match run step_limit crashes config policy bodies with
     | r ->
       Util.checkb (name ^ ": stop reason") (Some r.Engine.stop = stop);
       Option.iter
@@ -369,17 +369,15 @@ let test_abandoned_processes_released () =
         (Some Engine.Step_limit);
       case "step limit (solo)" ~step_limit:50 ~policy:Policy.first [ 1 ]
         (Some Engine.Step_limit);
-      case "all halted"
-        ~halted:(fun (pv : Policy.pview) -> pv.own_steps >= 2)
-        ~policy:(Policy.round_robin ()) [ 1; 1 ] (Some Engine.All_halted);
+      case "all halted" ~crashes:[ (0, 2); (1, 2) ] ~policy:(Policy.round_robin ()) [ 1; 1 ] (Some Engine.All_halted);
       case "sibling exception" ~fail:true ~policy:(Policy.round_robin ()) [ 1; 1; 1 ] None)
     [
       ( "engine",
-        fun step_limit halted config policy bodies ->
-          Engine.run ?step_limit ?halted ~config ~policy bodies );
+        fun step_limit crashes config policy bodies ->
+          Engine.run ?step_limit ?crashes ~config ~policy bodies );
       ( "reference",
-        fun step_limit halted config policy bodies ->
-          Hwf_reference.Reference.run ?step_limit ?halted ~config ~policy bodies );
+        fun step_limit crashes config policy bodies ->
+          Hwf_reference.Reference.run ?step_limit ?crashes ~config ~policy bodies );
     ]
 
 let test_empty_invocation () =
@@ -575,24 +573,26 @@ let test_multiprocessor_independence () =
   let order = List.rev_map fst !log in
   Alcotest.(check (list int)) "free interleaving" [ 0; 1; 0; 1; 0; 1 ] order
 
-let test_halted_hook () =
-  (* The halted hook withholds a process from the policy but keeps it in
-     the machine; when only halted processes remain, the run stops with
-     All_halted and result.halted marks them. *)
+let test_crash_parks () =
+  (* A crash parks its victim: withheld from the policy but kept in the
+     machine; when only parked processes remain, the run stops with
+     All_halted and result.halted marks them. p2's first statement is
+     unpreempted, so it holds no guarantee and parks right after it. *)
   let config = Util.uni_config ~quantum:8 [ 1; 1 ] in
   let log = ref [] in
   let bodies = [| logger_body log 0 3; logger_body log 1 3 |] in
-  let halted (pv : Policy.pview) = pv.pid = 1 && pv.own_steps >= 2 in
-  let r = Engine.run ~halted ~config ~policy:(Policy.round_robin ()) bodies in
+  let r =
+    Engine.run ~crashes:[ (1, 1) ] ~config ~policy:(Policy.round_robin ()) bodies
+  in
   Util.checkb "p1 finished" r.finished.(0);
   Util.checkb "p2 unfinished" (not r.finished.(1));
   Util.checkb "p2 halted" r.halted.(1);
   Util.checkb "p1 not halted" (not r.halted.(0));
   Util.checkb "stops with All_halted" (r.stop = Engine.All_halted);
-  Util.checki "p2 executed exactly 2 own statements" 2 r.own_steps.(1);
+  Util.checki "p2 executed exactly 1 own statement" 1 r.own_steps.(1);
   Util.checkb "well-formed" (Wellformed.is_well_formed r.trace)
 
-let test_halted_none_marked_without_hook () =
+let test_halted_none_marked_without_crashes () =
   let config = Util.uni_config ~quantum:8 [ 1; 1 ] in
   let log = ref [] in
   let bodies = [| logger_body log 0 2; logger_body log 1 2 |] in
@@ -700,11 +700,7 @@ let prop_incremental_matches_naive =
       let axiom2_active =
         if seed mod 2 = 0 then None else Some (fun ~step -> step / 5 mod 2 = 0)
       in
-      let halted =
-        if seed mod 3 = 0 then
-          Some (fun (pv : Policy.pview) -> pv.pid = 0 && pv.own_steps >= 4)
-        else None
-      in
+      let crashes = if seed mod 3 = 0 then [ (0, 4) ] else [] in
       (* Ranges over 0..4 so the engine's clamp to [tmin, tmax] bites on
          both sides; absent on every fifth seed so batching stays covered. *)
       let cost =
@@ -735,10 +731,10 @@ let prop_incremental_matches_naive =
             Eff.invocation "empty" (fun () -> ()))
       in
       let engine policy =
-        Engine.run ?cost ?halted ?axiom2_active ~step_limit:2_000 ~config ~policy (make ())
+        Engine.run ?cost ~crashes ?axiom2_active ~step_limit:2_000 ~config ~policy (make ())
       in
       let reference policy =
-        Hwf_reference.Reference.run ?cost ?halted ?axiom2_active ~step_limit:2_000 ~config
+        Hwf_reference.Reference.run ?cost ~crashes ?axiom2_active ~step_limit:2_000 ~config
           ~policy (make ())
       in
       match Hwf_reference.Reference.differential ~engine ~reference policy with
@@ -780,9 +776,9 @@ let () =
             test_finished_releases_guarantee;
           Alcotest.test_case "empty-invocation loop bounded" `Quick
             test_empty_invocation_loop_bounded;
-          Alcotest.test_case "halted hook" `Quick test_halted_hook;
-          Alcotest.test_case "no hook, no halted marks" `Quick
-            test_halted_none_marked_without_hook;
+          Alcotest.test_case "crash parks its victim" `Quick test_crash_parks;
+          Alcotest.test_case "no crashes, no halted marks" `Quick
+            test_halted_none_marked_without_crashes;
           Alcotest.test_case "axiom2 gate off" `Quick test_axiom2_gate_hook;
           Alcotest.test_case "axiom2 gate windows" `Quick test_axiom2_gate_windows;
         ] );
