@@ -29,7 +29,6 @@ type 'a t = {
      the totals the observability layer exports *)
   mutable af_same_events : int;
   mutable af_diff_events : int;
-  returned : 'a Vec.t;
   line : Op.t array;  (* [line.(l)]: the local statement of Fig. 7 line [l] *)
 }
 
@@ -84,7 +83,6 @@ let make ?levels_override ~config ~name ~consensus_number () =
     claimants = Hashtbl.create 32;
     af_same_events = 0;
     af_diff_events = 0;
-    returned = Vec.create ();
     line = Array.map (fun suffix -> Op.local (name ^ suffix)) line_suffix;
   }
 
@@ -99,10 +97,6 @@ let election t i port =
 let levels t = t.l
 let k t = t.k
 
-let return_value t r =
-  Vec.push t.returned r;
-  r
-
 (* Fig. 7, procedure decide(val). Line numbers follow the paper. *)
 let decide t ~pid input0 =
   let i = t.config.Config.procs.(pid).Proc.processor in
@@ -112,7 +106,7 @@ let decide t ~pid input0 =
   match Shared.read t.outval.(i).(t.l) (* line 1 *) with
   | Some r ->
     Eff.step t.line.(2);
-    return_value t r (* line 2 *)
+    r (* line 2 *)
   | None ->
     Eff.step t.line.(3);
     let numports = t.numports.(i) (* line 3 *) in
@@ -220,19 +214,19 @@ let decide t ~pid input0 =
         end)
     done;
     (match !result with
-    | Some r -> return_value t r
+    | Some r -> r
     | None -> (
       let publevel = Q_cas.read lastpub_v (* line 35 *) in
       match
         if publevel = 0 then None else Shared.read t.outval.(i).(publevel)
         (* line 36 *)
       with
-      | Some r -> return_value t r
+      | Some r -> r
       | None ->
         (* Unreachable when the quantum assumption holds; return own input
            so under-quantum adversarial runs terminate (E6 detects the
            disagreement). *)
-        return_value t !input))
+        !input))
 
 let exhausted_proposals t = t.exhausted
 
@@ -260,8 +254,3 @@ let first_deciding_level t =
     else Some lev
   in
   find 1
-
-let decisions_agree t =
-  match Vec.to_list t.returned with
-  | [] -> true
-  | r :: rest -> List.for_all (fun x -> x = r) rest

@@ -78,6 +78,3 @@ val access_failure_events : 'a t -> int * int
 val first_deciding_level : 'a t -> int option
 (** Quiescent: the smallest level at which no processor had an access
     failure, if any. *)
-
-val decisions_agree : 'a t -> bool
-(** Quiescent: all values returned by [decide] so far are equal. *)

@@ -16,13 +16,3 @@ let acquire t ~pid =
     if Uni_consensus.decide (slot t i) pid = pid then i + 1 else claim (i + 1)
   in
   claim 0
-
-let names_assigned t =
-  let rec count i =
-    if i >= Vec.length t.slots then i
-    else
-      match Uni_consensus.peek (Vec.get t.slots i) with
-      | Some _ -> count (i + 1)
-      | None -> i
-  in
-  count 0

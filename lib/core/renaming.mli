@@ -21,6 +21,3 @@ val make : string -> t
 val acquire : t -> pid:int -> int
 (** Returns this process's name, [>= 1]. At most one call per process
     (one-shot renaming; repeated calls would consume fresh names). *)
-
-val names_assigned : t -> int
-(** Harness inspection: slots decided so far; not a statement. *)

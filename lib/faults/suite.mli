@@ -29,8 +29,6 @@
     {!Plan.none} passes. A certifier that accepts the suspended run is
     broken — this is the suite's teeth. *)
 
-open Hwf_sim
-
 val fig3 : ?seed:int -> unit -> Certify.subject
 val fig3_time : ?seed:int -> unit -> Certify.subject
 val fig5 : ?seed:int -> unit -> Certify.subject
@@ -41,9 +39,6 @@ val positive_subjects : ?seed:int -> unit -> Certify.subject list
 
 val negative : ?seed:int -> unit -> Certify.subject
 val negative_plan : Plan.t
-val attack_schedule : Proc.pid list
-(** The hand-derived disagreement schedule (0-based pids), exposed for
-    the tests that document it. *)
 
 val campaign : ?quick:bool -> ?seed:int -> Certify.subject -> Plan.t list
 (** The standard plan battery for a subject: the fault-free plan, the

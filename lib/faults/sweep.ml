@@ -36,10 +36,3 @@ let cost_plans ~seeds =
   Plan.(with_cost Slow none) :: List.map (fun s -> Plan.(with_cost (Jitter s) none)) seeds
 
 let chaos ~seeds ~n ~max_after = List.map (fun seed -> Plan.chaos ~seed ~n ~max_after) seeds
-
-let axiom2_off_plans ~periods =
-  Plan.(with_axiom2 Suspended none)
-  :: List.map
-       (fun period ->
-         Plan.(with_axiom2 (Windows { period; off = period / 2; phase = 0 }) none))
-       periods

@@ -29,7 +29,3 @@ val cost_plans : seeds:int list -> Plan.t list
 val chaos : seeds:int list -> n:int -> max_after:int -> Plan.t list
 (** One {!Plan.chaos} plan per seed; crashes and adversarial costs, never
     Axiom-2 weakening (positive campaigns must pass). *)
-
-val axiom2_off_plans : periods:int list -> Plan.t list
-(** [Suspended] plus a half-duty [Windows] plan per period — the
-    negative-control battery. *)

@@ -81,10 +81,3 @@ let written_by_other t ~var ~pid = List.exists (fun q -> q <> pid) (writers t va
 let vars t =
   Hashtbl.fold (fun v i acc -> (v, i) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp_info ppf (i : info) =
-  Fmt.pf ppf "readers=%a writers=%a%s%s" Fmt.(Dump.list int) (Iset.elements i.readers)
-    Fmt.(Dump.list int)
-    (Iset.elements i.writers)
-    (if i.peeks + i.pokes > 0 then Fmt.str " peeks=%d pokes=%d" i.peeks i.pokes else "")
-    (if i.instrumented > 0 then Fmt.str " instrumented=%d" i.instrumented else "")

@@ -32,5 +32,3 @@ val written_by_other : t -> var:string -> pid:int -> bool
 
 val vars : t -> (string * info) list
 (** All variables, sorted by name (deterministic report order). *)
-
-val pp_info : info Fmt.t

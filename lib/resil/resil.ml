@@ -63,10 +63,6 @@ let classify = function
   | Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> Transient
   | _ -> Harness_bug
 
-let pp_error_class ppf = function
-  | Transient -> Fmt.string ppf "transient"
-  | Harness_bug -> Fmt.string ppf "harness-bug"
-
 (* ---- retry policy ---- *)
 
 type retry = {
@@ -227,7 +223,6 @@ let interrupt_flag = Atomic.make false
 let handlers_installed = ref false
 
 let interrupted () = Atomic.get interrupt_flag
-let request_interrupt () = Atomic.set interrupt_flag true
 let reset_interrupt () = Atomic.set interrupt_flag false
 
 let install_interrupt_handlers () =

@@ -86,7 +86,6 @@ type error_class =
           counterexample. *)
 
 val classify : exn -> error_class
-val pp_error_class : error_class Fmt.t
 
 (** {1 Retry policy} *)
 
@@ -178,9 +177,6 @@ val install_interrupt_handlers : unit -> unit
     No-op on platforms without these signals. *)
 
 val interrupted : unit -> bool
-
-val request_interrupt : unit -> unit
-(** Set the flag programmatically (tests and embedders). *)
 
 val reset_interrupt : unit -> unit
 (** Clear the flag (tests). *)

@@ -47,9 +47,6 @@ val uniprocessor :
 val n : t -> int
 (** Number of processes, the paper's [N]. *)
 
-val procs_on : t -> int -> Proc.t list
-(** [procs_on t i] lists processes assigned to processor [i]. *)
-
 val max_per_processor : t -> int
 (** The paper's [M]: the maximum number of processes on any processor. *)
 

@@ -13,8 +13,6 @@ let var = function
   | Read v | Write v | Rmw { var = v; _ } -> Some v
   | Local _ -> None
 
-let is_shared = function Read _ | Write _ | Rmw _ -> true | Local _ -> false
-
 let pp ppf = function
   | Read v -> Fmt.pf ppf "read %s" v
   | Write v -> Fmt.pf ppf "write %s" v

@@ -22,7 +22,5 @@ val local : string -> t
 val var : t -> string option
 (** Shared variable touched, if any. *)
 
-val is_shared : t -> bool
-
 val pp : t Fmt.t
 val equal : t -> t -> bool

@@ -170,10 +170,6 @@ let violation (s : mc_summary) =
 
 type cas_op = Cas of int * int | Rd
 
-let pp_cas_op ppf = function
-  | Cas (e, d) -> Fmt.pf ppf "C&S(%d,%d)" e d
-  | Rd -> Fmt.pf ppf "Read"
-
 let random_script ~seed ~n ~ops_per =
   let st = Random.State.make [| seed; 0xcabe |] in
   List.init n (fun pid ->

@@ -113,8 +113,6 @@ val violation : mc_summary -> bool
 
 type cas_op = Cas of int * int | Rd
 
-val pp_cas_op : cas_op Fmt.t
-
 val cas_spec : (cas_op, [ `Bool of bool | `Val of int ]) Hwf_check.Lincheck.spec
 (** The sequential C&S specification shared by the scenario verdicts.
     Exported so fault-injection campaigns can re-check histories of
