@@ -37,7 +37,7 @@ let experiments : (string * string * (quick:bool -> unit)) list =
     ("crash", "E15: halting failures / wait-freedom", Exp_crash.run);
     ("faults", "E16: fault-injection campaigns / wait-freedom certifier", Exp_faults.run);
     ("par", "E17: domain-parallel speedup campaign (BENCH_par.json)", Exp_par.run);
-    ("obs", "E18: observability overhead (trace sink on vs off)", Exp_obs.run);
+    ("obs", "E18: structured-export demo (canonical fig3 run)", Exp_obs.run);
     ("engine", "E19: engine scheduling throughput (BENCH_engine.json)", Exp_engine.run);
     ("sched", "E20: randomized-scheduler bug-finding power (BENCH_sched.json)", Exp_sched.run);
   ]
