@@ -24,7 +24,7 @@
    cell is re-run at jobs=1 vs jobs=2, whose outcomes must be
    identical (the determinism contract of docs/SAMPLING.md). Results
    go to stdout as a table and to BENCH_sched.json (schema
-   hwf-bench-sched/1). *)
+   hwf-bench-sched/2). *)
 
 open Hwf_sim
 module Json = Hwf_obs.Json
@@ -240,7 +240,7 @@ let json_of ~quick ~jobs ~budget ~deterministic rows =
        [
          ("schema", Json.Str Json.Schema.bench_sched.tag);
          ("seed", Json.Int seed);
-         ("quick", Json.Bool quick);
+         ("host", Jobs.host_json ~quick);
          ("jobs", Json.Int jobs);
          ("pct_depth", Json.Int pct_depth);
          ("runs_budget", Json.Int budget);
@@ -304,4 +304,4 @@ let run ~quick =
   let oc = open_out path in
   output_string oc (json_of ~quick ~jobs ~budget ~deterministic rows);
   close_out oc;
-  Tbl.note "wrote %s (schema hwf-bench-sched/1)" path
+  Tbl.note "wrote %s (schema hwf-bench-sched/2)" path

@@ -293,12 +293,14 @@ module Schema = struct
 
   (* [host] records the machine and mode that wrote a bench file, so
      numbers compare across commits: [nproc], [ocaml], [mode]. Version 2
-     of the engine export added the [batched] column. *)
+     of the engine export added the [batched] column; version 2 of the
+     sampler export replaced its [quick] member with [host]. *)
   let bench_engine =
     whole ~header:[ "host" ] "hwf-bench-engine/2" "cells"
       [ "n"; "processors"; "observer"; "batched"; "statements"; "seconds"; "stmts_per_sec" ]
 
-  let bench_sched = whole "hwf-bench-sched/1" "cells" [ "case"; "strategy"; "runs"; "found" ]
+  let bench_sched =
+    whole ~header:[ "host" ] "hwf-bench-sched/2" "cells" [ "case"; "strategy"; "runs"; "found" ]
 
   let bench_faults =
     whole ~header:[ "host" ] "hwf-bench-faults/1" "subjects"

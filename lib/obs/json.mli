@@ -95,7 +95,7 @@ module Schema : sig
       [host] block ([nproc], [ocaml], [mode]) and a [batched] column in
       every cell. *)
 
-  val bench_sched : t  (** [hwf-bench-sched/1]: [BENCH_sched.json] (E20). *)
+  val bench_sched : t  (** [hwf-bench-sched/2]: [BENCH_sched.json] (E20). *)
 
   val bench_faults : t  (** [hwf-bench-faults/1]: [BENCH_faults.json] (E16). *)
 

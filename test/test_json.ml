@@ -26,8 +26,8 @@ let test_schema_tag () =
   invalid "empty file" "";
   invalid "line 1 not an object" "[1]\n";
   invalid "whole-file tag on one line"
-    "{\"schema\":\"hwf-bench-sched/1\",\"cells\":[{\"case\":\"a\",\"strategy\":\"b\",\
-     \"runs\":1,\"found\":true}]}\n";
+    "{\"schema\":\"hwf-bench-sched/2\",\"host\":{},\"cells\":[{\"case\":\"a\",\
+     \"strategy\":\"b\",\"runs\":1,\"found\":true}]}\n";
   valid "trace" "{\"schema\":\"hwf-trace/1\"}\n{\"ev\":\"x\"}\n"
 
 let test_discriminator () =
@@ -58,18 +58,21 @@ let test_partial_tail () =
     "{\"schema\":\"hwf-ckpt/1\",\"campaign\":\"c\",\"cells\":2}\n{\"cell\":0,\"key\":\"a\",\"payload\":\"p\"}\n"
 
 let test_whole_file () =
-  let doc ?(schema = Json.Schema.bench_sched) cells =
-    Json.Obj [ ("schema", Json.Str schema.Json.Schema.tag); ("cells", Json.List cells) ]
+  let doc ?(schema = Json.Schema.bench_sched) ?(host = [ ("host", Json.Obj []) ]) cells =
+    Json.Obj
+      ((("schema", Json.Str schema.Json.Schema.tag) :: host) @ [ ("cells", Json.List cells) ])
   in
   let row fields = Json.Obj (List.map (fun k -> (k, Json.Int 1)) fields) in
   valid "sched" (Json.pretty (doc [ row [ "case"; "strategy"; "runs"; "found" ] ]));
+  invalid "sched without host"
+    (Json.pretty (doc ~host:[] [ row [ "case"; "strategy"; "runs"; "found" ] ]));
   invalid "empty cells" (Json.pretty (doc []));
   invalid "cell lacks a field" (Json.pretty (doc [ row [ "case"; "strategy"; "runs" ] ]));
   invalid "cell not an object" (Json.pretty (doc [ Json.Int 1 ]));
   invalid "no schema" "{\n  \"cells\": [\n    {\"case\": \"a\"}\n  ]\n}\n";
   invalid "faults rows are subjects, not cells"
     (Json.pretty (doc ~schema:Json.Schema.bench_faults [ row [ "name" ] ]));
-  invalid "broken JSON" "{\n  \"schema\": \"hwf-bench-sched/1\",\n  \"cells\": [\n "
+  invalid "broken JSON" "{\n  \"schema\": \"hwf-bench-sched/2\",\n  \"cells\": [\n "
 
 let test_bench_engine_host () =
   let row =
