@@ -84,7 +84,7 @@ let json_of ~quick ~truncated (c : Suite.certification) =
 let run ~quick =
   Tbl.section "E16: fault-injection campaigns / wait-freedom certifier";
   let c =
-    Suite.certify_all ~quick ~seed ~negative:true ~jobs:!Jobs.n ?grain:!Jobs.grain
+    Suite.certify_all ~quick ~seed ~negative:true ~jobs:!Jobs.n
       ?checkpoint:!Jobs.checkpoint ~resume:!Jobs.resume ()
   in
   let neg = Option.get c.negative in

@@ -1,11 +1,10 @@
 (* E17 — the domain-parallel speedup campaign.
 
    The three hot paths that lib/par parallelizes — schedule exploration
-   (Explore.explore subtree fan-out over the work-stealing pool),
-   fault-plan certification (Certify.certify cell distribution), and
-   random volume testing — are each run at the campaign's worker count
-   and grain, recording wall-clock, work units per second and the pool's
-   steal count per cell.
+   (Explore.explore subtree fan-out over the domain pool), fault-plan
+   certification (Certify.certify cell distribution), and random volume
+   testing — are each run at the campaign's worker count, recording
+   wall-clock and work units per second per cell.
 
    With --self-check each cell is additionally re-run at --jobs 1 on
    identical inputs, the two outcomes are compared field by field (the
@@ -34,7 +33,6 @@ type cell = {
   name : string;
   units : int;  (* engine runs / plan cells completed *)
   par_s : float;
-  steals : int;
   seq_s : float option;  (* --self-check only *)
   identical : bool option;  (* --self-check only *)
 }
@@ -68,26 +66,20 @@ let outcomes_identical (o1 : Explore.outcome) (o2 : Explore.outcome) =
      | _ -> false)
   && o1.Explore.coverage = o2.Explore.coverage
 
-let explore_cell ~jobs ~grain ~self_check ~name scenario =
-  let stats = Explore.make_stats ~jobs scenario in
-  let o2, par_s = wall (fun () -> Explore.explore ~jobs ?grain ~stats scenario) in
-  let steals = Hwf_par.Pool.stats_steals (Explore.stats_pool stats) in
+let explore_cell ~jobs ~self_check ~name scenario =
+  let o2, par_s = wall (fun () -> Explore.explore ~jobs scenario) in
   let seq_s, identical =
     if not self_check then (None, None)
     else
       let o1, seq_s = wall (fun () -> Explore.explore ~jobs:1 scenario) in
       (Some seq_s, Some (outcomes_identical o1 o2))
   in
-  { name; units = o2.Explore.runs; par_s; steals; seq_s; identical }
+  { name; units = o2.Explore.runs; par_s; seq_s; identical }
 
-let certify_cell ~jobs ~grain ~self_check ~quick ~seed ~name make_subject =
+let certify_cell ~jobs ~self_check ~quick ~seed ~name make_subject =
   let subject = make_subject ?seed:(Some seed) () in
   let plans = Suite.campaign ~quick ~seed subject in
-  let pool_stats = Hwf_par.Pool.make_stats ~jobs in
-  let r2, par_s =
-    wall (fun () -> Certify.certify ~jobs ?grain ~pool_stats subject plans)
-  in
-  let steals = Hwf_par.Pool.stats_steals pool_stats in
+  let r2, par_s = wall (fun () -> Certify.certify ~jobs subject plans) in
   let failure_key (f : Certify.failure) = (f.message, f.schedule, f.shrunk_from) in
   let seq_s, identical =
     if not self_check then (None, None)
@@ -103,15 +95,12 @@ let certify_cell ~jobs ~grain ~self_check ~quick ~seed ~name make_subject =
       in
       (Some seq_s, Some same)
   in
-  { name; units = List.length plans; par_s; steals; seq_s; identical }
+  { name; units = List.length plans; par_s; seq_s; identical }
 
-let random_cell ~jobs ~grain ~self_check ~name ~runs ~seed scenario =
-  let stats = Explore.make_stats ~jobs scenario in
+let random_cell ~jobs ~self_check ~name ~runs ~seed scenario =
   let o2, par_s =
-    wall (fun () -> Explore.sample ~strategy:Randsched.Naive
-        ~runs ~jobs ?grain ~stats ~seed scenario)
+    wall (fun () -> Explore.sample ~strategy:Randsched.Naive ~runs ~jobs ~seed scenario)
   in
-  let steals = Hwf_par.Pool.stats_steals (Explore.stats_pool stats) in
   let seq_s, identical =
     if not self_check then (None, None)
     else
@@ -121,7 +110,7 @@ let random_cell ~jobs ~grain ~self_check ~name ~runs ~seed scenario =
         Some (o1.Explore.runs = o2.Explore.runs && o1.Explore.coverage = o2.Explore.coverage)
       )
   in
-  { name; units = runs; par_s; steals; seq_s; identical }
+  { name; units = runs; par_s; seq_s; identical }
 
 (* ---- the sleep-set cross-check suites ----
 
@@ -193,7 +182,7 @@ let dpor_cell scenario =
 
 (* ---- output ---- *)
 
-let json_of ~quick ~jobs ~grain ~self_check cells dpor =
+let json_of ~quick ~jobs ~self_check cells dpor =
   let total_par = List.fold_left (fun a c -> a +. c.par_s) 0. cells in
   let total_seq =
     List.fold_left
@@ -206,7 +195,6 @@ let json_of ~quick ~jobs ~grain ~self_check cells dpor =
          ("schema", Json.Str Json.Schema.bench_par.tag);
          ("host", Jobs.host_json ~quick);
          ("jobs", Json.Int jobs);
-         ("grain", match grain with None -> Json.Str "auto" | Some g -> Json.Int g);
          ("recommended_domains", Json.Int (Hwf_par.Pool.default_jobs ()));
          ("self_check", Json.Bool self_check);
          ( "cells",
@@ -221,7 +209,6 @@ let json_of ~quick ~jobs ~grain ~self_check cells dpor =
                       ( "par_units_per_sec",
                         Json.fixed 1
                           (if c.par_s > 0. then float_of_int c.units /. c.par_s else 0.) );
-                      ("steals", Json.Int c.steals);
                       ("seq_seconds", Json.option (Json.fixed 6) c.seq_s);
                       ("speedup", Json.option (Json.fixed 3) (speedup c));
                       ("identical", Json.option (fun b -> Json.Bool b) c.identical);
@@ -249,13 +236,10 @@ let json_of ~quick ~jobs ~grain ~self_check cells dpor =
        ])
 
 let run ~quick =
-  let jobs = max 1 !Jobs.n in
-  let grain = !Jobs.grain in
+  let jobs = !Jobs.n in
   let self_check = !Jobs.self_check in
   Tbl.section
-    (Printf.sprintf "E17: domain-parallel speedup campaign (jobs=%d, grain=%s%s)"
-       jobs
-       (match grain with None -> "auto" | Some g -> string_of_int g)
+    (Printf.sprintf "E17: domain-parallel speedup campaign (jobs=%d%s)" jobs
        (if self_check then ", self-check" else ""));
   let seed = 41 in
   let fig3_scn pris quantum =
@@ -265,16 +249,16 @@ let run ~quick =
   in
   let cells =
     [
-      explore_cell ~jobs ~grain ~self_check ~name:"explore fig3 Q=8 3p"
+      explore_cell ~jobs ~self_check ~name:"explore fig3 Q=8 3p"
         (fig3_scn [ 1; 1; 1 ] 8);
-      random_cell ~jobs ~grain ~self_check ~name:"random fig3 Q=8 3p"
+      random_cell ~jobs ~self_check ~name:"random fig3 Q=8 3p"
         ~runs:(if quick then 400 else 2_000)
         ~seed (fig3_scn [ 1; 1; 1 ] 8);
-      certify_cell ~jobs ~grain ~self_check ~quick ~seed
+      certify_cell ~jobs ~self_check ~quick ~seed
         ~name:"certify fig3 (E16 sweep)" Suite.fig3;
-      certify_cell ~jobs ~grain ~self_check ~quick ~seed
+      certify_cell ~jobs ~self_check ~quick ~seed
         ~name:"certify fig5 (E16 sweep)" Suite.fig5;
-      certify_cell ~jobs ~grain ~self_check ~quick ~seed
+      certify_cell ~jobs ~self_check ~quick ~seed
         ~name:"certify universal (E16 sweep)" Suite.universal;
     ]
   in
@@ -284,7 +268,7 @@ let run ~quick =
     ~title:
       (Printf.sprintf "jobs=%d on identical inputs (seed %d%s)" jobs seed
          (if quick then ", quick" else ""))
-    ~header:[ "cell"; "units"; "par s"; "units/s"; "steals"; "seq s"; "speedup"; "identical" ]
+    ~header:[ "cell"; "units"; "par s"; "units/s"; "seq s"; "speedup"; "identical" ]
     (List.map
        (fun c ->
          [
@@ -293,7 +277,6 @@ let run ~quick =
            Printf.sprintf "%.3f" c.par_s;
            Printf.sprintf "%.0f"
              (if c.par_s > 0. then float_of_int c.units /. c.par_s else 0.);
-           string_of_int c.steals;
            dash (Option.map (Printf.sprintf "%.3f") c.seq_s);
            dash (Option.map (Printf.sprintf "%.2fx") (speedup c));
            dash (Option.map string_of_bool c.identical);
@@ -313,7 +296,7 @@ let run ~quick =
        dpor);
   let path = "BENCH_par.json" in
   let oc = open_out path in
-  output_string oc (json_of ~quick ~jobs ~grain ~self_check cells dpor);
+  output_string oc (json_of ~quick ~jobs ~self_check cells dpor);
   close_out oc;
   Tbl.note
     "wrote %s; speedup scales with cores (expect >= 2x on >= 4 cores for\n\

@@ -3,10 +3,6 @@
    --jobs flag. 1 = fully sequential, the historical behaviour. *)
 let n = ref 1
 
-(* Pool cells-per-claim, set by --grain (None = automatic; see
-   docs/PARALLELISM.md's tuning guide). *)
-let grain : int option ref = ref None
-
 (* E17 knobs: --self-check re-runs every E17 cell at jobs=1 and verifies
    the determinism contract (doubling the campaign's cost, so opt-in);
    --min-speedup S (with --self-check) fails the harness when the

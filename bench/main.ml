@@ -10,7 +10,7 @@
      dune exec bench/main.exe -- --csv ...    -- tables as CSV blocks
      dune exec bench/main.exe -- faults --checkpoint B [--resume]
                                               -- E16 cell journaling
-     dune exec bench/main.exe -- par --jobs 4 --self-check [--grain G]
+     dune exec bench/main.exe -- par --jobs 4 --self-check
                   [--min-speedup S]           -- E17 with the determinism
                                                  re-check + speedup gate
      dune exec bench/main.exe -- engine --self-check
@@ -80,11 +80,9 @@ let () =
   let args, trace_out = extract_opt Option.some "--trace-out" args in
   let args, metrics_out = extract_opt Option.some "--metrics-out" args in
   let args, checkpoint = extract_opt Option.some "--checkpoint" args in
-  let args, grain = extract_opt positive_int "--grain" args in
   let args, min_speedup = extract_opt non_negative_float "--min-speedup" args in
   let args, min_stmts_per_sec = extract_opt non_negative_float "--min-stmts-per-sec" args in
   Jobs.n := Option.value ~default:1 jobs;
-  Jobs.grain := grain;
   Jobs.min_speedup := min_speedup;
   Jobs.min_stmts_per_sec := min_stmts_per_sec;
   Jobs.checkpoint := checkpoint;

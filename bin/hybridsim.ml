@@ -114,34 +114,32 @@ let policy_arg =
    random workload, where it has one). *)
 let policy_term = Term.(const (fun p seed -> (make_policy p seed, seed)) $ policy_arg $ seed_arg)
 
-(* ---- the search: --jobs/--grain/--no-dpor ---- *)
+(* ---- the search: --jobs/--no-dpor ---- *)
 
-type search = { jobs : int; grain : int option; dpor : bool }
+type search = { jobs : int; dpor : bool }
 
-(* [cas] and [faults] take the pool flags only; they have no pruning. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* [cas] and [faults] take the pool flag only; they have no pruning. *)
 let pool_term =
-  let jobs_arg =
-    let doc =
-      "Worker domains for the parallel search paths (explore subtrees, \
-       fault-plan cells), served from a work-stealing pool. Results are \
-       identical to --jobs 1 unless --max-runs cuts the search; the default is \
-       the machine's recommended domain count."
-    in
-    Arg.(
-      value
-      & opt int (Hwf_par.Pool.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let doc =
+    "Worker domains for the parallel search paths (explore subtrees, \
+     fault-plan cells), each claiming the next cell from one shared counter. \
+     Results are identical to --jobs 1 unless --max-runs cuts the search; the \
+     default is the machine's recommended domain count."
   in
-  let grain_arg =
-    let doc =
-      "Cells per work-stealing claim. Smaller grains balance better, larger \
-       grains amortize claim overhead; the default picks automatically from the \
-       cell count and --jobs (docs/PARALLELISM.md has the tuning guide). Never \
-       affects results, only scheduling."
-    in
-    Arg.(value & opt (some int) None & info [ "grain" ] ~docv:"G" ~doc)
-  in
-  Term.(const (fun jobs grain -> { jobs; grain; dpor = true }) $ jobs_arg $ grain_arg)
+  Term.(
+    const (fun jobs -> { jobs; dpor = true })
+    $ Arg.(
+        value
+        & opt positive_int (Hwf_par.Pool.default_jobs ())
+        & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
 let search_term =
   let no_dpor_arg =
@@ -429,7 +427,7 @@ let explore_cmd =
      and+ max_runs = max_runs_arg
      and+ do_shrink = shrink_arg
      and+ save = save_arg
-     and+ { jobs; grain; dpor } = search_term
+     and+ { jobs; dpor } = search_term
      and+ indep = indep_arg
      and+ resil = resil_term ~retries:false
      and+ ex = exports_term
@@ -454,8 +452,8 @@ let explore_cmd =
      let o =
        match strategy with
        | "dfs" ->
-         Explore.explore ?preemption_bound:pb ~max_runs ~step_limit:8_000_000 ~jobs ?grain
-           ~dpor ?relation ~stats:estats ?cell_wall_s:resil.cell_wall
+         Explore.explore ?preemption_bound:pb ~max_runs ~step_limit:8_000_000 ~jobs ~dpor
+           ?relation ~stats:estats ?cell_wall_s:resil.cell_wall
            ?checkpoint:resil.checkpoint ~resume:resil.resume scenario
        | s -> (
          match Randsched.of_name ~depth s with
@@ -464,8 +462,8 @@ let explore_cmd =
            exit Resil.exit_harness
          | Ok strategy ->
            let o =
-             Explore.sample ~runs ~step_limit:8_000_000 ~jobs ?grain ~stats:estats ~strategy
-               ~seed scenario
+             Explore.sample ~runs ~step_limit:8_000_000 ~jobs ~stats:estats ~strategy ~seed
+               scenario
            in
            (match o.Explore.counterexample with
            | Some _ ->
@@ -664,7 +662,7 @@ let cas_cmd =
      let script, s = fig5_subject ~seed ~ops ~quantum ~layout in
      let o =
        Explore.sample ~strategy:Randsched.Naive ~runs ~step_limit:2_000_000 ~jobs:pool.jobs
-         ?grain:pool.grain ~seed s
+         ~seed s
      in
      Fmt.pr "%a@." Explore.pp_outcome o;
      let harness = [ ("cas.runs", o.Explore.runs) ] in
@@ -829,8 +827,7 @@ let faults_cmd =
      in
      let c =
        Suite.certify_all ~quick:(not full) ~seed ~only ~negative ~jobs:pool.jobs
-         ?grain:pool.grain ~retry:resil.retry ?cell_wall_s ?checkpoint:resil.checkpoint
-         ~resume:resil.resume ()
+         ~retry:resil.retry ?cell_wall_s ?checkpoint:resil.checkpoint ~resume:resil.resume ()
      in
      let livelock =
        if not inject_livelock then []
@@ -922,7 +919,7 @@ let stats_cmd =
      and+ policy, seed = policy_term
      and+ ops = ops_arg
      and+ max_runs = max_runs_arg
-     and+ { jobs; grain; dpor } = search_term
+     and+ { jobs; dpor } = search_term
      and+ ex = exports_term in
      (* One measured run, with the algorithm's access-failure tap
         reported against the paper's envelopes. *)
@@ -984,8 +981,7 @@ let stats_cmd =
      let estats = Explore.make_stats ~jobs scenario in
      let t0 = Unix.gettimeofday () in
      let o =
-       Explore.explore ~max_runs ~step_limit:2_000_000 ~jobs ?grain ~dpor ~stats:estats
-         scenario
+       Explore.explore ~max_runs ~step_limit:2_000_000 ~jobs ~dpor ~stats:estats scenario
      in
      let dt = Unix.gettimeofday () -. t0 in
      Fmt.pr "@.search: %d runs in %.3fs (%.0f runs/sec, jobs=%d)%s@." o.Explore.runs dt
@@ -1008,9 +1004,7 @@ let stats_cmd =
        (if Trace.now_reads trace = 0 then "none" else "tainted")
        (Trace.stamp_reads trace) (Trace.now_reads trace);
      let pool = Explore.stats_pool estats in
-     Fmt.pr "pool: %d claims (%d stolen), %d cells evaluated, %d skipped@."
-       (Hwf_par.Pool.stats_claims pool)
-       (Hwf_par.Pool.stats_steals pool)
+     Fmt.pr "pool: %d cells evaluated, %d skipped@."
        (Hwf_par.Pool.stats_evaluated pool)
        (Hwf_par.Pool.stats_skipped pool);
      Array.iteri

@@ -59,10 +59,7 @@ type stats = {
   pool : Hwf_par.Pool.stats;
 }
 
-let make_stats ?jobs scenario =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Hwf_par.Pool.default_jobs ()
-  in
+let make_stats ?(jobs = Hwf_par.Pool.default_jobs ()) scenario =
   {
     subtree_runs = Array.init (max 1 (Config.n scenario.config)) (fun _ -> Atomic.make 0);
     pruned = Atomic.make 0;
@@ -117,10 +114,10 @@ let verdict check (result : Engine.result) =
 
    Slot [i]'s candidates, width and entry sleep set are a pure function
    of the choices of slots [0, i), and its pid a function of those and
-   its own choice; hence they are identical across jobs, grain and
-   resume. A run therefore keeps the previous run's slots over their
-   longest common prefix of choices and replays them (see [run_one])
-   instead of recomputing them. *)
+   its own choice; hence they are identical across jobs and resume. A
+   run therefore keeps the previous run's slots over their longest
+   common prefix of choices and replays them (see [run_one]) instead of
+   recomputing them. *)
 type arena = {
   mutable atrace : Trace.t option;
   choice : int Vec.t;  (* index taken among the slot's candidates *)
@@ -408,10 +405,10 @@ let backtrack ~dpor ?stats a =
 
 (* ---- the search driver (see docs/PARALLELISM.md, docs/ROBUSTNESS.md) ----
 
-   Every search — [explore] and [iter_schedules], at any [jobs] and
-   [grain], with or without a checkpoint — runs the same way. One probe
-   run (the all-defaults schedule; sleep sets stay empty along it, so it
-   is the same schedule with pruning armed or not) reveals the top-level
+   Every search — [explore] and [iter_schedules], at any [jobs], with
+   or without a checkpoint — runs the same way. One probe run (the
+   all-defaults schedule; sleep sets stay empty along it, so it is the
+   same schedule with pruning armed or not) reveals the top-level
    width and whether the scenario reads the global clock. Each top-level
    candidate index then roots one subtree cell, the DFS runs unchanged
    inside each (backtracking never crosses slot 0), and the cells are
@@ -522,10 +519,10 @@ let rec atomic_min a v =
    ~lower_failed arena i] computes cell [i]; [lower_failed ()] turns true
    once a lower-indexed cell has failed, after which cell [i]'s work
    would be discarded by the merge. *)
-let run_cells ~jobs ~grain ~stats n cell =
+let run_cells ~jobs ~stats n cell =
   let best = Atomic.make max_int in
   let cells =
-    Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats) ~make:make_arena
+    Hwf_par.Pool.map_scratch ~jobs ?stats:(pool_of stats) ~make:make_arena
       (fun arena i ->
         let c = cell ~lower_failed:(fun () -> Atomic.get best < i) arena i in
         (match c.Resil.outcome with
@@ -574,9 +571,8 @@ let dpor_requested ~dpor ~preemption_bound scenario =
 
 (* ---- checkpoint payloads ----
 
-   One [hwf-ckpt/2] record per subtree cell; grain only groups cells
-   for distribution, so a resumed campaign is byte-identical at every
-   grain. *)
+   One [hwf-ckpt/2] record per subtree cell, so a resumed campaign is
+   byte-identical at every jobs. *)
 
 let json_of_subtree st =
   let cx c =
@@ -636,7 +632,7 @@ let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario
 (* The search itself. The [checkpoint] journal, when given, is opened
    once the probe has fixed the width and the armed [dpor] that the
    campaign id names. *)
-let search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation ~stats
+let search ~preemption_bound ~max_runs ~step_limit ~jobs ~dpor ~relation ~stats
     ~cell_wall_s ?checkpoint ~resume ~should_stop ~judge scenario =
   let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
   let probe_instance = scenario.make () in
@@ -683,7 +679,7 @@ let search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation 
       subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~step_limit
         ~judge ~root:i ?first ~arena scenario
     in
-    run_cells ~jobs ~grain ~stats width (fun ~lower_failed arena i ->
+    run_cells ~jobs ~stats width (fun ~lower_failed arena i ->
         Checkpoint.cell journal ~should_stop i (fun () ->
             let f = eval ~lower_failed arena i in
             match journal with
@@ -707,9 +703,9 @@ let search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation 
   | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
 
 let explore ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_000) ?(jobs = 1)
-    ?grain ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
+    ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
     ?(resume = false) ?(should_stop = fun () -> false) scenario =
-  search ~preemption_bound ~max_runs ~step_limit ~jobs ~grain ~dpor ~relation ~stats
+  search ~preemption_bound ~max_runs ~step_limit ~jobs ~dpor ~relation ~stats
     ~cell_wall_s ?checkpoint ~resume ~should_stop
     ~judge:(fun instance result _ -> verdict instance.check result)
     scenario
@@ -722,7 +718,7 @@ let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(step_limit = 100_00
   let judge _ result ran =
     match f ~pids:(pids_of ran) result with `Continue -> Ok () | `Stop -> Error "stopped"
   in
-  (search ~preemption_bound ~max_runs ~step_limit ~jobs:1 ~grain:None ~dpor:false
+  (search ~preemption_bound ~max_runs ~step_limit ~jobs:1 ~dpor:false
      ~relation:base_relation ~stats:None ~cell_wall_s:None ~resume:false
      ~should_stop:(fun () -> false) ~judge scenario)
     .runs
@@ -745,7 +741,7 @@ let record_decisions policy log =
           r
         | None -> None)
 
-let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(jobs = 1) ?grain ?stats ?runner
+let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(jobs = 1) ?stats ?runner
     ~strategy ~seed scenario =
   let profile, horizon =
     (* SURW weights candidates by estimated remaining statements and PCT
@@ -794,7 +790,7 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(jobs = 1) ?grain ?stats ?ru
      known failure are skipped; cells before it still run, so the
      minimum failing index is exact. *)
   let o =
-    run_cells ~jobs ~grain ~stats runs (fun ~lower_failed arena i ->
+    run_cells ~jobs ~stats runs (fun ~lower_failed arena i ->
         let st =
           if lower_failed () then
             { sruns = 0; sclaims = 0; sexhaustive = false; scx = None }

@@ -17,13 +17,14 @@
 
     {2 One search driver}
 
-    Every search ({!explore} at any [jobs], [grain] or checkpoint, and
+    Every search ({!explore} at any [jobs] or checkpoint, and
     {!iter_schedules}) runs one {e probe} (the all-defaults schedule,
     which fixes the top-level width and the clock taint), then one
-    {e subtree cell} per top-level candidate on the domain pool (inline
-    at [jobs = 1]), merged in DFS order. The probe is subtree 0's first
-    run. {!sample} shares the pool and the merge, one cell per run; a
-    checkpoint journals finished cells and restores them on resume.
+    {e subtree cell} per top-level candidate on the domain pool (the
+    calling domain alone at [jobs = 1]), merged in DFS order. The probe
+    is subtree 0's first run. {!sample} shares the pool and the merge,
+    one cell per run; a checkpoint journals finished cells and restores
+    them on resume.
 
     {2 Sleep-set pruning and source sets}
 
@@ -40,8 +41,8 @@
     write — the baseline {!Hwf_sim.Policy.independent}). The explorer
     computes that relation per decision point from the policy view
     ([next_op]), carries a sleep set down each path (recomputed from
-    the decision prefix alone, so pruning is oblivious to [jobs],
-    [grain] and checkpoint/resume), and skips sibling branches whose
+    the decision prefix alone, so pruning is oblivious to [jobs] and
+    checkpoint/resume), and skips sibling branches whose
     first transition is slept — their interleavings are covered by the
     sibling that put them to sleep.
 
@@ -148,7 +149,8 @@ val base_relation : relation
 val make_stats : ?jobs:int -> scenario -> stats
 (** [jobs] sizes the pool's per-worker histogram (default
     {!Hwf_par.Pool.default_jobs}); the subtree histogram is sized by the
-    scenario's process count. *)
+    scenario's process count.
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val stats_subtree_runs : stats -> int array
 (** Runs performed per top-level choice index — the subtree sizes of the
@@ -203,7 +205,6 @@ val explore :
   ?max_runs:int ->
   ?step_limit:int ->
   ?jobs:int ->
-  ?grain:int ->
   ?dpor:bool ->
   ?relation:relation ->
   ?stats:stats ->
@@ -235,10 +236,8 @@ val explore :
     spread over. Whenever the search completes within [max_runs] the
     outcome — run count, exhaustiveness, the first counterexample with
     its decision path, and the prune counters — is the same at every
-    [jobs] and [grain]; [scenario.make] must therefore be domain-safe
-    (fresh state per call — see [docs/PARALLELISM.md]). [grain] sets
-    the pool's cells-per-claim (default automatic: 1 for these coarse
-    cells; the knob matters for {!sample}). The [max_runs] budget is
+    [jobs]; [scenario.make] must therefore be domain-safe (fresh state
+    per call — see [docs/PARALLELISM.md]). The [max_runs] budget is
     claimed from one atomic counter, one claim per engine run (the
     probe included), so the runs across all domains never exceed
     [max_runs]. A truncated search reports [exhaustive = false]; its
@@ -255,7 +254,7 @@ val explore :
     {!Hwf_resil.Checkpoint} (key [subtree-<i>]; payload members [runs],
     [claims], [exhaustive], [counterexample]); a clean completed
     campaign merges to the outcome without a checkpoint, run for run,
-    and the journal stays per subtree at every [grain]. With
+    and the journal stays per subtree at every [jobs]. With
     [resume = true] journaled subtrees are restored instead of re-run —
     their [claims] re-seed the [max_runs] budget and a restored
     counterexample's trace is rebuilt by {!replay} of its decisions; a
@@ -294,7 +293,6 @@ val sample :
   ?runs:int ->
   ?step_limit:int ->
   ?jobs:int ->
-  ?grain:int ->
   ?stats:stats ->
   ?runner:
     (step_limit:int -> policy:Hwf_sim.Policy.t -> instance -> Hwf_sim.Engine.result) ->
@@ -308,10 +306,8 @@ val sample :
     uses seed [run_seed seed i], so every run is an independent cell of
     the same pool-and-merge driver {!explore} uses: the reported
     counterexample is the lowest-index failure, with the same [runs]
-    count, byte-identical across [jobs]/[grain]; cells after a known
-    failure are skipped. These cells are micro-cells (one engine run
-    each), so [grain] matters here: the default chunks hundreds of runs
-    per claim ([docs/PARALLELISM.md] has the tuning guide).
+    count, byte-identical across [jobs]; cells after a known failure
+    are skipped.
 
     [outcome.runs] is the number of schedules to the first bug when a
     counterexample is reported ({!stf_ci} turns it into an interval),

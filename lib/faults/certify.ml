@@ -212,7 +212,7 @@ let campaign_id subject plans =
   Printf.sprintf "certify/%s/%s" subject.name
     (Digest.to_hex (Digest.string (String.concat "\n" (List.map Plan.to_string plans))))
 
-let certify ?(jobs = 1) ?grain ?pool_stats ?(retry = Resil.no_retry) ?cell_wall_s
+let certify ?(jobs = 1) ?pool_stats ?(retry = Resil.no_retry) ?cell_wall_s
     ?checkpoint ?(resume = false) ?(should_stop = fun () -> false) subject plans =
   let plan_arr = Array.of_list plans in
   let total = Array.length plan_arr in
@@ -240,7 +240,7 @@ let certify ?(jobs = 1) ?grain ?pool_stats ?(retry = Resil.no_retry) ?cell_wall_
         ~encode:json_of_cell
         ~decode:(fun i -> cell_of_json ~n:(Config.n subject.config) plan_arr.(i))
         (fun journal ->
-          Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:pool_stats
+          Hwf_par.Pool.map_scratch ~jobs ?stats:pool_stats
             ~make:(fun () -> Trace.create subject.config)
             (fun trace_buf i ->
               Checkpoint.cell journal ~should_stop i (eval trace_buf plan_arr.(i)))

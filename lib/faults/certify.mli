@@ -102,7 +102,6 @@ val replay_judge :
 
 val certify :
   ?jobs:int ->
-  ?grain:int ->
   ?pool_stats:Hwf_par.Pool.stats ->
   ?retry:Hwf_resil.Resil.retry ->
   ?cell_wall_s:float ->
@@ -123,9 +122,7 @@ val certify :
     called once per plan, parallel or not) and shrinks its own failure
     by replaying only its own plan, so the report is identical to
     [~jobs:1] plan for plan, including the shrunk counterexample
-    schedules. [grain] sets the pool's cells-per-claim (default
-    automatic — grain 1 for campaign-sized plan lists, which is right
-    for cells this coarse). Each worker keeps one scratch trace
+    schedules. Each worker keeps one scratch trace
     ({!Hwf_par.Pool.map_scratch}) and records every engine run of its
     cells into it — judged run, shrink replays and message replay — so
     per-run growth of the trace's buffer and tables is paid once per

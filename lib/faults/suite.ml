@@ -243,11 +243,11 @@ type row = { subject : Certify.subject; report : Certify.report; verdict : strin
 
 type certification = { positives : row list; negative : row option; coverage : Resil.coverage }
 
-let certify_all ?quick ?seed ?(only = []) ?negative:(control = false) ?jobs ?grain ?retry
+let certify_all ?quick ?seed ?(only = []) ?negative:(control = false) ?jobs ?retry
     ?cell_wall_s ?checkpoint ?resume () =
   let row ~ok ~label subject plans =
     let report =
-      Certify.certify ?jobs ?grain ?retry ?cell_wall_s
+      Certify.certify ?jobs ?retry ?cell_wall_s
         ?checkpoint:
           (Option.map
              (fun base -> Printf.sprintf "%s.%s.ckpt.jsonl" base subject.Certify.name)

@@ -78,7 +78,6 @@ val certify_all :
   ?only:string list ->
   ?negative:bool ->
   ?jobs:int ->
-  ?grain:int ->
   ?retry:Hwf_resil.Resil.retry ->
   ?cell_wall_s:float ->
   ?checkpoint:string ->

@@ -47,8 +47,9 @@ expect 2 "check-json without a file"      "$BIN" check-json
 expect 1 "check-json missing file"        "$BIN" check-json /nonexistent.jsonl
 expect 2 "usage error (bad layout)"       "$BIN" explore -l garbage
 expect 2 "fig7 below its processors"      "$BIN" run -i fig7 -c 1 -l 0:1,1:1
-expect 2 "cas with grain 0"               "$BIN" cas --grain 0
-expect 2 "stats with grain 0"             "$BIN" stats --grain 0 --max-runs 10
+expect 2 "cas with jobs 0"                "$BIN" cas --jobs 0
+expect 2 "stats with jobs 0"              "$BIN" stats --jobs 0 --max-runs 10
+expect 2 "explore with jobs -1"           "$BIN" explore --jobs=-1
 expect 2 "sweep below its processors"     "$BIN" sweep -c 1 -l 0:1,1:1
 
 # The queue replays like every other scenario. Its search finds no

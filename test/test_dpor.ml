@@ -130,17 +130,17 @@ let test_counterexample_preserved () =
     Util.check Alcotest.(list int) "same decision path" cf.decisions cp.decisions
   | _ -> Alcotest.fail "pruning changed the verdict"
 
-let test_jobs_grain_identity_under_dpor () =
+let test_jobs_identity_under_dpor () =
   (* Sleep sets are a pure function of the decision prefix, so pruning
-     must commute with the parallel fan-out at any grain. *)
+     must commute with the parallel fan-out at any jobs. *)
   List.iter
     (fun s ->
       let o1 = Explore.explore ~jobs:1 s in
       List.iter
-        (fun (jobs, grain) ->
-          let o = Explore.explore ~jobs ~grain s in
-          check_outcomes (Printf.sprintf "%s jobs=%d grain=%d" s.Explore.name jobs grain) o1 o)
-        [ (2, 1); (4, 1); (4, 2) ])
+        (fun jobs ->
+          let o = Explore.explore ~jobs s in
+          check_outcomes (Printf.sprintf "%s jobs=%d" s.Explore.name jobs) o1 o)
+        [ 2; 3; 4 ])
     [ disjoint (); lost_update () ]
 
 let test_probe_taint_disarms () =
@@ -518,8 +518,8 @@ let () =
             test_multiprocessor_prunes;
           Alcotest.test_case "counterexample preserved" `Quick
             test_counterexample_preserved;
-          Alcotest.test_case "jobs x grain identity under dpor" `Quick
-            test_jobs_grain_identity_under_dpor;
+          Alcotest.test_case "jobs identity under dpor" `Quick
+            test_jobs_identity_under_dpor;
           Alcotest.test_case "probe clock read disarms silently" `Quick
             test_probe_taint_disarms;
           Alcotest.test_case "latent clock read raises" `Quick test_later_taint_raises;

@@ -246,7 +246,7 @@ let test_matrix_lost_update () =
 let test_static_jobs_identity () =
   let rel = static_relation_for fai_scenario in
   let o1 = Explore.explore ~relation:rel ~jobs:1 fai_scenario in
-  let o2 = Explore.explore ~relation:rel ~jobs:2 ~grain:1 fai_scenario in
+  let o2 = Explore.explore ~relation:rel ~jobs:2 fai_scenario in
   Alcotest.(check int) "runs" o1.Explore.runs o2.Explore.runs;
   Alcotest.(check bool) "exhaustive" o1.Explore.exhaustive o2.Explore.exhaustive;
   Alcotest.(check bool) "cx" true (cx_key o1 = cx_key o2)

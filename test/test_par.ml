@@ -10,29 +10,46 @@ open Hwf_faults
 
 (* ---- the pool itself ---- *)
 
+let map ?stats ~jobs f a = Hwf_par.Pool.map_scratch ~jobs ?stats ~make:ignore (fun () x -> f x) a
+
 let test_pool_map_order () =
   let a = Array.init 200 Fun.id in
   let f x = (x * x) + 1 in
-  Util.check
-    Alcotest.(array int)
-    "jobs=4 equals sequential map" (Array.map f a)
-    (Hwf_par.Pool.map ~jobs:4 f a)
+  Util.check Alcotest.(array int) "jobs=4 equals sequential map" (Array.map f a) (map ~jobs:4 f a)
 
-let test_pool_map_grained () =
-  let a = Array.init 97 Fun.id in
+let test_pool_jobs_size_matrix () =
+  (* Every jobs against every size, jobs > n included: the result is the
+     sequential map, every cell is evaluated once, and no worker slot
+     past [min jobs n] is used — the pool never spawns more domains
+     than it has cells. *)
   let f x = x * 3 in
   List.iter
-    (fun grain ->
-      Util.check
-        Alcotest.(array int)
-        (Printf.sprintf "grain=%d equals sequential map" grain)
-        (Array.map f a)
-        (Hwf_par.Pool.map ~jobs:4 ~grain f a))
-    [ 1; 7; 96; 97; 200 ]
+    (fun n ->
+      let a = Array.init n Fun.id in
+      List.iter
+        (fun jobs ->
+          let tag = Printf.sprintf "n=%d jobs=%d" n jobs in
+          let stats = Hwf_par.Pool.make_stats ~jobs in
+          Util.check
+            Alcotest.(array int)
+            (tag ^ ": equals sequential map") (Array.map f a) (map ~jobs ~stats f a);
+          Util.checki (tag ^ ": every cell evaluated") n (Hwf_par.Pool.stats_evaluated stats);
+          Array.iteri
+            (fun w c -> if w >= max 1 (min jobs n) then Util.checki (tag ^ ": idle slot") 0 c)
+            (Hwf_par.Pool.stats_per_worker stats))
+        [ 1; 2; 3; 8 ])
+    [ 0; 1; 2; 97 ]
 
 let test_pool_map_edges () =
-  Util.check Alcotest.(array int) "empty" [||] (Hwf_par.Pool.map ~jobs:4 succ [||]);
-  Util.check Alcotest.(array int) "singleton" [| 2 |] (Hwf_par.Pool.map ~jobs:4 succ [| 1 |])
+  Util.check Alcotest.(array int) "empty" [||] (map ~jobs:4 succ [||]);
+  Util.check Alcotest.(array int) "singleton" [| 2 |] (map ~jobs:4 succ [| 1 |]);
+  List.iter
+    (fun jobs ->
+      match map ~jobs succ [| 1 |] with
+      | _ -> Alcotest.failf "jobs=%d: expected Invalid_argument" jobs
+      | exception Invalid_argument m ->
+        Util.checkb "message names the bound" (Util.contains m "jobs must be >= 1"))
+    [ 0; -1 ]
 
 let test_pool_exception_deterministic () =
   (* Several cells raise; the re-raised exception must be the one of the
@@ -40,106 +57,91 @@ let test_pool_exception_deterministic () =
   let a = Array.init 64 Fun.id in
   let f i = if i mod 13 = 5 then failwith (string_of_int i) else i in
   for _ = 1 to 5 do
-    match Hwf_par.Pool.map ~jobs:4 f a with
+    match map ~jobs:4 f a with
     | _ -> Alcotest.fail "expected an exception"
     | exception Failure m -> Util.check Alcotest.string "lowest failing index" "5" m
   done
 
 let test_pool_skips_past_error () =
-  (* S2 regression. Cell 0 raises, and index 0 is the global minimum, so
-     whichever worker executes chunk 0 must skip the rest of that chunk
-     after recording the error — the old worker loop kept evaluating
-     after the error was recorded. With two workers the other chunk may
-     race ahead of the error becoming visible, so the deterministic
-     facts are: the index-0 exception wins, every cell is either
-     evaluated or skipped, and at least the remainder of chunk 0 (15
-     cells) is skipped. *)
+  (* Cell 0 raises, and index 0 is the global minimum, so every cell
+     claimed after the error is recorded must be skipped, not
+     evaluated. On one worker that is exactly every other cell; with
+     two the other worker may evaluate cells before the error becomes
+     visible, so the deterministic facts are the index-0 exception and
+     that every cell is either evaluated or skipped. *)
   let n = 32 in
   let a = Array.init n Fun.id in
-  let evals = Atomic.make 0 in
-  let f i =
-    Atomic.incr evals;
-    if i = 0 then failwith "cell0" else i
-  in
-  let stats = Hwf_par.Pool.make_stats ~jobs:2 in
-  (match Hwf_par.Pool.map ~jobs:2 ~grain:16 ~stats f a with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Failure m -> Util.check Alcotest.string "index-0 exception" "cell0" m);
-  Util.checki "every cell evaluated or skipped" n
-    (Hwf_par.Pool.stats_evaluated stats + Hwf_par.Pool.stats_skipped stats);
-  Util.checki "stats agree with the cell bodies" (Atomic.get evals)
-    (Hwf_par.Pool.stats_evaluated stats);
-  Util.checkb "the failing chunk's tail is skipped"
-    (Hwf_par.Pool.stats_skipped stats >= 15)
+  List.iter
+    (fun jobs ->
+      let evals = Atomic.make 0 in
+      let f i =
+        Atomic.incr evals;
+        if i = 0 then failwith "cell0" else i
+      in
+      let tag = Printf.sprintf "jobs=%d: " jobs in
+      let stats = Hwf_par.Pool.make_stats ~jobs in
+      (match map ~jobs ~stats f a with
+      | _ -> Alcotest.fail "expected an exception"
+      | exception Failure m -> Util.check Alcotest.string (tag ^ "index-0 exception") "cell0" m);
+      Util.checki (tag ^ "every cell evaluated or skipped") n
+        (Hwf_par.Pool.stats_evaluated stats + Hwf_par.Pool.stats_skipped stats);
+      Util.checki (tag ^ "stats agree with the cell bodies") (Atomic.get evals)
+        (Hwf_par.Pool.stats_evaluated stats);
+      if jobs = 1 then
+        Util.checki (tag ^ "every later cell skipped") (n - 1)
+          (Hwf_par.Pool.stats_skipped stats))
+    [ 1; 2 ]
 
-let test_pool_forced_steal () =
-  (* Starve one worker: cell 0 (owned by worker 0) spins until every
-     other cell is done, so worker 1 must drain its own block and then
-     steal worker 0's remaining chunks 1..3 — exactly 3 steals, and the
-     result is still the sequential one. Worker 1's first own cell
-     (cell 4) gates on cell 0 having started: worker 1 cannot reach its
-     steal phase before worker 0 owns chunk 0, so the steal count is
-     deterministic even on one core. *)
-  let n = 8 in
+(* Cell 0 spins until every other cell is done: whichever worker claims
+   it is starved, and the other worker claims and evaluates cells
+   1 .. n-1 alone. *)
+let starving n f =
   let done_ = Atomic.make 0 in
-  let started0 = Atomic.make false in
-  let f i =
-    if i = 0 then begin
-      Atomic.set started0 true;
+  fun x i ->
+    if i = 0 then
       while Atomic.get done_ < n - 1 do
-        Domain.cpu_relax ()
-      done
-    end
-    else if i = 4 then
-      while not (Atomic.get started0) do
         Domain.cpu_relax ()
       done;
     Atomic.incr done_;
-    i * 10
-  in
+    f x i
+
+let test_pool_starved_worker () =
+  let n = 8 in
   let stats = Hwf_par.Pool.make_stats ~jobs:2 in
-  let r = Hwf_par.Pool.map ~jobs:2 ~grain:1 ~stats f (Array.init n Fun.id) in
+  let r =
+    Hwf_par.Pool.map_scratch ~jobs:2 ~stats ~make:ignore
+      (starving n (fun () i -> i * 10))
+      (Array.init n Fun.id)
+  in
   Util.check
     Alcotest.(array int)
-    "stolen chunks land in their slots"
+    "every result lands in its slot"
     (Array.init n (fun i -> i * 10))
     r;
-  Util.checki "worker 1 stole the starved worker's chunks" 3
-    (Hwf_par.Pool.stats_steals stats);
-  Util.checki "all chunks claimed exactly once" n (Hwf_par.Pool.stats_claims stats)
+  Util.check
+    Alcotest.(list int)
+    "the free worker evaluated every other cell" [ 1; n - 1 ]
+    (List.sort compare (Array.to_list (Hwf_par.Pool.stats_per_worker stats)))
 
 let test_pool_scratch_per_worker () =
   (* [map_scratch]: every cell sees the scratch created on its own
      worker, and [make] runs exactly once per worker. Cell 0's worker is
      starved (as above) so both workers demonstrably participate: cells
-     1..7 must all carry the non-starved worker's scratch. *)
+     1..7 must all carry the free worker's scratch. *)
   let n = 8 in
-  let done_ = Atomic.make 0 in
-  let started0 = Atomic.make false in
   let next_id = Atomic.make 0 in
   let make () = Atomic.fetch_and_add next_id 1 in
-  let f scratch i =
-    if i = 0 then begin
-      Atomic.set started0 true;
-      while Atomic.get done_ < n - 1 do
-        Domain.cpu_relax ()
-      done
-    end
-    else if i = 4 then
-      while not (Atomic.get started0) do
-        Domain.cpu_relax ()
-      done;
-    Atomic.incr done_;
-    (scratch, i * 2)
+  let r =
+    Hwf_par.Pool.map_scratch ~jobs:2 ~make
+      (starving n (fun scratch i -> (scratch, i * 2)))
+      (Array.init n Fun.id)
   in
-  let r = Hwf_par.Pool.map_scratch ~jobs:2 ~grain:1 ~make f (Array.init n Fun.id) in
   Array.iteri (fun i (_, y) -> Util.checki "cell result" (i * 2) y) r;
   Util.checki "make ran once per worker" 2 (Atomic.get next_id);
   let s0 = fst r.(0) in
   Array.iteri
     (fun i (s, _) ->
-      if i > 0 then
-        Util.checkb "stolen cells ran on the thief's scratch" (s <> s0))
+      if i > 0 then Util.checkb "the free worker's cells ran on its scratch" (s <> s0))
     r
 
 let test_pool_worker_death_contained () =
@@ -147,39 +149,38 @@ let test_pool_worker_death_contained () =
      worker loop itself, here injected at retirement via the test hook —
      used to escape through [Domain.join], bypassing the min-index
      exception contract entirely. It must be recorded and re-raised by
-     [map] like any other error. *)
+     [map_scratch] like any other error. *)
   let hook wid = if wid > 0 then failwith "worker-death" in
   Hwf_par.Pool.worker_retire_test_hook := Some hook;
   Fun.protect
     ~finally:(fun () -> Hwf_par.Pool.worker_retire_test_hook := None)
     (fun () ->
       let a = Array.init 64 Fun.id in
-      (match Hwf_par.Pool.map ~jobs:2 succ a with
+      (match map ~jobs:2 succ a with
       | _ -> Alcotest.fail "expected the worker-death exception"
-      | exception Failure m ->
-        Util.check Alcotest.string "surfaced via map" "worker-death" m);
+      | exception Failure m -> Util.check Alcotest.string "surfaced via map" "worker-death" m);
       (* A real cell error has a lower index than the worker-death
          sentinel, so it must win. *)
       let f i = if i = 5 then failwith "cell5" else i in
-      match Hwf_par.Pool.map ~jobs:2 f a with
+      match map ~jobs:2 f a with
       | _ -> Alcotest.fail "expected an exception"
       | exception Failure m ->
         Util.check Alcotest.string "cell error outranks worker death" "cell5" m)
 
 let test_pool_stats_size_mismatch () =
-  (* Robustness regression: stats sized for fewer workers than [map]
+  (* Robustness regression: stats sized for fewer workers than the call
      uses silently folded the overflow workers into the last bucket;
      now the mismatch is refused at call time. *)
   let stats = Hwf_par.Pool.make_stats ~jobs:2 in
   let a = Array.init 32 Fun.id in
-  (match Hwf_par.Pool.map ~jobs:4 ~stats succ a with
+  (match map ~jobs:4 ~stats succ a with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument m ->
-    Util.checkb "message names the mismatch" (Util.contains m "Pool.map"));
+    Util.checkb "message names the mismatch" (Util.contains m "Pool.map_scratch"));
   (* A larger stats array is fine, and every count lands on the true
      worker id — slots past the workers actually used stay zero. *)
   let stats = Hwf_par.Pool.make_stats ~jobs:4 in
-  ignore (Hwf_par.Pool.map ~jobs:2 ~stats succ a);
+  ignore (map ~jobs:2 ~stats succ a);
   let per_worker = Hwf_par.Pool.stats_per_worker stats in
   Util.checki "slots sized by make_stats" 4 (Array.length per_worker);
   Util.checki "counts on true worker ids" 32 (per_worker.(0) + per_worker.(1));
@@ -188,16 +189,17 @@ let test_pool_stats_size_mismatch () =
 let test_pool_stats () =
   let a = Array.init 100 Fun.id in
   let stats = Hwf_par.Pool.make_stats ~jobs:4 in
-  let r = Hwf_par.Pool.map ~jobs:4 ~stats succ a in
+  let r = map ~jobs:4 ~stats succ a in
   Util.check Alcotest.(array int) "result unaffected" (Array.map succ a) r;
   Util.checki "every cell counted once" 100 (Hwf_par.Pool.stats_evaluated stats);
   Util.checki "nothing skipped" 0 (Hwf_par.Pool.stats_skipped stats);
-  Util.checkb "claims cover the array" (Hwf_par.Pool.stats_claims stats >= 100 / 1 / 4);
   Util.checki "per-worker counts sum to total" 100
     (Array.fold_left ( + ) 0 (Hwf_par.Pool.stats_per_worker stats));
-  (* Accumulates across calls, and the inline path attributes to worker 0. *)
-  ignore (Hwf_par.Pool.map ~jobs:1 ~stats succ a);
-  Util.checki "accumulated" 200 (Hwf_par.Pool.stats_evaluated stats)
+  (* Accumulates across calls, and one worker is worker 0. *)
+  let before = (Hwf_par.Pool.stats_per_worker stats).(0) in
+  ignore (map ~jobs:1 ~stats succ a);
+  Util.checki "accumulated" 200 (Hwf_par.Pool.stats_evaluated stats);
+  Util.checki "jobs=1 runs on worker 0" (before + 100) (Hwf_par.Pool.stats_per_worker stats).(0)
 
 (* ---- parallel explore ---- *)
 
@@ -274,21 +276,18 @@ let test_explore_max_runs_exact () =
   Util.checki "sequential spends the whole budget" 25 (Atomic.get makes1);
   Util.checki "sequential reports the budget" 25 o1.runs
 
-let test_explore_jobs_grain_matrix () =
-  (* The determinism contract quantified over the knobs: any jobs/grain
-     combination must reproduce the sequential outcome bit for bit,
-     counterexample path included. *)
+let test_explore_jobs_matrix () =
+  (* The determinism contract quantified over the worker count: any jobs
+     must reproduce the sequential outcome bit for bit, counterexample
+     path included. *)
   let b = fig3 ~quantum:1 ~pris:[ 1; 1 ] in
   let o1 = Explore.explore ~jobs:1 b.scenario in
   Util.expect_fail "fig3 Q=1 baseline" o1;
   List.iter
     (fun jobs ->
-      List.iter
-        (fun grain ->
-          let o = Explore.explore ~jobs ~grain b.scenario in
-          check_outcomes (Printf.sprintf "jobs=%d grain=%d" jobs grain) o1 o)
-        [ 1; 2; 3 ])
-    [ 2; 4; 8 ]
+      let o = Explore.explore ~jobs b.scenario in
+      check_outcomes (Printf.sprintf "jobs=%d" jobs) o1 o)
+    [ 2; 3; 4; 8 ]
 
 let test_random_runs_parallel_identical () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
@@ -300,20 +299,18 @@ let test_random_runs_parallel_identical () =
   | None, None -> ()
   | _ -> Alcotest.fail "naive sample: jobs=1 and jobs=4 verdicts differ"
 
-let test_random_runs_grain_identical () =
+let test_random_runs_jobs_matrix () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
   let o1 = Explore.sample ~strategy:Randsched.Naive ~runs:100 ~seed:5 ~jobs:1 b.scenario in
   List.iter
-    (fun grain ->
-      let o = Explore.sample ~strategy:Randsched.Naive
-          ~runs:100 ~seed:5 ~jobs:4 ~grain b.scenario in
-      Util.checki (Printf.sprintf "grain=%d: same first failing run" grain) o1.runs
-        o.runs;
+    (fun jobs ->
+      let o = Explore.sample ~strategy:Randsched.Naive ~runs:100 ~seed:5 ~jobs b.scenario in
+      Util.checki (Printf.sprintf "jobs=%d: same first failing run" jobs) o1.runs o.runs;
       match (o1.counterexample, o.counterexample) with
       | Some c1, Some c -> Util.check Alcotest.string "same message" c1.message c.message
       | None, None -> ()
-      | _ -> Alcotest.failf "naive sample grain=%d: verdict differs from jobs=1" grain)
-    [ 1; 7; 50 ]
+      | _ -> Alcotest.failf "naive sample jobs=%d: verdict differs from jobs=1" jobs)
+    [ 3; 4 ]
 
 (* ---- parallel certify ---- *)
 
@@ -353,12 +350,8 @@ let test_certify_parallel_identical_failures () =
   let r4 = Certify.certify ~jobs:4 subject plans in
   Util.checki "two rejected cells" 2 (List.length r1.failures);
   check_reports "negative control" r1 r4;
-  (* Grain must be invisible in the report too. *)
-  List.iter
-    (fun grain ->
-      let r = Certify.certify ~jobs:3 ~grain subject plans in
-      check_reports (Printf.sprintf "negative control grain=%d" grain) r1 r)
-    [ 1; 2; 4 ]
+  (* An odd worker count, where claims interleave unevenly. *)
+  check_reports "negative control jobs=3" r1 (Certify.certify ~jobs:3 subject plans)
 
 let () =
   Alcotest.run "par"
@@ -366,11 +359,11 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
-          Alcotest.test_case "grained map" `Quick test_pool_map_grained;
+          Alcotest.test_case "jobs x size matrix" `Quick test_pool_jobs_size_matrix;
           Alcotest.test_case "edge sizes" `Quick test_pool_map_edges;
           Alcotest.test_case "skips cells past a recorded error" `Quick
             test_pool_skips_past_error;
-          Alcotest.test_case "forced steal" `Quick test_pool_forced_steal;
+          Alcotest.test_case "starved worker" `Quick test_pool_starved_worker;
           Alcotest.test_case "scratch per worker" `Quick test_pool_scratch_per_worker;
           Alcotest.test_case "stats hook" `Quick test_pool_stats;
           Alcotest.test_case "deterministic exceptions" `Quick
@@ -388,12 +381,11 @@ let () =
             test_explore_parallel_identical_fail;
           Alcotest.test_case "max_runs exact under fan-out" `Quick
             test_explore_max_runs_exact;
-          Alcotest.test_case "jobs x grain identity matrix" `Quick
-            test_explore_jobs_grain_matrix;
+          Alcotest.test_case "jobs identity matrix" `Quick test_explore_jobs_matrix;
           Alcotest.test_case "random_runs jobs=4 identical" `Quick
             test_random_runs_parallel_identical;
-          Alcotest.test_case "random_runs grain identical" `Quick
-            test_random_runs_grain_identical;
+          Alcotest.test_case "random_runs jobs matrix identical" `Quick
+            test_random_runs_jobs_matrix;
         ] );
       ( "certify",
         [

@@ -517,16 +517,16 @@ let test_explore_checkpoint_bad_pids () =
       Sys.remove path)
     [ -1; 2; 99 ]
 
-let test_explore_checkpoint_jobs_grain () =
-  (* Kill-and-resume quantified over the knobs: a campaign cut short by
-     [should_stop] must resume to the plain outcome whatever jobs/grain
-     the resuming invocation uses — the journal is per subtree at every
-     grain. *)
+let test_explore_checkpoint_jobs () =
+  (* Kill-and-resume quantified over the worker count: a campaign cut
+     short by [should_stop] must resume to the plain outcome whatever
+     jobs the resuming invocation uses — the journal is per subtree at
+     every jobs. *)
   let open Hwf_adversary in
   let scenario = fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ] in
   let reference = Explore.explore ~jobs:1 scenario in
   List.iter
-    (fun (jobs, grain) ->
+    (fun jobs ->
       let path = tmpfile () in
       let polls = ref 0 in
       let stop () =
@@ -536,14 +536,10 @@ let test_explore_checkpoint_jobs_grain () =
       let partial = Explore.explore ~checkpoint:path ~should_stop:stop scenario in
       Util.checkb "interrupted campaign is visibly partial"
         (not (Resil.complete partial.Explore.coverage));
-      let resumed =
-        Explore.explore ~checkpoint:path ~resume:true ~jobs ~grain scenario
-      in
-      check_outcomes
-        (Printf.sprintf "resume at jobs=%d grain=%d" jobs grain)
-        reference resumed;
+      let resumed = Explore.explore ~checkpoint:path ~resume:true ~jobs scenario in
+      check_outcomes (Printf.sprintf "resume at jobs=%d" jobs) reference resumed;
       Sys.remove path)
-    [ (1, 1); (2, 1); (4, 2) ]
+    [ 1; 2; 3; 4 ]
 
 let test_explore_checkpoint_dpor_identity () =
   (* The armed [dpor] value changes run counts, so it is part of the
@@ -606,8 +602,8 @@ let () =
         [
           Alcotest.test_case "checkpoint and resume" `Quick
             test_explore_checkpoint_resume;
-          Alcotest.test_case "kill and resume across jobs/grain" `Quick
-            test_explore_checkpoint_jobs_grain;
+          Alcotest.test_case "kill and resume across jobs" `Quick
+            test_explore_checkpoint_jobs;
           Alcotest.test_case "dpor is campaign identity" `Quick
             test_explore_checkpoint_dpor_identity;
           Alcotest.test_case "restored counterexample" `Quick
