@@ -10,7 +10,8 @@ open Hwf_adversary
 open Hwf_workload
 
 (* Statement cost of a low-priority CAS when the list head lives at
-   level V (worst-case scan). *)
+   level V (worst-case scan), read off the processor's stamp count
+   (one processor, so it counts every statement of the run). *)
 let scan_cost v =
   let pris = [ 1; v ] in
   let config = Layout.to_config ~quantum:600 (List.map (fun p -> (0, p)) pris) in
@@ -20,9 +21,9 @@ let scan_cost v =
     [|
       (fun () ->
         Eff.invocation "low" (fun () ->
-            let t0 = Eff.now () in
+            let t0 = snd (Eff.stamp ()) in
             ignore (Hybrid_cas.cas obj ~pid:0 ~expected:1 ~desired:2);
-            cost := Eff.now () - t0));
+            cost := snd (Eff.stamp ()) - t0));
       (fun () ->
         Eff.invocation "high" (fun () ->
             ignore (Hybrid_cas.cas obj ~pid:1 ~expected:0 ~desired:1)));

@@ -50,7 +50,7 @@ let run ~quick =
     List.map
       (fun (p, c, m) ->
         let layout = Layout.uniform ~processors:p ~per_processor:m in
-        let l = Bounds.levels ~m ~p ~k:(min c (2 * p) - p) in
+        let l = Bounds.levels ~m ~p ~k:(Bounds.fig7_k ~p ~consensus_number:c) in
         let v =
           verdict ~quantum:(if p >= 3 then 8000 else 4000) ~consensus_number:c ~layout
             ~runs ~seed:(p * 100 + c)

@@ -145,9 +145,8 @@ let search_term =
   let no_dpor_arg =
     let doc =
       "Disable sleep-set pruning and explore every schedule exhaustively. \
-       Pruning never changes verdicts or the first counterexample, so this is \
-       an escape hatch for cross-checking it (and the only option when a \
-       scenario's checks read the simulated clock mid-run)."
+       Pruning never changes verdicts or the first counterexample, so this \
+       only serves to cross-check it."
     in
     Arg.(value & flag & info [ "no-dpor" ] ~doc)
   in
@@ -484,16 +483,7 @@ let explore_cmd =
      if strategy = "dfs" then begin
        Fmt.pr "sleep sets: %d branches pruned; source sets: %d blocked prefixes@."
          (Explore.stats_pruned estats)
-         (Explore.stats_source_prunes estats);
-       (* Taint probe on the canonical first schedule: a clock read
-          (Eff.now) disarms pruning; per-processor stamps (Eff.stamp) do
-          not (docs/PARALLELISM.md). *)
-       let probe, _ = Schedule.replay scenario [] in
-       let tr = probe.Engine.trace in
-       Fmt.pr "clock taint: %s (%d stamp reads, %d clock reads)@."
-         (if Trace.now_reads tr = 0 then "none (pruning armed)"
-          else "TAINTED (pruning disarmed)")
-         (Trace.stamp_reads tr) (Trace.now_reads tr)
+         (Explore.stats_source_prunes estats)
      end;
      (* Exports are schedule-deterministic: the counterexample's replayed
         trace if one was found, otherwise the canonical first (all-zeros)
@@ -707,7 +697,7 @@ let bounds_cmd =
      | Some q -> Fmt.pr "not universal if Q <= %d@." q
      | None -> Fmt.pr "no impossibility region (infinite consensus number)@.");
      if c >= p then begin
-       let k = min c (2 * p) - p in
+       let k = Bounds.fig7_k ~p ~consensus_number:c in
        Fmt.pr "Fig 7 instance: K=%d, L=%d levels, ports per processor:@." k
          (Bounds.levels ~m ~p ~k);
        for i = 0 to p - 1 do
@@ -943,7 +933,7 @@ let stats_cmd =
              ~consensus_number:cnum ~layout ~policy ()
          in
          let p = config.Config.processors in
-         let k = min cnum (2 * p) - p in
+         let k = Bounds.fig7_k ~p ~consensus_number:cnum in
          Fmt.pr "fig7 run: finished=%b agreed=%b valid=%b well-formed=%b@."
            sum.Scenarios.finished sum.Scenarios.agreed sum.Scenarios.valid
            sum.Scenarios.well_formed;
@@ -1000,9 +990,6 @@ let stats_cmd =
        (if Hwf_obs.Races.racy races then
           Fmt.str " (%a)" Fmt.(list ~sep:comma string) races.Hwf_obs.Races.racy_vars
         else "");
-     Fmt.pr "clock taint: %s (%d stamp reads, %d clock reads)@."
-       (if Trace.now_reads trace = 0 then "none" else "tainted")
-       (Trace.stamp_reads trace) (Trace.now_reads trace);
      let pool = Explore.stats_pool estats in
      Fmt.pr "pool: %d cells evaluated, %d skipped@."
        (Hwf_par.Pool.stats_evaluated pool)

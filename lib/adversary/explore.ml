@@ -25,9 +25,9 @@ type outcome = {
 
 (* ---- sleep-set pruning (dynamic partial-order reduction) ----
 
-   The independence relation, its validity boundary (the [Eff.now]
-   taint) and the source-set refinement are described in the interface
-   preamble; [dpor_requested] below says when pruning is armed. *)
+   The independence relation, why it holds by construction, and the
+   source-set refinement are described in the interface preamble;
+   [dpor_requested] below says when pruning is armed. *)
 
 (* Sleep sets are pid bitmasks in an [int]; pruning is disabled for
    configurations wider than this (none exist in practice). *)
@@ -261,13 +261,10 @@ let max_depth = 10_000
    replayed: such a decision only checks that it offers the recorded
    candidates and takes the recorded pid and the next slot's recorded
    sleep set. From slot [k] on the slots are computed afresh. Returns
-   [(result, arena, truncated, tainted, blocked)]; [tainted] is true
-   when the program read the global statement clock ([Eff.now]), which
-   invalidates the independence relation; [blocked] is true when the
-   run was cut off at
-   a fully-slept decision point (every enabled transition covered by an
-   earlier sibling subtree), in which case the prefix must be discarded
-   without a verdict check. A replayed slot whose candidates the run
+   [(result, arena, truncated, blocked)]; [blocked] is true when the
+   run was cut off at a fully-slept decision point (every enabled
+   transition covered by an earlier sibling subtree), in which case the
+   prefix must be discarded without a verdict check. A replayed slot whose candidates the run
    does not offer, a prefix index the run does not offer, or a run that
    ends before its prefix or before slot [k] means [scenario.make] built
    a different program than the run that produced the prefix:
@@ -355,7 +352,7 @@ let run_one ~dpor ~relation ~preemption_bound ~step_limit ~arena:a scenario
      slot [k], whose fresh computation drops the recorded slots past it. *)
   if !depth < Array.length prefix || Vec.length a.choice > !depth then
     diverged !depth "the run ended where the recorded run went on";
-  (result, a, !truncated, Trace.now_reads result.trace > 0, !blocked)
+  (result, a, !truncated, !blocked)
 
 let record_run stats (a : arena) =
   match stats with
@@ -409,10 +406,9 @@ let backtrack ~dpor ?stats a =
    or without a checkpoint — runs the same way. One probe run (the
    all-defaults schedule; sleep sets stay empty along it, so it is the
    same schedule with pruning armed or not) reveals the top-level
-   width and whether the scenario reads the global clock. Each top-level
-   candidate index then roots one subtree cell, the DFS runs unchanged
-   inside each (backtracking never crosses slot 0), and the cells are
-   merged in index order. Because the DFS visits subtree 0 in full,
+   width. Each top-level candidate index then roots one subtree cell,
+   the DFS runs unchanged inside each (backtracking never crosses slot
+   0), and the cells are merged in index order. Because the DFS visits subtree 0 in full,
    then subtree 1, ... — [backtrack] increments slot 0 only when no
    deeper slot has unexplored siblings — the merge reproduces the
    one-domain run order exactly. The probe is subtree 0's first run:
@@ -420,11 +416,6 @@ let backtrack ~dpor ?stats a =
    disturb the decomposition: they are recomputed from the prefix
    alone, so subtree [i]'s pruning is the same on any domain, after any
    other subtree, or after a resume. *)
-
-let tainted_msg =
-  "Explore.explore: the program read the global statement clock (Eff.now) on \
-   some schedules only, which invalidates sleep-set pruning; re-run with \
-   ~dpor:false (--no-dpor)"
 
 (* Outcome of one cell. [sruns] counts verdict-checked runs; on a
    counterexample the cell stops, so [sruns] is also the canonical "runs
@@ -460,7 +451,7 @@ let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~step_l
       { sruns = !runs; sclaims = !claims; sexhaustive = false; scx = None }
     else begin
       incr claims;
-      let instance, (result, ran, truncated, tainted, blocked) =
+      let instance, (result, ran, truncated, blocked) =
         match pre with
         | Some run -> run
         | None ->
@@ -469,7 +460,6 @@ let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~step_l
             run_one ~dpor ~relation ~preemption_bound ~step_limit ~arena scenario
               instance prefix )
       in
-      if tainted && dpor then invalid_arg tainted_msg;
       if truncated then exhaustive := false;
       let verdict =
         if blocked then begin
@@ -556,16 +546,10 @@ let run_cells ~jobs ~stats n cell =
     coverage = Resil.coverage_of_cells cells;
   }
 
-(* Pruning is requested by default but only armed when the relation is
-   valid: never under a preemption bound (the candidate lists are then
-   restricted, breaking the "explored or slept" invariant) and never for
-   configurations too wide for the bitmask. The probe run decides the
-   rest: a probe that read the global clock ([Eff.now] — every
-   history-recording scenario does, on every run) disarms pruning for
-   the whole search. A clock read appearing only on a {e later} schedule
-   is an error ([tainted_msg]); it cannot hide behind pruning, because a
-   pruned schedule executes the same per-process statement sequences as
-   the explored schedule that covers it. *)
+(* Pruning is requested by default and armed unless the sleep-set
+   invariant cannot hold: never under a preemption bound (the candidate
+   lists are then restricted, breaking the "explored or slept"
+   invariant) and never for configurations too wide for the bitmask. *)
 let dpor_requested ~dpor ~preemption_bound scenario =
   dpor && preemption_bound = None && Config.n scenario.config <= max_sleep_pids
 
@@ -615,9 +599,9 @@ let subtree_of_json ~step_limit scenario v =
       }
   | None -> None
 
-(* [dpor] is the {e armed} value (after the probe's taint decision): it
-   changes run counts, so it is part of the campaign identity — a
-   journal written with pruning cannot seed a resume without it. *)
+(* [dpor] is the {e armed} value: it changes run counts, so it is part
+   of the campaign identity — a journal written with pruning cannot
+   seed a resume without it. *)
 let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario =
   (* [depth] and [osl] name the fixed depth bound and the failing step
      limit; they stay in the id so older journals still resume. *)
@@ -630,18 +614,16 @@ let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~step_limit scenario
   Printf.sprintf "explore/%s/%s" scenario.name (Digest.to_hex (Digest.string params))
 
 (* The search itself. The [checkpoint] journal, when given, is opened
-   once the probe has fixed the width and the armed [dpor] that the
-   campaign id names. *)
+   once the probe has fixed the width. *)
 let search ~preemption_bound ~max_runs ~step_limit ~jobs ~dpor ~relation ~stats
     ~cell_wall_s ?checkpoint ~resume ~should_stop ~judge scenario =
-  let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
+  let dpor = dpor_requested ~dpor ~preemption_bound scenario in
   let probe_instance = scenario.make () in
   let probe =
-    run_one ~dpor:dpor_req ~relation ~preemption_bound ~step_limit
-      ~arena:(make_arena ()) scenario probe_instance [||]
+    run_one ~dpor ~relation ~preemption_bound ~step_limit ~arena:(make_arena ())
+      scenario probe_instance [||]
   in
-  let _, probe_arena, _, probe_tainted, _ = probe in
-  let dpor = dpor_req && not probe_tainted in
+  let _, probe_arena, _, _ = probe in
   let width =
     if Vec.length probe_arena.width = 0 then 1 else max 1 (Vec.get probe_arena.width 0)
   in
@@ -686,10 +668,10 @@ let search ~preemption_bound ~max_runs ~step_limit ~jobs ~dpor ~relation ~stats
             | Some _ -> Resil.run_cell ~deadline_for f
             | None ->
               (* Without a journal an exception escaping a subtree (a
-                 bug in a process body, a latent clock read) propagates
-                 — lowest subtree first — instead of being contained as
-                 an errored cell: nothing would record it, and it must
-                 not pass for a verdict. *)
+                 bug in a process body) propagates — lowest subtree
+                 first — instead of being contained as an errored cell:
+                 nothing would record it, and it must not pass for a
+                 verdict. *)
               { Resil.outcome = Resil.Ok_cell (f (deadline_for ~attempt:1)); attempts = 1 }))
   in
   match

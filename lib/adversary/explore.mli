@@ -19,7 +19,7 @@
 
     Every search ({!explore} at any [jobs] or checkpoint, and
     {!iter_schedules}) runs one {e probe} (the all-defaults schedule,
-    which fixes the top-level width and the clock taint), then one
+    which fixes the top-level width), then one
     {e subtree cell} per top-level candidate on the domain pool (the
     calling domain alone at [jobs = 1]), merged in DFS order. The probe
     is subtree 0's first run. {!sample} shares the pool and the merge,
@@ -67,23 +67,18 @@
     name is part of the checkpoint campaign identity, since run counts
     depend on it.
 
-    Validity boundary: the relation assumes programs observe nothing
-    global outside their {!Hwf_sim.Shared} footprints. The one such
-    door is [Eff.now] (the global statement clock): if the probe run
-    reads it, pruning is silently disarmed for the whole search; if a
-    {e later} schedule is the first to read it, the search raises
-    [Invalid_argument] telling you to pass [~dpor:false] — it cannot
-    miss that schedule, because a pruned schedule executes the same
-    per-process statement sequences as the explored schedule covering
-    it. [Eff.stamp] (the per-processor timestamp pair) is {e not} such
-    a door and does not taint: same-processor transitions never
-    commute, so per-processor statement counts are invariant under
-    every commutation the pruning performs — history recorders
-    ({!Hwf_check.Hist}) use it precisely so linearizability scenarios
-    stay prunable. Pruning is also disarmed under a [preemption_bound]
-    (the restricted candidate lists break the sleep-set invariant) and
-    for configurations wider than 62 processes (the sleep set is a pid
-    bitmask). Context bounding remains the reduction of choice for
+    Validity: the relation assumes programs observe nothing global
+    outside their {!Hwf_sim.Shared} footprints, and the effect
+    vocabulary holds that by construction — a process sees no global
+    time (the paper's model, Sec. 2). Its one instrumentation effect,
+    [Eff.stamp] (the per-processor timestamp pair), commutes with the
+    pruning: same-processor transitions never commute, so per-processor
+    statement counts are invariant under every commutation the pruning
+    performs — history recorders ({!Hwf_check.Hist}) read it, and
+    linearizability scenarios prune like any other. Pruning is disarmed
+    only under a [preemption_bound] (the restricted candidate lists
+    break the sleep-set invariant) and for configurations wider than 62
+    processes (the sleep set is a pid bitmask). Context bounding remains the reduction of choice for
     uniprocessor scenarios; sleep sets are the multiprocessor one, and
     the two are never armed together. *)
 
@@ -222,8 +217,9 @@ val explore :
     wait-free algorithms, which must terminate under every schedule.
 
     [dpor] (default [true]) arms sleep-set pruning with the source-set
-    refinement — see the module preamble for semantics, the cases where
-    it silently disarms itself, and the soundness argument. [relation]
+    refinement unless a [preemption_bound] is given or the scenario has
+    more than 62 processes — see the module preamble for semantics and
+    the soundness argument. [relation]
     (default {!base_relation}) substitutes a stronger independence
     judgement (see [Hwf_lint.Indep]). Verdicts, counterexamples and
     exhaustiveness are unchanged by pruning; [runs] shrinks on
@@ -245,7 +241,7 @@ val explore :
     domains raced at [jobs > 1] (and so may [runs]).
 
     Without a checkpoint an exception escaping a subtree (a bug in a
-    process body, a latent clock read) propagates, lowest subtree
+    process body) propagates, lowest subtree
     first. With one, the cell is contained as an errored cell and the
     outcome's coverage reports it ([docs/ROBUSTNESS.md]).
 

@@ -12,12 +12,10 @@
     than the real-time order of the run — and exactly as strong as what
     survives partial-order reduction: the explorer's pruning
     ({!Hwf_adversary.Explore}) commutes independent statements of
-    different processors, which preserves every per-processor count but
-    not the global clock. Recording through {!Hwf_sim.Eff.now} would
-    taint the run and disable pruning; recording through
-    {!Hwf_sim.Eff.stamp} keeps it prunable. On a uniprocessor the two
-    coincide (one processor's count {e is} the global count), so
-    uniprocessor verdicts are unchanged. *)
+    different processors, which preserves every per-processor count, so
+    a recorded run stays prunable. On a uniprocessor the order is the
+    run's real-time order (one processor's count {e is} the run's
+    statement count). *)
 
 type ('op, 'r) entry = {
   pid : int;

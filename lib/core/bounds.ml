@@ -3,10 +3,12 @@ let fig5_stmt_const = 60
 let fig7_stmt_const = 160
 let universal_stmt_const = 40
 
+let fig7_k ~p ~consensus_number = min consensus_number (2 * p) - p
+
 let universal_quantum ~c ~p ~consensus_number =
   if consensus_number < p then None
   else if consensus_number = max_int then Some 0
-  else Some (max (2 * c) (c * (2 * p + 1 - min consensus_number (2 * p))))
+  else Some (max (2 * c) (c * (p + 1 - fig7_k ~p ~consensus_number)))
 
 let impossibility_quantum ~p ~consensus_number =
   if consensus_number = max_int then None

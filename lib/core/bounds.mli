@@ -54,6 +54,14 @@ val impossibility_quantum : p:int -> consensus_number:int -> int option
     quantum is impossible; this function still reports the Table 1 row
     value for finite cases. *)
 
+val fig7_k : p:int -> consensus_number:int -> int
+(** Fig. 7's [K = min C 2P - P]: how far the consensus number [C]
+    exceeds [P], capped at [P] (a processor uses at most two ports per
+    object, so a consensus number above [2P] adds nothing). The instance built from [C] has
+    {!levels} [~k:(fig7_k ~p ~consensus_number)] levels, and its first
+    [K] processors get two ports per object ({!ports_per_processor}).
+    Negative when [consensus_number < p], where no instance exists. *)
+
 val levels : m:int -> p:int -> k:int -> int
 (** Fig. 7's constant [L = (K+1)M(1+P-K) + (P-K)^2 M + 1], the number of
     consensus levels needed when [C = P + K], [0 <= k <= p], with at most

@@ -43,7 +43,7 @@ let make ?levels_override ~config ~name ~consensus_number () =
   let p = config.Config.processors in
   if consensus_number < p then
     invalid_arg "Multi_consensus.make: consensus_number < processors";
-  let k = min consensus_number (2 * p) - p in
+  let k = Bounds.fig7_k ~p ~consensus_number in
   let m = max 1 (Config.max_per_processor config) in
   let l =
     match levels_override with

@@ -139,9 +139,9 @@ type cell = Cell_pass of { blocked : bool; worst : int } | Cell_fail of failure 
 let max_shrink_rounds = 200
 
 let run_cell ~shrink ?(deadline = Resil.no_deadline) ~trace_buf subject plan =
-  (* One guard for the whole cell: the event count and fuel accumulate
-     across the initial run and every shrink replay, so the deadline
-     bounds the cell, not each engine run separately. The guard ticks
+  (* One guard for the whole cell: the event count accumulates across
+     the initial run and every shrink replay, so the deadline bounds the
+     cell, not each engine run separately. The guard ticks
      once per event, statements included. *)
   let guard = Resil.guard_observer deadline in
   let sink =

@@ -107,9 +107,10 @@ let fig7 ?(seed = 29) () =
   let n = List.length layout in
   let config = Layout.to_config ~quantum:4000 layout in
   let consensus_number = 2 in
+  let p = config.Config.processors in
   let levels =
-    Bounds.levels ~m:(Config.max_per_processor config) ~p:config.Config.processors
-      ~k:consensus_number
+    Bounds.levels ~m:(Config.max_per_processor config) ~p
+      ~k:(Bounds.fig7_k ~p ~consensus_number)
   in
   let make () =
     let obj = Multi_consensus.make ~config ~name:"f7.mc" ~consensus_number () in

@@ -47,8 +47,8 @@ let build (runs : Recorder.run list) =
               i.writers <- Iset.add pid i.writers;
               if not (List.mem kind i.rmw_kinds) then i.rmw_kinds <- kind :: i.rmw_kinds
             | Op.Local _ -> ())
-          | Trace.Inv_begin _ | Trace.Inv_end _ | Trace.Note _ | Trace.Set_priority _
-          | Trace.Axiom2_gate _ -> ())
+          | Trace.Inv_begin _ | Trace.Inv_end _ | Trace.Set_priority _ | Trace.Axiom2_gate _ ->
+            ())
         r.events;
       List.iter
         (fun (w : Recorder.window) ->

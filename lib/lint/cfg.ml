@@ -129,7 +129,7 @@ let build (store : Astore.t) (runs : Recorder.run list) =
               s.s_max_stmts <- max s.s_max_stmts p.p_len;
               s.s_completed <- s.s_completed + 1;
               Hashtbl.remove paths pid)
-          | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ())
+          | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ())
         r.events;
       (* Invocations still open when the statement budget ran out are
          the replay signature of an unbounded loop. *)

@@ -230,7 +230,7 @@ let priority (runs : Recorder.run list) =
                       priority;
                 }
                 :: !out
-          | Trace.Stmt _ | Trace.Note _ | Trace.Axiom2_gate _ -> ())
+          | Trace.Stmt _ | Trace.Axiom2_gate _ -> ())
         r.events)
     runs;
   finalize !out

@@ -249,7 +249,6 @@ let projection events n =
         push pid (Fmt.str "s:%a/%d/%d" Op.pp op inv cost)
       | Trace.Inv_begin { pid; inv; label } -> push pid (Fmt.str "b:%s/%d" label inv)
       | Trace.Inv_end { pid; inv; label } -> push pid (Fmt.str "e:%s/%d" label inv)
-      | Trace.Note { pid; text } -> push pid ("n:" ^ text)
       | Trace.Set_priority { pid; priority } ->
         push pid (Fmt.str "p:%d" priority)
       | Trace.Axiom2_gate _ -> ())

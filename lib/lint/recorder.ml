@@ -48,7 +48,7 @@ let record ?(step_limit = 200_000) ~policy_name ~config ~policy programs =
     | Trace.Inv_end { pid; _ } ->
       label.(pid) <- "";
       open_window pid None (-1) ""
-    | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ()
+    | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ()
   in
   let sink =
     {

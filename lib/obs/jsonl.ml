@@ -48,7 +48,6 @@ let event (e : Trace.event) =
       [ ("ev", str "inv_begin"); ("pid", int pid); ("inv", int inv); ("label", str label) ]
     | Trace.Inv_end { pid; inv; label } ->
       [ ("ev", str "inv_end"); ("pid", int pid); ("inv", int inv); ("label", str label) ]
-    | Trace.Note { pid; text } -> [ ("ev", str "note"); ("pid", int pid); ("text", str text) ]
     | Trace.Set_priority { pid; priority } ->
       [ ("ev", str "set_priority"); ("pid", int pid); ("priority", int priority) ]
     | Trace.Axiom2_gate { at; active } ->

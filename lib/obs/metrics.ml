@@ -253,7 +253,6 @@ let feed c (e : Trace.event) =
     a.synced <- c.pcount.(c.config.Config.procs.(pid).Proc.processor);
     a.invocations <- a.invocations + 1
   | Trace.Inv_end { pid; _ } -> close_inv c pid true
-  | Trace.Note _ -> ()
   | Trace.Set_priority { pid; priority } ->
     let a = c.accs.(pid) in
     (* The window is classified against the priority the pid held while

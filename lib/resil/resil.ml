@@ -4,43 +4,18 @@
 
 (* ---- deadlines ---- *)
 
-type deadline = {
-  expires_at : float option;  (* absolute Unix.gettimeofday *)
-  fuel : int Atomic.t option;
-}
+type deadline = float option  (* absolute Unix.gettimeofday expiry *)
 
 exception Deadline_exceeded of string
 
-let no_deadline = { expires_at = None; fuel = None }
+let no_deadline = None
 
-let deadline ?wall_s ?fuel () =
-  {
-    expires_at = Option.map (fun s -> Unix.gettimeofday () +. s) wall_s;
-    fuel = Option.map Atomic.make fuel;
-  }
+let deadline ?wall_s () = Option.map (fun s -> Unix.gettimeofday () +. s) wall_s
 
-let expired d =
-  (match d.expires_at with
-  | Some t -> Unix.gettimeofday () >= t
-  | None -> false)
-  || match d.fuel with Some f -> Atomic.get f <= 0 | None -> false
+let expired = function Some t -> Unix.gettimeofday () >= t | None -> false
 
 let check_deadline d =
-  (match d.fuel with
-  | Some f when Atomic.get f <= 0 -> raise (Deadline_exceeded "fuel exhausted")
-  | Some _ | None -> ());
-  match d.expires_at with
-  | Some t when Unix.gettimeofday () >= t ->
-    raise (Deadline_exceeded "wall-clock deadline exceeded")
-  | Some _ | None -> ()
-
-let spend d k =
-  match d.fuel with
-  | Some f -> ignore (Atomic.fetch_and_add f (-k))
-  | None -> ()
-
-let wall_left_s d =
-  Option.map (fun t -> t -. Unix.gettimeofday ()) d.expires_at
+  if expired d then raise (Deadline_exceeded "wall-clock deadline exceeded")
 
 let guard_observer ?(every = 2048) d =
   (* One int incr + compare per event; a gettimeofday only every
@@ -50,7 +25,6 @@ let guard_observer ?(every = 2048) d =
     incr count;
     if !count >= every then begin
       count := 0;
-      spend d every;
       check_deadline d
     end
 

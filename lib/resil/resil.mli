@@ -5,7 +5,7 @@
     stuck or crashing cell must not throw the rest away. This module
     provides the four pieces the campaign runners share:
 
-    - {b per-cell deadlines}: a wall-clock/fuel budget a cell's work is
+    - {b per-cell deadlines}: a wall-clock budget a cell's work is
       checked against, cooperatively (between engine runs and shrink
       replays) and inside the engine (via {!guard_observer} behind a
       trace sink);
@@ -36,16 +36,16 @@
 (** {1 Deadlines} *)
 
 type deadline
-(** A per-cell budget: an absolute wall-clock expiry and/or a fuel
-    (statement) budget. Immutable except for the fuel counter. *)
+(** A per-cell budget: an absolute wall-clock expiry, or none.
+    Immutable. *)
 
 exception Deadline_exceeded of string
 (** Raised by {!check_deadline} / {!guard_observer} when a deadline
     expires. Classified as a timeout, not an error, by {!run_cell}. *)
 
-val deadline : ?wall_s:float -> ?fuel:int -> unit -> deadline
-(** A deadline expiring [wall_s] seconds from now and/or after [fuel]
-    units have been {!spend}-ed. Omitting both yields {!no_deadline}. *)
+val deadline : ?wall_s:float -> unit -> deadline
+(** A deadline expiring [wall_s] seconds from now. Omitting [wall_s]
+    yields {!no_deadline}. *)
 
 val no_deadline : deadline
 (** Never expires. *)
@@ -56,18 +56,11 @@ val check_deadline : deadline -> unit
 (** @raise Deadline_exceeded if the deadline has expired. Cheap enough
     to call between engine runs and shrink replays. *)
 
-val spend : deadline -> int -> unit
-(** Consume fuel. Does not raise; the next {!check_deadline} does. *)
-
-val wall_left_s : deadline -> float option
-(** Seconds until wall-clock expiry ([None] if no wall budget). *)
-
 val guard_observer : ?every:int -> deadline -> ('a -> unit)
 (** A per-event guard: counts calls and polls the wall clock every
-    [every] calls (default 2048), spending that much fuel each time,
-    raising {!Deadline_exceeded} from inside [Engine.run] — this is what
-    turns a livelocked engine run into a structured timeout instead of a
-    hang. Call it once per trace event, statements included, from both
+    [every] calls (default 2048), raising {!Deadline_exceeded} from
+    inside [Engine.run] — this is what turns a livelocked engine run
+    into a structured timeout instead of a hang. Call it once per trace event, statements included, from both
     callbacks of the run's [Trace.sink] (this library does not depend on
     the simulator, so the caller builds the sink; see
     [Hwf_faults.Certify]). Compose it with a real sink if one is

@@ -2,8 +2,6 @@ type _ Effect.t +=
   | Step : Op.t -> unit Effect.t
   | Inv_begin : string -> unit Effect.t
   | Inv_end : string -> unit Effect.t
-  | Note : string -> unit Effect.t
-  | Now : int Effect.t
   | Stamp : (int * int) Effect.t
   | Set_priority : int -> unit Effect.t
 
@@ -16,7 +14,5 @@ let invocation label body =
   Effect.perform (Inv_end label);
   r
 
-let note s = Effect.perform (Note s)
-let now () = Effect.perform Now
 let stamp () = Effect.perform Stamp
 let set_priority p = Effect.perform (Set_priority p)

@@ -25,31 +25,21 @@ val invocation : string -> (unit -> 'a) -> 'a
     the process transits thinking → ready before the first statement of
     [body] and ready → thinking after its last. *)
 
-val note : string -> unit
-(** Zero-cost trace annotation (not a statement). *)
-
-val now : unit -> int
-(** The global statement count so far. Zero-cost (not a statement); used
-    by history recorders to timestamp operation intervals.
-
-    Reading the global clock makes the run schedule-sensitive: commuting
-    two independent statements of {e other} processes changes the value
-    returned here, so partial-order pruning must treat a [now]-reading
-    run as tainted (see {!Explore}). Prefer {!stamp} for history
-    timestamps. *)
-
 val stamp : unit -> int * int
 (** [(processor, count)] — the calling process's processor and the
     number of statements executed {e on that processor} so far.
-    Zero-cost (not a statement).
+    Zero-cost (not a statement); the only instrumentation effect, used
+    by history recorders to timestamp operation intervals.
 
-    Unlike {!now}, this order is stable under partial-order reduction:
-    statements on the same processor never commute (the scheduler's
-    per-processor accounting orders them), so the per-processor count is
-    invariant under every reordering of independent statements that
-    DPOR considers equivalent. Two stamps are ordered only when they
-    share a processor; history checkers must treat stamps on different
-    processors as concurrent. *)
+    A process sees no global time (the paper's model, Sec. 2): the
+    count covers its own processor only. That makes the value stable
+    under partial-order reduction: statements on the same processor
+    never commute (the scheduler's per-processor accounting orders
+    them), and a statement on another processor never advances it, so
+    it is invariant under every reordering of independent statements
+    that DPOR considers equivalent. Two stamps are ordered only when
+    they share a processor; history checkers must treat stamps on
+    different processors as concurrent. *)
 
 val set_priority : int -> unit
 (** Change the calling process's priority (Sec. 5: dynamic priorities).
@@ -66,7 +56,5 @@ type _ Effect.t +=
   | Step : Op.t -> unit Effect.t
   | Inv_begin : string -> unit Effect.t
   | Inv_end : string -> unit Effect.t
-  | Note : string -> unit Effect.t
-  | Now : int Effect.t
   | Stamp : (int * int) Effect.t
   | Set_priority : int -> unit Effect.t

@@ -462,22 +462,8 @@ let run ?(step_limit = 1_000_000) ?cost ?(crashes = []) ?axiom2_active ?sink ?tr
     resume k ()
   in
   let inv_end_some = Some inv_end_fn in
-  let note_fn (k : (unit, unit) continuation) =
-    Runtime.leave rt;
-    (try Trace.add trace (Trace.Note { pid = !cur.info.pid; text = !stash_str })
-     with e -> park !cur k e);
-    resume k ()
-  in
-  let note_some = Some note_fn in
-  let now_fn (k : (int, unit) continuation) =
-    Runtime.leave rt;
-    Trace.count_now trace;
-    resume k (Trace.statements trace)
-  in
-  let now_some = Some now_fn in
   let stamp_fn (k : (int * int, unit) continuation) =
     Runtime.leave rt;
-    Trace.count_stamp trace;
     let proc = !cur.info.processor in
     resume k (proc, proc_stmts.(proc))
   in
@@ -562,10 +548,6 @@ let run ?(step_limit = 1_000_000) ?cost ?(crashes = []) ?axiom2_active ?sink ?tr
           | Eff.Inv_end label ->
             stash_str := label;
             inv_end_some
-          | Eff.Note text ->
-            stash_str := text;
-            note_some
-          | Eff.Now -> now_some
           | Eff.Stamp -> stamp_some
           | Eff.Set_priority p ->
             stash_level := p;

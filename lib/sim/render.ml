@@ -22,7 +22,7 @@ let lanes ?(max_width = 200) trace =
           let last = !col - 1 in
           if last < width then Bytes.set rows.(pid) last ']'
         end
-      | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ()
+      | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ()
       | Trace.Stmt { pid; _ } ->
         if !col < width then begin
           for q = 0 to n - 1 do

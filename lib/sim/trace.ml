@@ -2,7 +2,6 @@ type event =
   | Stmt of { idx : int; pid : Proc.pid; op : Op.t; inv : int; cost : int }
   | Inv_begin of { pid : Proc.pid; inv : int; label : string }
   | Inv_end of { pid : Proc.pid; inv : int; label : string }
-  | Note of { pid : Proc.pid; text : string }
   | Set_priority of { pid : Proc.pid; priority : int }
   | Axiom2_gate of { at : int; active : bool }
 
@@ -17,7 +16,7 @@ type sink = { on_stmt : stmt_sink; on_event : event -> unit }
    whose op equals the previous statement's op reuses its id, any other
    op is pushed as a new id (no hashing: most consecutive ops of a run
    differ, so an intern table pays a lookup per statement for little
-   sharing). Labels and note texts, which are few and repeat, are
+   sharing). Labels, which are few and repeat, are
    interned through a hash table. Appending a statement is therefore a
    handful of int stores and at most one pointer push — no event
    record — which is what the engine's burst loop runs against. *)
@@ -25,9 +24,8 @@ type sink = { on_stmt : stmt_sink; on_event : event -> unit }
 let tag_stmt = 0
 let tag_inv_begin = 1
 let tag_inv_end = 2
-let tag_note = 3
-let tag_set_priority = 4
-let tag_gate = 5
+let tag_set_priority = 3
+let tag_gate = 4
 
 let no_stmt ~idx:_ ~pid:_ ~op:_ ~inv:_ ~cost:_ = ()
 let no_event (_ : event) = ()
@@ -38,13 +36,11 @@ type t = {
   mutable pos : int;  (* ints used in [buf] *)
   mutable len : int;  (* number of events *)
   ops : Op.t Vec.t;  (* run-length op table, id = index; per run *)
-  strs : string Vec.t;  (* label/text intern table *)
+  strs : string Vec.t;  (* label intern table *)
   str_ids : (string, int) Hashtbl.t;
   mutable stmts : int;
   mutable time : int;
   own : int array;  (* per-pid statement counts, maintained incrementally *)
-  mutable now_reads : int;
-  mutable stamp_reads : int;
   (* The installed sink, split per event class so the statement hot
      path passes fields instead of allocating an event record. Always
      callable: when nothing is installed both are no-ops, so the append
@@ -67,8 +63,6 @@ let create config =
     stmts = 0;
     time = 0;
     own = Array.make (Config.n config) 0;
-    now_reads = 0;
-    stamp_reads = 0;
     on_stmt = no_stmt;
     on_event = no_event;
     observed = false;
@@ -91,17 +85,7 @@ let reset t =
   t.stmts <- 0;
   t.time <- 0;
   Array.fill t.own 0 (Array.length t.own) 0;
-  t.now_reads <- 0;
-  t.stamp_reads <- 0;
   clear_sink t
-
-let count_now t = t.now_reads <- t.now_reads + 1
-
-let now_reads t = t.now_reads
-
-let count_stamp t = t.stamp_reads <- t.stamp_reads + 1
-
-let stamp_reads t = t.stamp_reads
 
 let config t = t.config
 
@@ -186,14 +170,6 @@ let add t e =
     push_stmt t ~idx ~pid ~op ~inv ~cost
   | Inv_begin { pid; inv; label } -> add_inv_begin t ~pid ~inv ~label
   | Inv_end { pid; inv; label } -> add_inv_end t ~pid ~inv ~label
-  | Note { pid; text } ->
-    ensure t 2;
-    let b = t.buf and p = t.pos in
-    b.(p) <- tag_note lor (pid lsl 3);
-    b.(p + 1) <- str_id t text;
-    t.pos <- p + 2;
-    t.len <- t.len + 1;
-    if t.observed then t.on_event e
   | Set_priority { pid; priority } ->
     ensure t 2;
     let b = t.buf and p = t.pos in
@@ -240,10 +216,6 @@ let iter f t =
       f (Inv_end { pid; inv = b.(!p + 1); label = Vec.get t.strs b.(!p + 2) });
       p := !p + 3
     end
-    else if tag = tag_note then begin
-      f (Note { pid; text = Vec.get t.strs b.(!p + 1) });
-      p := !p + 2
-    end
     else if tag = tag_set_priority then begin
       f (Set_priority { pid; priority = b.(!p + 1) });
       p := !p + 2
@@ -282,7 +254,6 @@ let pp_event ppf = function
     Fmt.pf ppf "      %a.%d  BEGIN %s" Proc.pp_pid pid inv label
   | Inv_end { pid; inv; label } ->
     Fmt.pf ppf "      %a.%d  END %s" Proc.pp_pid pid inv label
-  | Note { pid; text } -> Fmt.pf ppf "      %a  -- %s" Proc.pp_pid pid text
   | Set_priority { pid; priority } ->
     Fmt.pf ppf "      %a  PRIORITY := %d" Proc.pp_pid pid priority
   | Axiom2_gate { at; active } ->

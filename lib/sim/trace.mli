@@ -2,7 +2,7 @@
 
     A trace is the machine-readable form of the paper's notion of a
     history: the sequence of atomic statement executions, interleaved
-    with invocation boundaries and free-form notes. Traces are the input
+    with invocation boundaries. Traces are the input
     to the well-formedness checker ({!Wellformed}), the interleaving
     renderer ({!Render}) and the linearizability checker.
 
@@ -26,7 +26,6 @@ type event =
           statement-count model). *)
   | Inv_begin of { pid : Proc.pid; inv : int; label : string }
   | Inv_end of { pid : Proc.pid; inv : int; label : string }
-  | Note of { pid : Proc.pid; text : string }
   | Set_priority of { pid : Proc.pid; priority : int }
       (** The process changed its own priority between invocations
           (Sec. 5: dynamic priorities). *)
@@ -117,29 +116,6 @@ val own_statements : t -> Proc.pid -> int
 (** Statements executed by [pid], maintained incrementally on {!add}
     (O(1), not a refold of the event vector).
     @raise Invalid_argument if [pid] is outside the configuration. *)
-
-val count_now : t -> unit
-(** Engine-internal: record that the running program observed the global
-    statement clock ([Eff.now]). Not an event — a plain counter. *)
-
-val now_reads : t -> int
-(** How many times the run observed the global statement clock. The
-    explorer's sleep-set pruning ({!Hwf_adversary.Explore}) is sound
-    only for runs that never read global state outside their [Shared]
-    footprints; [now_reads > 0] is the taint signal that disables it. *)
-
-val count_stamp : t -> unit
-(** Engine-internal: record that the running program observed its
-    per-processor timestamp ([Eff.stamp]). Not an event — a plain
-    counter. *)
-
-val stamp_reads : t -> int
-(** How many times the run observed a per-processor timestamp. Unlike
-    {!now_reads} this does {e not} taint partial-order pruning: the
-    per-processor statement count is invariant under commutation of
-    independent statements (same-processor statements never commute),
-    so a stamp-reading run stays prunable. Counted for observability
-    only. *)
 
 val pp_event : event Fmt.t
 

@@ -47,7 +47,6 @@ let check trace =
         s.mid_inv <- false;
         s.pending <- false;
         s.guarantee <- 0
-      | Trace.Note _ -> ()
       | Trace.Axiom2_gate { active; _ } ->
         gate := active;
         if active then Array.iter (fun s -> s.guarantee <- 0) st
@@ -135,7 +134,6 @@ let axiom2_bursts trace =
           pending.(pid) <- false;
           budget.(pid) <- 0;
           close pid !stmts
-        | Trace.Note _ -> ()
         | Trace.Set_priority { pid; priority = p } -> priority.(pid) <- p
         | Trace.Axiom2_gate { active; _ } ->
           (* Guarantees granted while enforcement was off are void at
@@ -183,7 +181,7 @@ let axiom2_bursts trace =
         match ev with
         | Trace.Set_priority { pid; priority = p } -> priority.(pid) <- p
         | Trace.Axiom2_gate { active; _ } -> gate := active
-        | Trace.Inv_begin _ | Trace.Inv_end _ | Trace.Note _ -> ()
+        | Trace.Inv_begin _ | Trace.Inv_end _ -> ()
         | Trace.Stmt { idx; pid; _ } ->
           if !gate then
             List.iter

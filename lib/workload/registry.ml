@@ -48,7 +48,7 @@ let fig7 () =
   in
   let config = b.Scenarios.scenario.Explore.config in
   let p = config.Config.processors in
-  let k = min consensus_number (2 * p) - p in
+  let k = Bounds.fig7_k ~p ~consensus_number in
   let l = Bounds.levels ~m:(Config.max_per_processor config) ~p ~k in
   {
     Lint.name = "fig7";

@@ -141,17 +141,8 @@ let run ?(step_limit = 1_000_000) ?cost ?(crashes = []) ?axiom2_active
               handle (fun p k ->
                   end_inv p label;
                   resume k ())
-            | Eff.Note text ->
-              handle (fun p k ->
-                  Trace.add trace (Trace.Note { pid = p.info.pid; text });
-                  resume k ())
-            | Eff.Now ->
-              handle (fun _ k ->
-                  Trace.count_now trace;
-                  resume k (Trace.statements trace))
             | Eff.Stamp ->
               handle (fun p k ->
-                  Trace.count_stamp trace;
                   let cpu = p.info.processor in
                   resume k (cpu, cpu_stmts.(cpu)))
             | Eff.Set_priority level ->

@@ -334,7 +334,7 @@ let sample_events =
     Trace.Inv_begin { pid = 0; inv = 0; label = "work" };
     Trace.Stmt { idx = 0; pid = 0; op = Op.local "s"; inv = 0; cost = 1 };
     Trace.Stmt { idx = 1; pid = 0; op = Op.read "x"; inv = 0; cost = 3 };
-    Trace.Note { pid = 1; text = "a note" };
+    Trace.Inv_begin { pid = 1; inv = 0; label = "other" };
     Trace.Set_priority { pid = 1; priority = 2 };
     Trace.Axiom2_gate { at = 2; active = false };
     Trace.Stmt { idx = 2; pid = 1; op = Op.write "x"; inv = 0; cost = 2 };
@@ -345,7 +345,7 @@ let sample_events =
     Trace.Inv_begin { pid = 0; inv = 1; label = "work" };
     Trace.Stmt { idx = 3; pid = 0; op = Op.read "x"; inv = 1; cost = 1 };
     Trace.Stmt { idx = 4; pid = 0; op = Op.rmw ~var:"x" ~kind:"cas"; inv = 1; cost = 1 };
-    Trace.Note { pid = 0; text = "a note" };
+    Trace.Inv_end { pid = 1; inv = 0; label = "other" };
     Trace.Inv_end { pid = 0; inv = 1; label = "work" };
   ]
 
@@ -415,7 +415,7 @@ let test_sink_detached_after_run () =
   Util.checkb "run finished" (r.Engine.stop = Engine.All_finished);
   Util.checkb "sink saw events" (!calls > 0);
   let seen = !calls in
-  Trace.add r.Engine.trace (Trace.Note { pid = 0; text = "post-run" });
+  Trace.add r.Engine.trace (Trace.Set_priority { pid = 0; priority = 1 });
   Trace.add_stmt r.Engine.trace ~pid:0 ~op:(Op.local "s") ~inv:0 ~cost:1;
   Util.checki "sink detached after normal return" seen !calls
 
@@ -435,7 +435,7 @@ let test_sink_detached_after_raise () =
   | _ -> Alcotest.fail "expected the body exception to propagate"
   | exception Failure msg -> Util.check Alcotest.string "exn" "boom" msg);
   let seen = !calls in
-  Trace.add trace_buf (Trace.Note { pid = 0; text = "post-raise" });
+  Trace.add trace_buf (Trace.Inv_end { pid = 0; inv = 0; label = "post-raise" });
   Trace.add_stmt trace_buf ~pid:0 ~op:(Op.local "s") ~inv:0 ~cost:1;
   Util.checki "sink detached after exception" seen !calls
 

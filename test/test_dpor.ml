@@ -5,9 +5,9 @@ open Hwf_workload
 (* Sleep-set pruning (docs/PARALLELISM.md). The contract under test:
    verdicts, counterexamples and exhaustiveness are invariant under
    pruning; run counts shrink on multiprocessor scenarios and are
-   untouched on uniprocessor ones; the [Eff.now] validity boundary is
-   enforced (silent disarm when the probe reads the clock, a loud
-   [Invalid_argument] when only a later schedule does). *)
+   untouched on uniprocessor ones. Pruning is valid by construction:
+   a process observes nothing global outside its [Shared] footprints
+   ([Eff.stamp] counts its own processor's statements only). *)
 
 let check_outcomes name (a : Explore.outcome) (b : Explore.outcome) =
   Util.checki (name ^ ": runs") a.runs b.runs;
@@ -143,59 +143,11 @@ let test_jobs_identity_under_dpor () =
         [ 2; 3; 4 ])
     [ disjoint (); lost_update () ]
 
-let test_probe_taint_disarms () =
-  (* Every run reads the global clock: the probe sees it and pruning is
-     silently disarmed — the search runs in full, no error. *)
-  let s =
-    two_cpu ~name:"dpor.clocked" (fun () ->
-        let a = Shared.make "a" 0 in
-        let programs =
-          [|
-            (fun () -> Eff.invocation "p0" (fun () -> Shared.write a 1; Shared.write a 2));
-            (fun () -> Eff.invocation "p1" (fun () -> ignore (Eff.now ()); Shared.write a 3));
-          |]
-        in
-        (programs, fun () -> Ok ()))
-  in
-  let stats = Explore.make_stats ~jobs:1 s in
-  let full = Explore.explore ~dpor:false s in
-  let dp = Explore.explore ~stats s in
-  check_outcomes "clocked scenario runs in full" full dp;
-  Util.checki "nothing pruned when disarmed" 0 (Explore.stats_pruned stats)
-
-let test_later_taint_raises () =
-  (* The clock read hides behind a data race: the probe (P0 first, so
-     P1 reads 1) is clean, but the P1-first schedules read 0 and hit
-     [Eff.now]. The search must refuse loudly rather than prune over an
-     invalid independence relation. *)
-  let s =
-    two_cpu ~name:"dpor.latent-clock" (fun () ->
-        let x = Shared.make "x" 0 in
-        let programs =
-          [|
-            (fun () -> Eff.invocation "p0" (fun () -> Shared.write x 1));
-            (fun () ->
-              Eff.invocation "p1" (fun () ->
-                  if Shared.read x = 0 then ignore (Eff.now ())));
-          |]
-        in
-        (programs, fun () -> Ok ()))
-  in
-  (match Explore.explore s with
-  | _ -> Alcotest.fail "expected Invalid_argument on the latent clock read"
-  | exception Invalid_argument m ->
-    Util.checkb "message points at --no-dpor" (Util.contains m "--no-dpor"));
-  (* And the escape hatch works. *)
-  let full = Explore.explore ~dpor:false s in
-  Util.checkb "explored in full with ~dpor:false" full.exhaustive
-
 let test_hist_wrap_prunable () =
   (* History recording through [Hist.wrap] reads per-processor
-     timestamps ([Eff.stamp]), not the global clock: the scenario must
-     stay prunable — stamp reads do not taint — with the verdict (a
-     linearizability check over the recorded history) preserved. Under
-     the old global-clock recorder this scenario would have disarmed or
-     raised like the [Eff.now] cases above. *)
+     timestamps ([Eff.stamp]): the scenario stays prunable, with the
+     verdict (a linearizability check over the recorded history)
+     preserved. *)
   let module Hist = Hwf_check.Hist in
   let module Lincheck = Hwf_check.Lincheck in
   let spec =
@@ -230,16 +182,7 @@ let test_hist_wrap_prunable () =
   Util.checkb "exhaustive agrees" (full.exhaustive = dp.exhaustive);
   Util.checkb "verdict agrees"
     ((full.counterexample = None) = (dp.counterexample = None));
-  Util.checkb "pruned within full" (dp.runs <= full.runs);
-  (* Stamp reads are counted but non-tainting: observable on a direct
-     engine run. *)
-  let inst = s.Explore.make () in
-  let r =
-    Engine.run ~step_limit:1_000 ~config:s.Explore.config
-      ~policy:(Policy.round_robin ()) inst.Explore.programs
-  in
-  Util.checkb "stamp reads counted" (Trace.stamp_reads r.Engine.trace > 0);
-  Util.checki "no global clock reads" 0 (Trace.now_reads r.Engine.trace)
+  Util.checkb "pruned within full" (dp.runs <= full.runs)
 
 let test_source_prunes_counted () =
   (* Three processes on three processors with overlapping conflicts
@@ -520,9 +463,6 @@ let () =
             test_counterexample_preserved;
           Alcotest.test_case "jobs identity under dpor" `Quick
             test_jobs_identity_under_dpor;
-          Alcotest.test_case "probe clock read disarms silently" `Quick
-            test_probe_taint_disarms;
-          Alcotest.test_case "latent clock read raises" `Quick test_later_taint_raises;
           Alcotest.test_case "hist.wrap stays prunable" `Quick test_hist_wrap_prunable;
           Alcotest.test_case "source-set prunes counted" `Quick
             test_source_prunes_counted;

@@ -17,13 +17,13 @@ let test_set_priority_changes_scheduling () =
         Eff.invocation "b" (fun () ->
             for _ = 1 to 3 do
               Eff.local "s";
-              log := (0, Eff.now ()) :: !log
+              log := (0, snd (Eff.stamp ())) :: !log
             done));
       (fun () ->
         Eff.invocation "w" (fun () ->
             for _ = 1 to 6 do
               Eff.local "s";
-              log := (1, Eff.now ()) :: !log
+              log := (1, snd (Eff.stamp ())) :: !log
             done));
     |]
   in

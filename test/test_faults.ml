@@ -18,6 +18,19 @@ let test_fig3_exhaustive_sweep () =
   Util.checki "all plans passed" 28 report.Certify.passed;
   Util.checki "worst own-steps is the Thm 1 bound" 8 report.Certify.worst_own_steps
 
+let test_fig7_bound () =
+  (* Fig. 7's own-step bound is c.L, with L the level count of the
+     object the subject certifies: an object built on the subject's
+     configuration with its consensus number (2). *)
+  let subject = Suite.fig7 () in
+  let obj =
+    Hwf_core.Multi_consensus.make ~config:subject.Certify.config ~name:"f7.bound"
+      ~consensus_number:2 ()
+  in
+  Util.checki "step_bound = c.L"
+    (Hwf_core.Bounds.fig7_stmt_const * Hwf_core.Multi_consensus.levels obj)
+    subject.Certify.step_bound
+
 let test_campaigns_certify () =
   (* The standard quick campaign certifies every positive subject. *)
   List.iter
@@ -250,6 +263,7 @@ let () =
       ( "certifier",
         [
           Alcotest.test_case "fig3 exhaustive sweep" `Quick test_fig3_exhaustive_sweep;
+          Alcotest.test_case "fig7 bound is c.L of its object" `Quick test_fig7_bound;
           Alcotest.test_case "campaigns certify" `Slow test_campaigns_certify;
           Alcotest.test_case "negative control rejected" `Quick test_negative_control;
           Alcotest.test_case "deterministic" `Quick test_determinism;

@@ -132,9 +132,9 @@ let test_scan_cost_grows_with_v () =
       [|
         (fun () ->
           Eff.invocation "low" (fun () ->
-              let t0 = Eff.now () in
+              let t0 = snd (Eff.stamp ()) in
               ignore (Hybrid_cas.cas obj ~pid:0 ~expected:1 ~desired:2);
-              steps_p0 := Eff.now () - t0));
+              steps_p0 := snd (Eff.stamp ()) - t0));
         (fun () ->
           Eff.invocation "high" (fun () ->
               ignore (Hybrid_cas.cas obj ~pid:1 ~expected:0 ~desired:1)));

@@ -146,7 +146,7 @@ module Naive_cfg = struct
                 s.s_max_stmts <- max s.s_max_stmts (List.length ops);
                 s.s_completed <- s.s_completed + 1;
                 Hashtbl.remove open_ pid)
-            | Trace.Note _ | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ())
+            | Trace.Set_priority _ | Trace.Axiom2_gate _ -> ())
           r.events;
         match r.outcome with
         | Ok { Engine.stop = Engine.Step_limit | Engine.Decision_limit; _ } ->

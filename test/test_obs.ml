@@ -206,7 +206,6 @@ module Naive = struct
           a.gap <- `None;
           cur_inv.(pid) <- inv
         | Trace.Inv_end { pid; _ } -> close pid
-        | Trace.Note _ -> ()
         | Trace.Set_priority { pid; priority } -> accs.(pid).priority <- priority
         | Trace.Axiom2_gate { active; _ } ->
           if active then Array.iter (fun a -> a.guarantee <- 0) accs

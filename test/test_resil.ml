@@ -36,24 +36,16 @@ let corrupt_first_schedule path ~member bad =
 
 (* ---- deadlines ---- *)
 
-let test_deadline_fuel () =
-  let d = Resil.deadline ~fuel:3 () in
-  Util.checkb "fresh fuel not expired" (not (Resil.expired d));
-  Resil.check_deadline d;
-  Resil.spend d 3;
-  Util.checkb "spent fuel expired" (Resil.expired d);
-  (match Resil.check_deadline d with
-  | () -> Alcotest.fail "expected Deadline_exceeded"
-  | exception Resil.Deadline_exceeded _ -> ());
-  Util.checkb "no_deadline never expires" (not (Resil.expired Resil.no_deadline))
-
 let test_deadline_wall () =
   let d = Resil.deadline ~wall_s:0.001 () in
   Unix.sleepf 0.01;
   Util.checkb "wall deadline expired" (Resil.expired d);
-  match Resil.wall_left_s d with
-  | Some left -> Util.checkb "no wall time left" (left <= 0.)
-  | None -> Alcotest.fail "wall deadline reports no wall budget"
+  (match Resil.check_deadline d with
+  | () -> Alcotest.fail "expected Deadline_exceeded"
+  | exception Resil.Deadline_exceeded _ -> ());
+  Util.checkb "fresh deadline not expired"
+    (not (Resil.expired (Resil.deadline ~wall_s:60. ())));
+  Util.checkb "no_deadline never expires" (not (Resil.expired Resil.no_deadline))
 
 let test_guard_observer () =
   (* The guard is what turns a livelocked engine run into a structured
@@ -130,16 +122,13 @@ let test_run_cell_timeout_demotion () =
   let seen = ref [] in
   let deadline_for ~attempt =
     seen := attempt :: !seen;
-    Resil.deadline ~fuel:1 ()
+    Resil.deadline ~wall_s:0. ()
   in
   let c =
     Resil.run_cell
       ~retry:{ Resil.default_retry with attempts = 2 }
       ~sleep:(fun _ -> ())
-      ~deadline_for
-      (fun d ->
-        Resil.spend d 1;
-        Resil.check_deadline d)
+      ~deadline_for Resil.check_deadline
   in
   (match c.Resil.outcome with
   | Resil.Timed_out _ -> ()
@@ -560,7 +549,6 @@ let () =
     [
       ( "deadline",
         [
-          Alcotest.test_case "fuel budget" `Quick test_deadline_fuel;
           Alcotest.test_case "wall budget" `Quick test_deadline_wall;
           Alcotest.test_case "guard observer raises" `Quick test_guard_observer;
         ] );

@@ -1,12 +1,13 @@
 open Hwf_sim
 
-(* A body performing [k] statements in one invocation, logging the global
-   statement index of each of its executions into [log]. *)
+(* A body performing [k] statements in one invocation, logging its
+   processor's statement count after each of them into [log] (on one
+   processor, the run's statement count). *)
 let logger_body log pid k () =
   Eff.invocation "work" (fun () ->
       for _ = 1 to k do
         Eff.local "s";
-        log := (pid, Eff.now ()) :: !log
+        log := (pid, snd (Eff.stamp ())) :: !log
       done)
 
 let test_config_validation () =
@@ -136,14 +137,13 @@ let test_trace_contents () =
       (fun () ->
         Eff.invocation "op" (fun () ->
             ignore (Shared.read x);
-            Eff.note "midpoint";
             Shared.write x 1));
     |]
   in
   let r = Util.run ~config ~policy:Policy.first bodies in
   match Trace.events r.trace with
   | [ Trace.Inv_begin { label = "op"; _ }; Trace.Stmt { op = Op.Read "x"; _ };
-      Trace.Note { text = "midpoint"; _ }; Trace.Stmt { op = Op.Write "x"; _ };
+      Trace.Stmt { op = Op.Write "x"; _ };
       Trace.Inv_end { label = "op"; _ } ] ->
     ()
   | evs -> Alcotest.failf "unexpected events:@.%a" Fmt.(list ~sep:(any "@.") Trace.pp_event) evs
@@ -187,24 +187,48 @@ let test_own_statements_incremental () =
   Alcotest.check_raises "pid out of range" (Invalid_argument "Trace.own_statements")
     (fun () -> ignore (Trace.own_statements r.trace n))
 
-let test_now_monotone () =
-  let config = Util.uni_config ~quantum:10 [ 1 ] in
-  let ts = ref [] in
-  let bodies =
-    [|
-      (fun () ->
-        Eff.invocation "op" (fun () ->
-            ts := Eff.now () :: !ts;
-            Eff.local "a";
-            ts := Eff.now () :: !ts;
-            Eff.local "b";
-            ts := Eff.now () :: !ts));
-    |]
+let test_stamp_per_processor () =
+  (* One process per processor, interleaved statement by statement. A
+     process's stamps name its own processor and count that processor's
+     statements only: they step by one with each own statement, and the
+     other processor's statements in between never advance them. The
+     engine and the reference agree. *)
+  let procs =
+    [ Proc.make ~pid:0 ~processor:0 ~priority:1 (); Proc.make ~pid:1 ~processor:1 ~priority:1 () ]
   in
-  ignore (Util.run ~config ~policy:Policy.first bodies);
-  match List.rev !ts with
-  | [ a; b; c ] -> Util.checkb "strictly increasing" (a < b && b < c)
-  | _ -> Alcotest.fail "expected three timestamps"
+  let config = Config.make ~quantum:10 ~processors:2 ~levels:1 procs in
+  let script = [ 0; 1; 1; 0; 1; 0 ] in
+  List.iter
+    (fun (name, run) ->
+      let stamps = Array.make 2 [] in
+      let body pid () =
+        Eff.invocation "op" (fun () ->
+            let record () = stamps.(pid) <- Eff.stamp () :: stamps.(pid) in
+            record ();
+            for _ = 1 to 3 do
+              Eff.local "s";
+              record ()
+            done)
+      in
+      let policy = Policy.scripted ~fallback:Policy.first script in
+      let r : Engine.result = run ~config ~policy [| body 0; body 1 |] in
+      let order =
+        List.filter_map
+          (function Trace.Stmt { pid; _ } -> Some pid | _ -> None)
+          (Trace.events r.trace)
+      in
+      Alcotest.(check (list int)) (name ^ ": interleaving") script order;
+      for pid = 0 to 1 do
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "%s: p%d stamps" name (pid + 1))
+          (List.init 4 (fun k -> (pid, k)))
+          (List.rev stamps.(pid))
+      done)
+    [
+      ("engine", fun ~config ~policy bodies -> Engine.run ~config ~policy bodies);
+      ( "reference",
+        fun ~config ~policy bodies -> Hwf_reference.Reference.run ~config ~policy bodies );
+    ]
 
 let test_step_limit () =
   let config = Util.uni_config ~quantum:10 [ 1 ] in
@@ -470,7 +494,7 @@ let test_trace_op_table () =
     [
       Trace.Inv_begin { pid = 1; inv = 0; label = "a" };
       stmt ~pid:1 100 (Op.write "y");
-      Trace.Note { pid = 1; text = "n" };
+      Trace.Axiom2_gate { at = 1; active = false };
       stmt ~pid:1 7 (Op.write "y");
       Trace.Set_priority { pid = 0; priority = 1 };
       stmt 7 (Op.local "z");
@@ -761,7 +785,7 @@ let () =
           Alcotest.test_case "trace contents" `Quick test_trace_contents;
           Alcotest.test_case "own statements incremental" `Quick
             test_own_statements_incremental;
-          Alcotest.test_case "now monotone" `Quick test_now_monotone;
+          Alcotest.test_case "stamp per processor" `Quick test_stamp_per_processor;
           Alcotest.test_case "step limit" `Quick test_step_limit;
           Alcotest.test_case "policy stop" `Quick test_policy_stop;
           Alcotest.test_case "multiprocessor independence" `Quick
